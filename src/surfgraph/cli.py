@@ -3,7 +3,8 @@
 Machine-readable JSON goes to stdout, a human summary to stderr.  Exit
 codes: 0 success, 2 parse or validation failure, 3 enumeration guard
 exceeded (lift with SURFGRAPH_GUARD_OVERRIDE=1), 4 a verified identity
-failed in `verify` or `batch`.
+failed in `verify` or `batch`, or an internal cross-check between two
+routes to the same quantity disagreed (one `error:` line on stderr).
 """
 
 from __future__ import annotations
@@ -20,31 +21,6 @@ from . import generator, orientations, ribbonmap
 from .errors import SurfGraphError, TooLarge
 from .orientations import OrientationClass
 from .polynomials import poly_eval
-
-_KINDS = ("tension", "flow", "local-tension", "balanced-flow")
-
-_POLY = {
-    "tension": en.poly_tension,
-    "flow": en.poly_flow,
-    "local-tension": en.poly_local_tension,
-    "balanced-flow": en.poly_balanced_flow,
-}
-
-_PAIRS = {
-    "tension": en.reciprocity_pairs_tension,
-    "flow": en.reciprocity_pairs_flow,
-    "local-tension": en.reciprocity_pairs_local_tension,
-    "balanced-flow": en.reciprocity_pairs_balanced_flow,
-}
-
-# sign exponent of the reciprocity identity, from the Euler data
-_SIGN_EXP = {
-    "tension": lambda d: d.v_count - d.c,
-    "flow": lambda d: d.e_count - d.v_count + d.c,
-    "local-tension": lambda d: d.e_count - d.f_count + d.c,
-    "balanced-flow": lambda d: d.f_count - d.c,
-}
-
 
 def _load_graph(path: str | None) -> ribbonmap.RibbonGraph:
     if path is None or path == "-":
@@ -121,7 +97,7 @@ def cmd_count(args) -> int:
 
 def cmd_poly(args) -> int:
     g = _load_graph(args.map)
-    coeffs = _POLY[args.kind](g)
+    coeffs = en.POLY[args.kind](g)
     _emit({"kind": args.kind, "coefficients": coeffs}, args.out)
     _say(f"{args.kind} polynomial, ascending coefficients: {coeffs}")
     return 0
@@ -144,9 +120,9 @@ def cmd_integral(args) -> int:
 
 def cmd_reciprocity(args) -> int:
     g = _load_graph(args.map)
-    pairs = _PAIRS[args.kind](g, args.k)
-    coeffs = _POLY[args.kind](g)
-    signed = (-1) ** _SIGN_EXP[args.kind](g.euler) * poly_eval(coeffs, -args.k)
+    pairs = en.PAIRS[args.kind](g, args.k)
+    coeffs = en.POLY[args.kind](g)
+    signed = (-1) ** en.SIGN_EXP[args.kind](g.euler) * poly_eval(coeffs, -args.k)
     verdict = signed == pairs
     _emit(
         {
@@ -190,14 +166,18 @@ def cmd_cw_hist(args) -> int:
     return 0 if ok else 4
 
 
-def cmd_generate(args) -> int:
+def _corpus(args) -> list[ribbonmap.RibbonGraph]:
     spec = generator.CorpusSpec(
         edges=args.edges,
         genus=args.genus,
         planar=args.planar,
         dedupe=not args.no_dedupe,
     )
-    maps = list(generator.generate(spec))
+    return list(generator.generate(spec))
+
+
+def cmd_generate(args) -> int:
+    maps = _corpus(args)
     lines = [json.dumps(ribbonmap.to_json_dict(g)) for g in maps]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -234,44 +214,30 @@ def _verify_graph(g: ribbonmap.RibbonGraph, kmax: int) -> dict:
         )
 
     ks = list(range(1, kmax + 1))
-    counters = {
-        "tension": en.count_nz_tensions,
-        "flow": en.count_nz_flows,
-        "local-tension": en.count_nz_local_tensions,
-        "balanced-flow": en.count_nz_balanced_flows,
-    }
-    for kind, dual_kind in (
-        ("tension", "balanced-flow"),
-        ("flow", "local-tension"),
-        ("local-tension", "flow"),
-        ("balanced-flow", "tension"),
-    ):
+    for kind in en.KINDS:
+        dual_kind = en.DUAL_KIND[kind]
         check(
             f"{kind} of map equals {dual_kind} of dual",
-            [counters[kind](g, k) for k in ks],
-            [counters[dual_kind](gd, k) for k in ks],
+            [en.COUNT_NZ[kind](g, k) for k in ks],
+            [en.COUNT_NZ[dual_kind](gd, k) for k in ks],
             [1, kmax],
         )
 
-    polys = {kind: _POLY[kind](g) for kind in _KINDS}
-    for kind, cls in (
-        ("tension", OrientationClass.AO),
-        ("flow", OrientationClass.TCO),
-        ("local-tension", OrientationClass.BAO),
-        ("balanced-flow", OrientationClass.TBO),
-    ):
+    polys = {kind: en.POLY[kind](g) for kind in en.KINDS}
+    for kind in en.KINDS:
+        cls = en.CLASS_OF[kind]
         check(
             f"|{kind} polynomial at -1| counts {cls.value} orientations",
             abs(poly_eval(polys[kind], -1)),
             orientations.count_class(g, cls),
         )
 
-    for kind in _KINDS:
-        sign = (-1) ** _SIGN_EXP[kind](d)
+    for kind in en.KINDS:
+        sign = (-1) ** en.SIGN_EXP[kind](d)
         check(
             f"signed {kind} polynomial at -k counts reciprocity pairs",
             [sign * poly_eval(polys[kind], -k) for k in ks],
-            [_PAIRS[kind](g, k) for k in ks],
+            [en.PAIRS[kind](g, k) for k in ks],
             [1, kmax],
         )
 
@@ -314,10 +280,10 @@ def _verify_graph(g: ribbonmap.RibbonGraph, kmax: int) -> dict:
         orientations.tbo_generating_poly_formula(g),
     )
 
-    for cls, dual_cls in (
-        (OrientationClass.BAO, OrientationClass.TCO),
-        (OrientationClass.AO, OrientationClass.TBO),
-    ):
+    # DUAL_KIND pairs the kinds two by two, so two of its entries give
+    # both class bijections: BAO -> TCO and AO -> TBO.
+    for kind in ("local-tension", "tension"):
+        cls, dual_cls = en.CLASS_OF[kind], en.CLASS_OF[en.DUAL_KIND[kind]]
         image = {
             orientations.dual_orientation(g, o).signs
             for o in orientations.enumerate_class(g, cls)
@@ -376,14 +342,7 @@ def _batch_worker(payload: tuple[dict, int]) -> dict:
 
 
 def cmd_batch(args) -> int:
-    spec = generator.CorpusSpec(
-        edges=args.edges,
-        genus=args.genus,
-        planar=args.planar,
-        dedupe=not args.no_dedupe,
-    )
-    maps = list(generator.generate(spec))
-    payloads = [(ribbonmap.to_json_dict(g), args.kmax) for g in maps]
+    payloads = [(ribbonmap.to_json_dict(g), args.kmax) for g in _corpus(args)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(_batch_worker, payloads))
@@ -416,6 +375,16 @@ def cmd_batch(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="surfgraph",
@@ -432,6 +401,16 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_map(p):
         p.add_argument("map", nargs="?", help="map JSON file ('-' or omitted: stdin)")
 
+    def add_corpus(p):
+        p.add_argument("--edges", type=int, required=True)
+        p.add_argument("--genus", type=int, default=None)
+        surface = p.add_mutually_exclusive_group()
+        surface.add_argument("--planar", dest="planar", action="store_const",
+                             const=True, default=None)
+        surface.add_argument("--nonplanar", dest="planar", action="store_const",
+                             const=False)
+        p.add_argument("--no-dedupe", action="store_true")
+
     p = add("info", cmd_info, help="Euler data, bridges, single-face edges")
     add_map(p)
 
@@ -445,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("poly", cmd_poly, help="recover a counting polynomial")
     add_map(p)
-    p.add_argument("--kind", required=True, choices=_KINDS)
+    p.add_argument("--kind", required=True, choices=en.KINDS)
 
     p = add("integral", cmd_integral, help="count bounded integer assignments")
     add_map(p)
@@ -454,24 +433,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("reciprocity", cmd_reciprocity, help="pair count vs signed polynomial")
     add_map(p)
-    p.add_argument("--kind", required=True, choices=_KINDS)
+    p.add_argument("--kind", required=True, choices=en.KINDS)
     p.add_argument("--k", type=int, required=True)
 
     p = add("verify", cmd_verify, help="check every identity on one map")
     add_map(p)
-    p.add_argument("--kmax", type=int, default=3)
+    p.add_argument("--kmax", type=_positive_int, default=3)
 
     p = add("batch", cmd_batch, help="verify a whole generated corpus")
-    p.add_argument("--edges", type=int, required=True)
-    p.add_argument("--genus", type=int, default=None)
-    surface = p.add_mutually_exclusive_group()
-    surface.add_argument("--planar", dest="planar", action="store_const",
-                         const=True, default=None)
-    surface.add_argument("--nonplanar", dest="planar", action="store_const",
-                         const=False)
-    p.add_argument("--no-dedupe", action="store_true")
-    p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
+    add_corpus(p)
+    p.add_argument("--kmax", type=_positive_int, default=3)
+    p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = add("witness", cmd_witness, help="kernel witness vector of a boundary acyclic orientation")
     add_map(p)
@@ -481,14 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_map(p)
 
     p = add("generate", cmd_generate, help="enumerate maps with m edges (NDJSON)")
-    p.add_argument("--edges", type=int, required=True)
-    p.add_argument("--genus", type=int, default=None)
-    surface = p.add_mutually_exclusive_group()
-    surface.add_argument("--planar", dest="planar", action="store_const",
-                         const=True, default=None)
-    surface.add_argument("--nonplanar", dest="planar", action="store_const",
-                         const=False)
-    p.add_argument("--no-dedupe", action="store_true")
+    add_corpus(p)
 
     return top
 
@@ -503,6 +468,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SurfGraphError, json.JSONDecodeError, OSError, ValueError) as exc:
         _say(f"error: {exc}")
         return 2
+    except AssertionError as exc:
+        _say(f"error: internal cross-check failed: {exc}")
+        return 4
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ from .polynomials import (
     lagrange,
     poly_eval,
 )
-from .ribbonmap import RibbonGraph
+from .ribbonmap import EulerData, RibbonGraph
 
 _CHUNK = 1 << 18  # assignment rows per numpy block
 
@@ -170,16 +170,17 @@ def _box_values(k: int) -> np.ndarray:
 # -- the four counting families ----------------------------------------------
 
 
-def _tension_count(g: RibbonGraph, k: int, nonzero: bool) -> int:
+def _count(g: RibbonGraph, k: int, nonzero: bool, matrix: np.ndarray) -> int:
     _require_k(k)
-    vals = _mod_values(k, nonzero)
     check_assignment_scan(k, g.num_edges)
-    n = _count_solutions(tension_matrix(g), vals, g.num_edges, k)
+    return _count_solutions(matrix, _mod_values(k, nonzero), g.num_edges, k)
+
+
+def _tension_count(g: RibbonGraph, k: int, nonzero: bool) -> int:
+    n = _count(g, k, nonzero, tension_matrix(g))
     if g.num_edges <= 4:
         # On small graphs, re-derive the condition from every simple cycle.
-        n2 = _count_solutions(
-            _cycle_matrix(g, g._cycles), vals, g.num_edges, k
-        )
+        n2 = _count(g, k, nonzero, _cycle_matrix(g, g._cycles))
         if n2 != n:
             raise AssertionError(
                 f"cycle-basis tension count {n} != all-cycles count {n2}"
@@ -196,46 +197,26 @@ def count_tensions(g: RibbonGraph, k: int) -> int:
     return _tension_count(g, k, False)
 
 
-def _flow_count(g: RibbonGraph, k: int, nonzero: bool) -> int:
-    _require_k(k)
-    check_assignment_scan(k, g.num_edges)
-    return _count_solutions(
-        incidence_matrix(g), _mod_values(k, nonzero), g.num_edges, k
-    )
-
-
 def count_nz_flows(g: RibbonGraph, k: int) -> int:
     """Nowhere-zero assignments E -> Z_k conserved at every vertex."""
-    return _flow_count(g, k, True)
+    return _count(g, k, True, incidence_matrix(g))
 
 
 def count_flows(g: RibbonGraph, k: int) -> int:
-    return _flow_count(g, k, False)
-
-
-def _local_tension_count(g: RibbonGraph, k: int, nonzero: bool) -> int:
-    _require_k(k)
-    check_assignment_scan(k, g.num_edges)
-    return _count_solutions(
-        local_tension_matrix(g), _mod_values(k, nonzero), g.num_edges, k
-    )
+    return _count(g, k, False, incidence_matrix(g))
 
 
 def count_nz_local_tensions(g: RibbonGraph, k: int) -> int:
     """Nowhere-zero assignments with zero signed sum around every face."""
-    return _local_tension_count(g, k, True)
+    return _count(g, k, True, local_tension_matrix(g))
 
 
 def count_local_tensions(g: RibbonGraph, k: int) -> int:
-    return _local_tension_count(g, k, False)
+    return _count(g, k, False, local_tension_matrix(g))
 
 
 def _balanced_flow_count(g: RibbonGraph, k: int, nonzero: bool) -> int:
-    _require_k(k)
-    check_assignment_scan(k, g.num_edges)
-    n = _count_solutions(
-        balanced_flow_matrix(g), _mod_values(k, nonzero), g.num_edges, k
-    )
+    n = _count(g, k, nonzero, balanced_flow_matrix(g))
     n2 = _tension_count(g.dual, k, nonzero)
     if n != n2:
         raise AssertionError(
@@ -286,6 +267,8 @@ def interpolate(samples: Sequence[tuple[int, int]]) -> list[int]:
 
 def _poly_driver(g: RibbonGraph, counter: Callable[[RibbonGraph, int], int]) -> list[int]:
     top = g.num_edges + 1
+    # The held-out samples run to k = top + 2; refuse before any scan.
+    check_assignment_scan(top + 2, g.num_edges)
     coeffs = interpolate([(k, counter(g, k)) for k in range(1, top + 1)])
     for k in (top + 1, top + 2):
         if poly_eval(coeffs, k) != counter(g, k):
@@ -356,10 +339,11 @@ def _cached_count_class(h: RibbonGraph, cls: OrientationClass) -> int:
 def _pair_total(
     g: RibbonGraph,
     k: int,
+    kind: str,
     matrix: np.ndarray,
     surgery: Callable[[list[int]], RibbonGraph],
-    cls: OrientationClass,
 ) -> int:
+    cls = CLASS_OF[kind]
     _require_k(k)
     check_assignment_scan(k, g.num_edges)
     counts = _support_counts(matrix, _mod_values(k, False), g.num_edges, k)
@@ -375,9 +359,9 @@ def reciprocity_pairs_tension(g: RibbonGraph, k: int) -> int:
     return _pair_total(
         g,
         k,
+        "tension",
         tension_matrix(g),
         lambda supp: ribbonmap.delete(g, supp),
-        OrientationClass.AO,
     )
 
 
@@ -386,9 +370,9 @@ def reciprocity_pairs_flow(g: RibbonGraph, k: int) -> int:
     return _pair_total(
         g,
         k,
+        "flow",
         incidence_matrix(g),
         lambda supp: ribbonmap.abstract_contract(g, supp),
-        OrientationClass.TCO,
     )
 
 
@@ -398,9 +382,9 @@ def reciprocity_pairs_local_tension(g: RibbonGraph, k: int) -> int:
     return _pair_total(
         g,
         k,
+        "local-tension",
         local_tension_matrix(g),
         lambda supp: ribbonmap.double_slash(g, supp),
-        OrientationClass.BAO,
     )
 
 
@@ -410,9 +394,9 @@ def reciprocity_pairs_balanced_flow(g: RibbonGraph, k: int) -> int:
     return _pair_total(
         g,
         k,
+        "balanced-flow",
         balanced_flow_matrix(g),
         lambda supp: ribbonmap.contract(g, supp),
-        OrientationClass.TBO,
     )
 
 
@@ -429,7 +413,7 @@ def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
     check_assignment_scan(2 * k + 1, width)
     vals = np.arange(-k, k + 1, dtype=np.int64)
     pattern = _signed_pattern_counts(local_tension_matrix(g), vals, width, None)
-    bao = enumerate_class(g, OrientationClass.BAO)
+    bao = enumerate_class(g, CLASS_OF["local-tension"])
     total = 0
     for code in np.nonzero(pattern)[0]:
         digits = []
@@ -444,6 +428,62 @@ def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
         )
         total += int(pattern[code]) * compatible
     return total
+
+
+# -- the four kinds ----------------------------------------------------------
+#
+# A kind is a tension or a flow count on the map or on its dual; the
+# tables below are its columns, keyed by kind name.  COUNT_NZ, POLY and
+# PAIRS give its nowhere-zero counter, polynomial and reciprocity pair
+# counter.  |P(-1)| counts the orientations of class CLASS_OF[kind];
+# the count on the dual map equals the count of kind DUAL_KIND[kind] on
+# the map; and (-1)^SIGN_EXP[kind](euler) * P(-k) counts the pairs.
+# Functions are plain dict values, not fields of a record, so wrappers
+# that rebind module attributes (perfbench/tracer.py) reach them here.
+
+COUNT_NZ = {
+    "tension": count_nz_tensions,
+    "flow": count_nz_flows,
+    "local-tension": count_nz_local_tensions,
+    "balanced-flow": count_nz_balanced_flows,
+}
+
+POLY = {
+    "tension": poly_tension,
+    "flow": poly_flow,
+    "local-tension": poly_local_tension,
+    "balanced-flow": poly_balanced_flow,
+}
+
+PAIRS = {
+    "tension": reciprocity_pairs_tension,
+    "flow": reciprocity_pairs_flow,
+    "local-tension": reciprocity_pairs_local_tension,
+    "balanced-flow": reciprocity_pairs_balanced_flow,
+}
+
+CLASS_OF = {
+    "tension": OrientationClass.AO,
+    "flow": OrientationClass.TCO,
+    "local-tension": OrientationClass.BAO,
+    "balanced-flow": OrientationClass.TBO,
+}
+
+DUAL_KIND = {
+    "tension": "balanced-flow",
+    "flow": "local-tension",
+    "local-tension": "flow",
+    "balanced-flow": "tension",
+}
+
+SIGN_EXP: dict[str, Callable[[EulerData], int]] = {
+    "tension": lambda d: d.v_count - d.c,
+    "flow": lambda d: d.e_count - d.v_count + d.c,
+    "local-tension": lambda d: d.e_count - d.f_count + d.c,
+    "balanced-flow": lambda d: d.f_count - d.c,
+}
+
+KINDS = tuple(POLY)
 
 
 # -- witness vectors ---------------------------------------------------------

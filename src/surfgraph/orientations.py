@@ -169,54 +169,40 @@ def _no_coherent_cut(g: RibbonGraph, signs: Sequence[int]) -> bool:
     return True
 
 
+def _out_lists(n: int, pairs: Sequence[tuple[int, int]]) -> list[list[int]]:
+    out: list[list[int]] = [[] for _ in range(n)]
+    for u, w in pairs:
+        out[u].append(w)
+    return out
+
+
+def _reach(out: list[list[int]], start: int) -> set[int]:
+    """Vertices reachable from start along the directed out-lists."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in out[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def _components_strongly_connected(g: RibbonGraph, signs: Sequence[int]) -> bool:
     pairs = _directed_pairs(g, signs)
-    n = g.num_vertices
-    fwd: list[list[int]] = [[] for _ in range(n)]
-    bwd: list[list[int]] = [[] for _ in range(n)]
-    for u, w in pairs:
-        fwd[u].append(w)
-        bwd[w].append(u)
-
-    def reach(start, adj):
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
+    fwd = _out_lists(g.num_vertices, pairs)
+    bwd = _out_lists(g.num_vertices, [(w, u) for u, w in pairs])
     for comp in g.components:
         root = min(comp)
-        if not (comp <= reach(root, fwd) and comp <= reach(root, bwd)):
+        if not (comp <= _reach(fwd, root) and comp <= _reach(bwd, root)):
             return False
     return True
 
 
 def _every_edge_on_directed_cycle(g: RibbonGraph, signs: Sequence[int]) -> bool:
     pairs = _directed_pairs(g, signs)
-    n = g.num_vertices
-    fwd: list[list[int]] = [[] for _ in range(n)]
-    for u, w in pairs:
-        fwd[u].append(w)
-
-    def reaches(src, dst):
-        seen = {src}
-        stack = [src]
-        while stack:
-            v = stack.pop()
-            if v == dst:
-                return True
-            for w in fwd[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
-
-    return all(reaches(w, u) for u, w in pairs)
+    fwd = _out_lists(g.num_vertices, pairs)
+    return all(u in _reach(fwd, w) for u, w in pairs)
 
 
 def is_boundary_acyclic(g: RibbonGraph, o: Orientation) -> bool:
@@ -379,23 +365,10 @@ def tbo_generating_poly_formula(g: RibbonGraph) -> list[int]:
     ]
     total = [0]
     for bits in range(1 << h.num_edges):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        size = 0
-        for e, (u, w) in enumerate(ends):
-            if bits >> e & 1:
-                size += 1
-                a, b = find(u), find(w)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-        comps = Counter(find(v) for v in range(n))
-        sign = -1 if (size - n + len(comps)) % 2 else 1
+        chosen = [uw for e, uw in enumerate(ends) if bits >> e & 1]
+        roots, _ = ribbonmap._spanning_forest(n, chosen)
+        comps = Counter(roots)
+        sign = -1 if (len(chosen) - n + len(comps)) % 2 else 1
         term = [1]
         for csize in comps.values():
             term = ipoly_mul(term, ipoly_sub([1], ipoly_pow([1, -1], csize)))

@@ -203,21 +203,13 @@ class RibbonGraph:
 
     @cached_property
     def components(self) -> tuple[frozenset[int], ...]:
-        parent = list(range(self.num_vertices))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for t, h in self.edge_pairs:
-            a, b = find(self._vertex_of_dart[t]), find(self._vertex_of_dart[h])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
+        at = self._vertex_of_dart
+        roots, _ = _spanning_forest(
+            self.num_vertices, [(at[t], at[h]) for t, h in self.edge_pairs]
+        )
         groups: dict[int, set[int]] = {}
-        for v in range(self.num_vertices):
-            groups.setdefault(find(v), set()).add(v)
+        for v, r in enumerate(roots):
+            groups.setdefault(r, set()).add(v)
         return tuple(frozenset(groups[r]) for r in sorted(groups))
 
     @cached_property
@@ -293,6 +285,32 @@ def _orbits(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
             d = perm[d]
         out.append(tuple(orb))
     return tuple(out)
+
+
+def _spanning_forest(
+    n: int, edge_ends: Sequence[tuple[int, int]]
+) -> tuple[list[int], list[int]]:
+    """Union-find over vertices 0..n-1 joined by the given (u, w) pairs.
+
+    Returns the root of every vertex, which is the least vertex of its
+    component, and the positions of the pairs that joined two components
+    when taken in the given order: a spanning forest.
+    """
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    forest = []
+    for i, (u, w) in enumerate(edge_ends):
+        a, b = find(u), find(w)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+            forest.append(i)
+    return [find(v) for v in range(n)], forest
 
 
 def _orbit_index(orbits: Sequence[tuple[int, ...]], n: int) -> tuple[int, ...]:
@@ -429,28 +447,16 @@ def abstract_contract(g: RibbonGraph, edges: Iterable[int]) -> RibbonGraph:
     meaningful, which suffices for every strong-connectivity consumer.
     """
     inner = _edge_set(g, edges)
-    parent = list(range(g.num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in inner:
-        t, h = g.edge_pairs[e]
-        a, b = find(g.vertex_of_dart(t)), find(g.vertex_of_dart(h))
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    roots = sorted({find(v) for v in range(g.num_vertices)})
+    ends = [(g.vertex_of_dart(t), g.vertex_of_dart(h)) for t, h in g.edge_pairs]
+    root_of, _ = _spanning_forest(g.num_vertices, [ends[e] for e in inner])
+    roots = sorted(set(root_of))
     cls = {r: i for i, r in enumerate(roots)}
     kept = [e for e in range(g.num_edges) if e not in inner]
     darts_at: dict[int, list[int]] = {i: [] for i in range(len(roots))}
     pairs = []
     for j, e in enumerate(kept):
-        t, h = g.edge_pairs[e]
-        u = cls[find(g.vertex_of_dart(t))]
-        w = cls[find(g.vertex_of_dart(h))]
+        tail, head = ends[e]
+        u, w = cls[root_of[tail]], cls[root_of[head]]
         darts_at[u].append(2 * j)
         darts_at[w].append(2 * j + 1)
         pairs.append((2 * j, 2 * j + 1))
@@ -609,27 +615,17 @@ def fundamental_cycles(g: RibbonGraph) -> list[Cycle]:
 
 
 def _build_fundamental_cycles(g: RibbonGraph) -> list[Cycle]:
-    parent = list(range(g.num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    ends = [(g.edge_tail_vertex(e), g.edge_head_vertex(e)) for e in range(g.num_edges)]
+    _, forest = _spanning_forest(g.num_vertices, ends)
     tree_adj: dict[int, list[tuple[int, int, int]]] = {
         v: [] for v in range(g.num_vertices)
     }
-    chords = []
-    for e in range(g.num_edges):
-        u, w = g.edge_tail_vertex(e), g.edge_head_vertex(e)
-        a, b = find(u), find(w)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-            tree_adj[u].append((e, 1, w))
-            tree_adj[w].append((e, -1, u))
-        else:
-            chords.append(e)
+    for e in forest:
+        u, w = ends[e]
+        tree_adj[u].append((e, 1, w))
+        tree_adj[w].append((e, -1, u))
+    in_forest = set(forest)
+    chords = [e for e in range(g.num_edges) if e not in in_forest]
 
     def tree_path(src, dst):
         # BFS in the forest; returns steps (edge, dir, from_vertex)
@@ -718,14 +714,16 @@ def from_json_dict(doc: dict) -> RibbonGraph:
         raise NonPermutation("map document must be a JSON object")
     sigma_cycles = doc.get("sigma")
     edges = doc.get("edges")
+    # type() rather than isinstance(): JSON true and false are Python bools.
     if not isinstance(sigma_cycles, list) or not all(
-        isinstance(c, list) for c in sigma_cycles
+        isinstance(c, list) and all(type(d) is int for d in c) for c in sigma_cycles
     ):
-        raise NonPermutation('"sigma" must be a list of dart cycles')
+        raise NonPermutation('"sigma" must be a list of cycles of integer darts')
     if not isinstance(edges, list) or not all(
-        isinstance(p, list) and len(p) == 2 for p in edges
+        isinstance(p, list) and len(p) == 2 and all(type(d) is int for d in p)
+        for p in edges
     ):
-        raise BadPairing('"edges" must be a list of [tail, head] pairs')
+        raise BadPairing('"edges" must be a list of [tail, head] integer dart pairs')
     dart_count = 2 * len(edges)
     return build(
         dart_count,

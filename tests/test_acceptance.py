@@ -3,7 +3,9 @@
 Nine criteria, each asserted by one test that also prints a PASS/FAIL
 line on the unredirected stderr stream so the verdicts appear in every
 run log, captured or not.  The corpus criteria sweep every connected
-map with at most four edges, up to isomorphism (135 maps).
+map with at most four edges, up to isomorphism (135 maps).  The tables
+below state the theorems independently of the library; a last test
+checks the library's own kind table against them.
 """
 
 import itertools
@@ -292,3 +294,22 @@ def test_criterion_9_cw_face_counts(corpus):
         "orientations, per-face unique-cw counts, and the histogram formula",
         ok,
     )
+
+
+def test_library_kind_table_matches_the_theorems(corpus):
+    from surfgraph import enumeration as en
+
+    assert en.KINDS == tuple(_POLY_FN)
+    assert en.POLY == _POLY_FN and en.PAIRS == _PAIR_FN
+    assert en.CLASS_OF == _CLASS_OF
+    # only the parity of a sign exponent is a theorem
+    assert len(corpus) == 135
+    for g in corpus:
+        d = g.euler
+        for kind in _SIGN_EXP:
+            assert (en.SIGN_EXP[kind](d) - _SIGN_EXP[kind](d)) % 2 == 0, kind
+    assert all(en.DUAL_KIND[en.DUAL_KIND[k]] == k != en.DUAL_KIND[k] for k in en.KINDS)
+    pairs = {(en.CLASS_OF[k], en.CLASS_OF[en.DUAL_KIND[k]]) for k in en.KINDS}
+    bao, tco = OrientationClass.BAO, OrientationClass.TCO
+    ao, tbo = OrientationClass.AO, OrientationClass.TBO
+    assert pairs == {(bao, tco), (tco, bao), (ao, tbo), (tbo, ao)}

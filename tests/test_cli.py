@@ -161,3 +161,39 @@ def test_guards_exit_3(capsys, tmp_path):
     p.write_text(sg.dumps(big))
     assert run(capsys, ["count", "--class", "ao", str(p)])[0] == 3
     assert run(capsys, ["batch", "--edges", "7"])[0] == 3
+
+
+def test_kmax_below_one_exits_2(capsys, files):
+    for kmax in ("0", "-2"):
+        code, _, err = run(capsys, ["verify", files["torus"], "--kmax", kmax])
+        assert code == 2 and "--kmax" in err
+        code, _, err = run(capsys, ["batch", "--edges", "1", "--kmax", kmax])
+        assert code == 2 and "--kmax" in err
+
+
+def test_batch_jobs_below_one_exits_2(capsys):
+    code, out, err = run(capsys, ["batch", "--edges", "1", "--jobs", "0"])
+    assert code == 2 and out == ""
+    assert "--jobs" in err
+
+
+def test_non_integer_darts_exit_2(capsys, tmp_path):
+    for doc in (
+        {"sigma": [[False, 2, True, 3]], "edges": [[False, True], [2, 3]]},
+        {"sigma": [[0, 2, 1, 3]], "edges": [["0", 1.0], [2, 3]]},
+    ):
+        p = tmp_path / "map.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["info", str(p)])
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_cross_check_failure_exits_4(capsys, files, monkeypatch):
+    from surfgraph import orientations
+
+    monkeypatch.setattr(
+        orientations, "_components_strongly_connected", lambda g, signs: False
+    )
+    code, out, err = run(capsys, ["count", "--class", "tco", files["torus"]])
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1

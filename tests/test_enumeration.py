@@ -152,6 +152,39 @@ def test_scan_guard():
         sg.count_nz_flows(big, 3)
 
 
+def test_poly_guard_fires_before_any_count(monkeypatch):
+    from surfgraph import enumeration
+
+    monkeypatch.delenv("SURFGRAPH_GUARD_OVERRIDE", raising=False)
+    calls = []
+
+    def fake_count(g, k):
+        calls.append(k)
+        return 0
+
+    for name in (
+        "count_nz_tensions",
+        "count_nz_flows",
+        "count_nz_local_tensions",
+        "count_nz_balanced_flows",
+    ):
+        monkeypatch.setattr(enumeration, name, fake_count)
+
+    def bouquet(m):
+        return build(2 * m, [tuple(range(2 * m))], [(2 * i, 2 * i + 1) for i in range(m)])
+
+    for fn in _POLY_FN.values():
+        # 7 edges: samples k = 1..10 stay inside the guard
+        calls.clear()
+        fn(bouquet(7))
+        assert calls == list(range(1, 11))
+        # 8 edges: k = 11 would not, so nothing is scanned at all
+        calls.clear()
+        with pytest.raises(TooLarge):
+            fn(bouquet(8))
+        assert calls == []
+
+
 # -- integral counts -----------------------------------------------------------
 
 
