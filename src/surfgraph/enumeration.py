@@ -10,9 +10,12 @@ Four families of edge assignments, each defined by a linear condition:
 
 Counts are brute force over assignment vectors, vectorized with numpy on
 int64 blocks; arithmetic is exact (residues mod k or bounded integers,
-never floats).  Polynomials in k are recovered by rational Lagrange
-interpolation with integer-coefficient and held-out checks; integral
-local tension counts get a quasipolynomial fit.
+never floats).  The four polynomials in k come from two subset sums over
+the 2^E edge subsets (Whitney, Tutte): local tension is flow on the dual,
+balanced flow is tension on the dual.  Every condition matrix is an
+incidence matrix, hence totally unimodular, so the sums are exact; each
+result is still checked against the nowhere-zero scan at k = 2 and 3.
+Integral local tension counts get a quasipolynomial fit from scans.
 
 Operations with a second independent characterization compute both and
 raise on disagreement, same contract as the orientation predicates.
@@ -40,6 +43,7 @@ from .polynomials import (
     QuasiPolynomial,
     as_int_coeffs,
     fit_quasipolynomial,
+    ipoly_trim,
     lagrange,
     poly_eval,
 )
@@ -257,7 +261,7 @@ def count_integral_flows(g: RibbonGraph, k: int) -> int:
     return _count_solutions(incidence_matrix(g), _box_values(k), g.num_edges, None)
 
 
-# -- polynomial recovery -----------------------------------------------------
+# -- polynomials by subset expansion -----------------------------------------
 
 
 def interpolate(samples: Sequence[tuple[int, int]]) -> list[int]:
@@ -265,31 +269,53 @@ def interpolate(samples: Sequence[tuple[int, int]]) -> list[int]:
     return as_int_coeffs(lagrange([(int(k), int(v)) for k, v in samples]))
 
 
-def _poly_driver(g: RibbonGraph, counter: Callable[[RibbonGraph, int], int]) -> list[int]:
-    top = g.num_edges + 1
-    # The held-out samples run to k = top + 2; refuse before any scan.
-    check_assignment_scan(top + 2, g.num_edges)
-    coeffs = interpolate([(k, counter(g, k)) for k in range(1, top + 1)])
-    for k in (top + 1, top + 2):
-        if poly_eval(coeffs, k) != counter(g, k):
-            raise AssertionError(f"interpolant misses held-out sample at k={k}")
+def _subset_sum(h: RibbonGraph, flow: bool) -> list[int]:
+    """Nowhere-zero tension or flow polynomial of h (Whitney, Tutte 1954).
+
+    Over the edge subsets B, with c(B) the components of (V, B):
+      tension  sum of (-1)^|B| k^(c(B) - c)
+      flow     sum of (-1)^(E - |B|) k^(|B| - V + c(B))
+    """
+    v, e, c = h.num_vertices, h.num_edges, h.num_components
+    coeffs = [0] * (max(v, e) + 1)
+    for size, roots in ribbonmap._subset_forests(h):
+        cb = len(set(roots))
+        if flow:
+            coeffs[size - v + cb] += -1 if (e - size) % 2 else 1
+        else:
+            coeffs[cb - c] += -1 if size % 2 else 1
+    return ipoly_trim(coeffs)
+
+
+def _subset_poly(g: RibbonGraph, kind: str, on_dual: bool, flow: bool) -> list[int]:
+    # The k = 3 self-check outweighs the 2^E subsets; refuse before either.
+    check_assignment_scan(3, g.num_edges)
+    coeffs = _subset_sum(g.dual if on_dual else g, flow)
+    for k in (2, 3):
+        value, scanned = poly_eval(coeffs, k), COUNT_NZ[kind](g, k)
+        if value != scanned:
+            raise AssertionError(
+                f"{kind} subset sum gives {value} at k={k}, the scan {scanned}"
+            )
     return coeffs
 
 
 def poly_tension(g: RibbonGraph) -> list[int]:
-    return _poly_driver(g, count_nz_tensions)
+    return _subset_poly(g, "tension", on_dual=False, flow=False)
 
 
 def poly_flow(g: RibbonGraph) -> list[int]:
-    return _poly_driver(g, count_nz_flows)
+    return _subset_poly(g, "flow", on_dual=False, flow=True)
 
 
 def poly_local_tension(g: RibbonGraph) -> list[int]:
-    return _poly_driver(g, count_nz_local_tensions)
+    """Flow polynomial of the dual: faces of g are the vertices of g*."""
+    return _subset_poly(g, "local-tension", on_dual=True, flow=True)
 
 
 def poly_balanced_flow(g: RibbonGraph) -> list[int]:
-    return _poly_driver(g, count_nz_balanced_flows)
+    """Tension polynomial of the dual, where balanced flows become tensions."""
+    return _subset_poly(g, "balanced-flow", on_dual=True, flow=False)
 
 
 def _quasi_driver(

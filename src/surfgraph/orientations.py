@@ -360,17 +360,13 @@ def tbo_generating_poly_formula(g: RibbonGraph) -> list[int]:
     h = g.dual
     check_orientation_scan(h.num_edges)
     n = h.num_vertices
-    ends = [
-        (h.edge_tail_vertex(e), h.edge_head_vertex(e)) for e in range(h.num_edges)
-    ]
+    factor = [ipoly_sub([1], ipoly_pow([1, -1], size)) for size in range(n + 1)]
     total = [0]
-    for bits in range(1 << h.num_edges):
-        chosen = [uw for e, uw in enumerate(ends) if bits >> e & 1]
-        roots, _ = ribbonmap._spanning_forest(n, chosen)
+    for size, roots in ribbonmap._subset_forests(h):
         comps = Counter(roots)
-        sign = -1 if (len(chosen) - n + len(comps)) % 2 else 1
+        sign = -1 if (size - n + len(comps)) % 2 else 1
         term = [1]
         for csize in comps.values():
-            term = ipoly_mul(term, ipoly_sub([1], ipoly_pow([1, -1], csize)))
+            term = ipoly_mul(term, factor[csize])
         total = ipoly_add(total, ipoly_scale(term, sign))
     return ipoly_trim(total)

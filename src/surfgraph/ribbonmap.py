@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BadPairing,
@@ -311,6 +311,16 @@ def _spanning_forest(
             parent[max(a, b)] = min(a, b)
             forest.append(i)
     return [find(v) for v in range(n)], forest
+
+
+def _subset_forests(h: RibbonGraph) -> Iterator[tuple[int, list[int]]]:
+    """(|B|, root of every vertex of the spanning subgraph (V, B)) for each
+    of the 2^E edge subsets B of h: the walk behind every subset-sum formula.
+    """
+    ends = [(h.edge_tail_vertex(e), h.edge_head_vertex(e)) for e in range(h.num_edges)]
+    for bits in range(1 << h.num_edges):
+        chosen = [uw for e, uw in enumerate(ends) if bits >> e & 1]
+        yield len(chosen), _spanning_forest(h.num_vertices, chosen)[0]
 
 
 def _orbit_index(orbits: Sequence[tuple[int, ...]], n: int) -> tuple[int, ...]:

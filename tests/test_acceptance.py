@@ -38,12 +38,16 @@ from surfgraph import (
     tbo_generating_polynomial,
 )
 from mapzoo import (
+    EDGELESS,
     FACE_MATRIX_PRIMAL,
     KITE,
     KITE_ANCHOR_BOUNDARY,
     KITE_ANCHOR_FACES,
     KITE_ANCHOR_SIGNED,
+    SMALL,
+    THETA,
     TORUS,
+    TRIANGLE,
     proper_colorings,
 )
 
@@ -294,6 +298,34 @@ def test_criterion_9_cw_face_counts(corpus):
         "orientations, per-face unique-cw counts, and the histogram formula",
         ok,
     )
+
+
+def _disjoint_union(a, b):
+    n = a.num_darts
+    return sg.build(
+        n + b.num_darts,
+        list(a.sigma) + [d + n for d in b.sigma],
+        list(a.edge_pairs) + [(t + n, h + n) for t, h in b.edge_pairs],
+        isolated_vertices=a.isolated + b.isolated,
+    )
+
+
+def test_subset_polynomials_match_the_scans(corpus):
+    # E + 2 scan points fix a polynomial of degree <= E, so agreement at
+    # k = 1..E+2 proves the subset sums equal the assignment counts.
+    from surfgraph import enumeration as en
+
+    extra = [
+        FACE_MATRIX_PRIMAL,
+        _disjoint_union(TRIANGLE, EDGELESS),  # an isolated vertex
+        _disjoint_union(TORUS, THETA),  # two components
+    ]
+    assert extra[1].num_vertices == 4 and extra[2].num_components == 2
+    for g in [*corpus, *SMALL, *extra]:
+        for kind in en.KINDS:
+            coeffs = en.POLY[kind](g)
+            for k in range(1, g.num_edges + 3):
+                assert poly_eval(coeffs, k) == en.COUNT_NZ[kind](g, k), (kind, k)
 
 
 def test_library_kind_table_matches_the_theorems(corpus):

@@ -153,36 +153,79 @@ def test_scan_guard():
 
 
 def test_poly_guard_fires_before_any_count(monkeypatch):
-    from surfgraph import enumeration
+    from surfgraph import enumeration, ribbonmap
 
     monkeypatch.delenv("SURFGRAPH_GUARD_OVERRIDE", raising=False)
     calls = []
+    forests = []
 
-    def fake_count(g, k):
-        calls.append(k)
-        return 0
+    def spy(real):
+        def counter(g, k):
+            calls.append(k)
+            return real(g, k)
 
-    for name in (
-        "count_nz_tensions",
-        "count_nz_flows",
-        "count_nz_local_tensions",
-        "count_nz_balanced_flows",
-    ):
-        monkeypatch.setattr(enumeration, name, fake_count)
+        return counter
+
+    real_forest = ribbonmap._spanning_forest
+
+    def forest(n, pairs):
+        forests.append(n)
+        return real_forest(n, pairs)
+
+    for kind, real in list(enumeration.COUNT_NZ.items()):
+        monkeypatch.setitem(enumeration.COUNT_NZ, kind, spy(real))
+    monkeypatch.setattr(ribbonmap, "_spanning_forest", forest)
 
     def bouquet(m):
         return build(2 * m, [tuple(range(2 * m))], [(2 * i, 2 * i + 1) for i in range(m)])
 
     for fn in _POLY_FN.values():
-        # 7 edges: samples k = 1..10 stay inside the guard
+        # 17 edges: the k = 3 check is guarded as 3^17 > 10^8 rows, so
+        # neither it nor the 2^17 subset walk starts
+        calls.clear()
+        forests.clear()
+        with pytest.raises(TooLarge):
+            fn(bouquet(17))
+        assert calls == [] and forests == []
+        # 7 edges: the subset sum needs no samples; the scans check k = 2, 3
         calls.clear()
         fn(bouquet(7))
-        assert calls == list(range(1, 11))
-        # 8 edges: k = 11 would not, so nothing is scanned at all
-        calls.clear()
-        with pytest.raises(TooLarge):
-            fn(bouquet(8))
-        assert calls == []
+        assert calls == [2, 3]
+
+
+def _abstract_map(n, edges):
+    """A map of the abstract graph on vertices 0..n-1, darts of each
+    vertex in edge order: some rotation system, genus unspecified."""
+    at = [[] for _ in range(n)]
+    for i, (u, w) in enumerate(edges):
+        at[u].append(2 * i)
+        at[w].append(2 * i + 1)
+    return build(2 * len(edges), at, [(2 * i, 2 * i + 1) for i in range(len(edges))])
+
+
+K5 = _abstract_map(5, [(u, w) for u in range(5) for w in range(u + 1, 5)])
+PETERSEN = _abstract_map(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+
+
+def test_k5_tension_polynomial_past_the_scan_wall():
+    assert K5.num_edges == 10
+    # chromatic polynomial k(k-1)(k-2)(k-3)(k-4), divided by k
+    assert sg.poly_tension(K5) == [24, -50, 35, -10, 1]
+
+
+def test_petersen_polynomials():
+    assert PETERSEN.num_edges == 15
+    flow = sg.poly_flow(PETERSEN)
+    # a snark: no nowhere-zero 4-flow, nor 3-flow (cubic, not bipartite)
+    assert poly_eval(flow, 3) == poly_eval(flow, 4) == 0
+    assert poly_eval(flow, 5) > 0
+    tension = sg.poly_tension(PETERSEN)
+    assert 3 * poly_eval(tension, 3) == proper_colorings(PETERSEN, 3)
 
 
 # -- integral counts -----------------------------------------------------------
