@@ -152,7 +152,7 @@ def cmd_cw_hist(args) -> int:
     g = _load_graph(args.map)
     hist = orientations.tbo_histogram(g)
     formula = orientations.tbo_generating_poly_formula(g)
-    ok = orientations.tbo_generating_polynomial(g) == formula
+    ok = hist == {j: n for j, n in enumerate(formula) if n}
     _emit(
         {
             "histogram": {str(j): n for j, n in sorted(hist.items())},
@@ -273,7 +273,6 @@ def _verify_graph(g: ribbonmap.RibbonGraph, kmax: int) -> dict:
         [const] * g.num_faces,
     )
 
-    hist = orientations.tbo_histogram(g)
     check(
         "cw-face histogram matches the subset-sum formula",
         orientations.tbo_generating_polynomial(g),

@@ -34,9 +34,10 @@ from .guards import check_assignment_scan
 from .orientations import (
     Orientation,
     OrientationClass,
+    _class_mask,
+    _subcube,
     coherent_cocycles,
     count_class,
-    enumerate_class,
     is_boundary_acyclic,
 )
 from .polynomials import (
@@ -439,20 +440,17 @@ def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
     check_assignment_scan(2 * k + 1, width)
     vals = np.arange(-k, k + 1, dtype=np.int64)
     pattern = _signed_pattern_counts(local_tension_matrix(g), vals, width, None)
-    bao = enumerate_class(g, CLASS_OF["local-tension"])
+    bao = np.flatnonzero(_class_mask(g, CLASS_OF["local-tension"]))
     total = 0
     for code in np.nonzero(pattern)[0]:
-        digits = []
+        required = []
         c = int(code)
-        for _ in range(width):
-            digits.append(c % 3 - 1)
+        for e in range(width):
+            if c % 3 != 1:
+                required.append((e, c % 3 - 1))
             c //= 3
-        compatible = sum(
-            1
-            for o in bao
-            if all(s == 0 or o.signs[e] == s for e, s in enumerate(digits))
-        )
-        total += int(pattern[code]) * compatible
+        x, p = _subcube(width, required)
+        total += int(pattern[code]) * int(np.count_nonzero((bao & x) == p))
     return total
 
 

@@ -15,7 +15,8 @@ from .errors import TooLarge
 # 2^MAX_SCAN_EDGES orientation vectors per scan.
 MAX_SCAN_EDGES = 20
 
-# Total assignments evaluated in one polynomial count.
+# Total assignments evaluated in one polynomial count, and total mask
+# tests (masks times patterns and search steps) in one class scan.
 MAX_ASSIGNMENTS = 10**8
 
 # Edges for exhaustive map generation (all sigma on 2m darts).
@@ -31,6 +32,21 @@ def check_orientation_scan(num_edges: int) -> None:
         raise TooLarge(
             f"orientation scan over 2^{num_edges} vectors exceeds the "
             f"2^{MAX_SCAN_EDGES} guard; set SURFGRAPH_GUARD_OVERRIDE=1 to force"
+        )
+
+
+def check_class_scan(num_edges: int, per_mask: int) -> None:
+    """Refuse an orientation-class scan whose total work is too large.
+
+    The work is the 2^E sign masks times the subcube patterns and search
+    steps each mask meets, estimated from sizes alone before any scan.
+    """
+    work = per_mask << num_edges
+    if work > MAX_ASSIGNMENTS and not _override():
+        raise TooLarge(
+            f"orientation class scan of 2^{num_edges} sign masks against "
+            f"{per_mask} patterns and search steps each, about {work} tests, "
+            f"exceeds the {MAX_ASSIGNMENTS} guard; set SURFGRAPH_GUARD_OVERRIDE=1 to force"
         )
 
 

@@ -11,9 +11,25 @@ dart to head dart) or -1 (reverse it).  The classes:
   TBO  totally bi-walkable: no coherently directed cocycle, equivalently
        the carried-over orientation of the dual is AO.
 
-Every predicate with two characterizations computes both and raises if
-they ever disagree; that cross-check is part of the contract, not a
-debugging aid.
+Class counts and enumerations scan all 2^E orientations at once as sign
+masks r in [0, 2^E), in `all_orientations` order: edge 0 is the most
+significant bit, and a set bit means sign -1.  A coherent structure
+whose edges must carry given signs forbids the subcube of masks with
+r & X == P, where X holds its edges and P those that must be -1.  Each
+class is computed by two routes over the whole mask array:
+
+  class  forbidden subcubes, read on g         graph search
+  AO     directed cycles of g, both ways       Kahn peel on g
+  TCO    coherent cut sides in each component  reachability on g
+  BAO    coherent face-set boundaries of g     reachability on g*
+  TBO    cocycles of g, both ways              Kahn peel on g*
+
+TCO on at most 5 edges also evaluates its definitional reading (every
+edge lies on a directed cycle) as a third route.  The per-orientation
+predicates `is_*` compute their own characterizations in plain Python
+(two each for TCO, BAO and TBO) and serve as oracles for the engine.  Whenever two routes
+are computed they are compared, and any disagreement raises; that
+cross-check is part of the contract, not a debugging aid.
 """
 
 from __future__ import annotations
@@ -22,13 +38,17 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterator, Sequence
+from math import prod
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from . import ribbonmap
 from .errors import GraphMismatch
-from .guards import check_orientation_scan
+from .guards import check_class_scan, check_orientation_scan
 from .polynomials import ipoly_add, ipoly_mul, ipoly_pow, ipoly_scale, ipoly_sub, ipoly_trim
 from .ribbonmap import RibbonGraph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -307,12 +327,212 @@ def all_orientations(g: RibbonGraph) -> Iterator[Orientation]:
 def enumerate_class(
     g: RibbonGraph, cls: OrientationClass
 ) -> list[Orientation]:
-    pred = _PREDICATES[cls]
-    return [o for o in all_orientations(g) if pred(g, o)]
+    masks = _class_mask(g, cls).nonzero()[0].tolist()
+    return [Orientation(g, _mask_signs(g.num_edges, r)) for r in masks]
 
 
 def count_class(g: RibbonGraph, cls: OrientationClass) -> int:
-    return len(enumerate_class(g, cls))
+    return int(_class_mask(g, cls).sum())
+
+
+# -- the mask engine ---------------------------------------------------------
+
+
+def _subcube(num_edges: int, required) -> tuple[int, int]:
+    """(X, P) such that r & X == P exactly when r gives every (edge, sign)
+    pair in `required` its sign."""
+    x = p = 0
+    for e, s in required:
+        bit = 1 << (num_edges - 1 - e)
+        x |= bit
+        if s == -1:
+            p |= bit
+    return x, p
+
+
+def _mask_signs(num_edges: int, r: int) -> tuple[int, ...]:
+    return tuple(-1 if r >> (num_edges - 1 - e) & 1 else 1 for e in range(num_edges))
+
+
+def _ends(h: RibbonGraph) -> list[tuple[int, int]]:
+    return [(h.edge_tail_vertex(e), h.edge_head_vertex(e)) for e in range(h.num_edges)]
+
+
+def _both_ways(num_edges: int, cycs) -> Iterator[tuple[int, int]]:
+    """Each cycle (or cocycle) is coherent when every edge carries its
+    direction, or every edge the opposite one."""
+    for c in cycs:
+        x, p = _subcube(num_edges, zip(c.edges, c.directions))
+        yield x, p
+        yield x, x ^ p
+
+
+def _cut_cubes(g: RibbonGraph) -> Iterator[tuple[int, int]]:
+    """Every edge leaving S, for each side S of a cut within one component;
+    a cut coherent into S is caught by the complement of S."""
+    ends = _ends(g)
+    for comp in g.components:
+        verts = sorted(comp)
+        for bits in range(1, (1 << len(verts)) - 1):
+            side = {verts[i] for i in range(len(verts)) if bits >> i & 1}
+            yield _subcube(
+                g.num_edges,
+                [
+                    (e, 1 if t in side else -1)
+                    for e, (t, h) in enumerate(ends)
+                    if (t in side) != (h in side)
+                ],
+            )
+
+
+def _boundary_cubes(g: RibbonGraph) -> Iterator[tuple[int, int]]:
+    """Every boundary edge agreeing with the boundary direction, for each
+    face set with a nonzero boundary (the sum of its face matrix rows).
+
+    The set of all faces has boundary zero, so the complement of a face
+    set has the negated boundary, and the opposite coherence needs no
+    second pattern.  Faces of isolated vertices have all-zero rows and
+    are left out.
+    """
+    rows = [r for f, r in enumerate(g._face_matrix) if g.faces[f]]
+    for bits in range(1, 1 << len(rows)):
+        chosen = [r for i, r in enumerate(rows) if bits >> i & 1]
+        bnd = [sum(col) for col in zip(*chosen)]
+        if any(bnd):
+            yield _subcube(g.num_edges, [(e, b) for e, b in enumerate(bnd) if b])
+
+
+def _avoids(masks, cubes) -> np.ndarray:
+    """True at every mask outside all the given subcubes."""
+    import numpy as np
+
+    hit = np.zeros(masks.shape, dtype=bool)
+    for x, p in cubes:
+        hit |= (masks & x) == p
+    return ~hit
+
+
+def _peel(h: RibbonGraph, rev) -> np.ndarray:
+    """Kahn peel on h for every mask at once: repeatedly drop the vertices
+    no live edge enters; True where no vertex survives (no directed cycle).
+
+    rev[e] holds, per mask, whether edge e runs head to tail.
+    """
+    import numpy as np
+
+    alive = np.ones((h.num_vertices, rev.shape[1]), dtype=bool)
+    ends = _ends(h)
+    while True:
+        entered = np.zeros_like(alive)
+        for (t, w), r in zip(ends, rev):
+            entered[w] |= alive[t] & ~r
+            entered[t] |= alive[w] & r
+        kept = alive & entered
+        if np.array_equal(kept, alive):
+            return ~alive.any(axis=0)
+        alive = kept
+
+
+def _reached(h: RibbonGraph, rev, forward: bool) -> np.ndarray:
+    """Per vertex and mask: reached from the least vertex of its component,
+    along (forward) or against the directed edges."""
+    import numpy as np
+
+    seen = np.zeros((h.num_vertices, rev.shape[1]), dtype=bool)
+    for comp in h.components:
+        seen[min(comp)] = True
+    ends = _ends(h)
+    while True:
+        before = seen.copy()
+        for (t, w), r in zip(ends, rev):
+            back = r if forward else ~r  # the search crosses from w to t
+            seen[t] |= seen[w] & back
+            seen[w] |= seen[t] & ~back
+        if np.array_equal(before, seen):
+            return seen
+
+
+def _strongly_connected(h: RibbonGraph, rev) -> np.ndarray:
+    """True where every component of h is strongly connected."""
+    return _reached(h, rev, True).all(axis=0) & _reached(h, rev, False).all(axis=0)
+
+
+def _cycle_bound(h: RibbonGraph) -> int:
+    """Upper bound on the simple cycles of h, from edge multiplicities.
+
+    A simple cycle is a loop, two parallel edges, or a cycle of length
+    at least 3 of the simple graph underneath, with one edge picked from
+    each of its parallel classes.  The simple graph has at most
+    2^rank - 1 cycles, each through at most V classes.
+    """
+    loops = 0
+    mult: Counter[tuple[int, int]] = Counter()
+    for t, w in _ends(h):
+        if t == w:
+            loops += 1
+        else:
+            mult[min(t, w), max(t, w)] += 1
+    rank = len(mult) - h.num_vertices + h.num_components
+    widest = prod(sorted(mult.values(), reverse=True)[: h.num_vertices])
+    pairs = sum(m * (m - 1) // 2 for m in mult.values())
+    return loops + pairs + (2**rank - 1) * widest
+
+
+def _scan_cost(g: RibbonGraph, cls: OrientationClass) -> int:
+    """Subcube patterns plus search steps per mask of both routes, from sizes.
+
+    Each cycle or cocycle gives two patterns, each cut side or face set
+    one; a search makes at most V rounds over the E edges, and
+    reachability runs both ways.
+    """
+    h = g if cls in (OrientationClass.AO, OrientationClass.TCO) else g.dual
+    v, e = h.num_vertices, h.num_edges
+    if cls in (OrientationClass.AO, OrientationClass.TBO):
+        return 2 * _cycle_bound(h) + v * e
+    if cls is OrientationClass.TCO:
+        return sum(2 ** len(comp) - 2 for comp in g.components) + 2 * v * e
+    return 2 ** g.num_faces + 2 * v * e
+
+
+def _class_routes(g: RibbonGraph, cls: OrientationClass, masks, rev):
+    """The forbidden-subcube route and the graph-search route of one class."""
+    e = g.num_edges
+    if cls is OrientationClass.AO:
+        return _avoids(masks, _both_ways(e, g._cycles)), _peel(g, rev)
+    if cls is OrientationClass.TCO:
+        return _avoids(masks, _cut_cubes(g)), _strongly_connected(g, rev)
+    if cls is OrientationClass.BAO:
+        return _avoids(masks, _boundary_cubes(g)), _strongly_connected(g.dual, rev)
+    return _avoids(masks, _both_ways(e, g._cocycles)), _peel(g.dual, rev)
+
+
+def _agree(num_edges: int, a, b, what: str) -> None:
+    bad = (a != b).nonzero()[0]
+    if bad.size:
+        r = int(bad[0])
+        text = "".join("+" if s == 1 else "-" for s in _mask_signs(num_edges, r))
+        raise AssertionError(f"{what} disagree ({a[r]} vs {b[r]}) on {text}")
+
+
+def _class_mask(g: RibbonGraph, cls: OrientationClass) -> np.ndarray:
+    """Bool array over all 2^E sign masks: True where the orientation is in cls."""
+    import numpy as np
+
+    e = g.num_edges
+    check_orientation_scan(e)
+    check_class_scan(e, _scan_cost(g, cls))
+    masks = np.arange(1 << e, dtype=np.int64)
+    rev = np.empty((e, masks.size), dtype=bool)
+    for i in range(e):
+        rev[i] = (masks & (1 << (e - 1 - i))) != 0
+    cubes, search = _class_routes(g, cls, masks, rev)
+    _agree(e, cubes, search, f"{cls.value}: forbidden subcubes and graph search")
+    if cls is OrientationClass.TCO and e <= 5:
+        walks = np.array(
+            [_every_edge_on_directed_cycle(g, _mask_signs(e, r)) for r in range(masks.size)]
+        )
+        _agree(e, cubes, walks, "tco: forbidden subcubes and directed cycles through every edge")
+    return cubes
 
 
 def cw_faces(g: RibbonGraph, o: Orientation) -> frozenset[int]:
@@ -332,13 +552,30 @@ def cw_faces(g: RibbonGraph, o: Orientation) -> frozenset[int]:
     )
 
 
+def _cw_cubes(g: RibbonGraph) -> Iterator[tuple[int, int]]:
+    """One subcube per face: every dart of its orbit a head dart.
+
+    A face holding both darts of an edge would need both of its signs at
+    once, which no cube expresses; but such an edge is a loop of the
+    dual, so no orientation is totally bi-walkable and no cube is applied.
+    """
+    need = {}
+    for e, (t, h) in enumerate(g.edge_pairs):
+        need[t] = (e, -1)
+        need[h] = (e, 1)
+    for orbit in g.faces:
+        yield _subcube(g.num_edges, [need[d] for d in orbit])
+
+
 def tbo_histogram(g: RibbonGraph) -> dict[int, int]:
     """Map j -> number of totally bi-walkable orientations with j cw-faces."""
-    return dict(
-        Counter(
-            len(cw_faces(g, o)) for o in enumerate_class(g, OrientationClass.TBO)
-        )
-    )
+    import numpy as np
+
+    masks = np.flatnonzero(_class_mask(g, OrientationClass.TBO))
+    cw = np.zeros(masks.size, dtype=np.int64)
+    for x, p in _cw_cubes(g):
+        cw += (masks & x) == p
+    return {j: int(n) for j, n in enumerate(np.bincount(cw)) if n}
 
 
 def tbo_generating_polynomial(g: RibbonGraph) -> list[int]:

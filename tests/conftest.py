@@ -1,11 +1,24 @@
-"""Shared pytest wiring: surface the acceptance verdict lines.
+"""Shared pytest wiring: the census fixture and the acceptance verdict lines.
 
 The acceptance tests record one PASS/FAIL line per criterion in
 ACCEPTANCE_LINES; fd-level capture would otherwise swallow them, so a
 terminal-summary hook replays the lines at the end of the run.
 """
 
+import pytest
+
+from surfgraph import CorpusSpec, generate
+
 ACCEPTANCE_LINES: list[str] = []
+
+
+@pytest.fixture(scope="session")
+def corpus():
+    """Every connected map with at most four edges, up to isomorphism (135)."""
+    maps = []
+    for m in range(5):
+        maps.extend(generate(CorpusSpec(edges=m)))
+    return maps
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -64,6 +64,41 @@ NAMED = {
 SMALL = [EDGELESS, BRIDGE, LOOP, TRIANGLE, THETA, TORUS, KITE]
 
 
+def disjoint_union(a: RibbonGraph, b: RibbonGraph) -> RibbonGraph:
+    n = a.num_darts
+    return build(
+        n + b.num_darts,
+        list(a.sigma) + [d + n for d in b.sigma],
+        list(a.edge_pairs) + [(t + n, h + n) for t, h in b.edge_pairs],
+        isolated_vertices=a.isolated + b.isolated,
+    )
+
+
+# A triangle beside an isolated vertex, and a map with two components.
+ISOLATED = disjoint_union(TRIANGLE, EDGELESS)
+TWO_COMPONENTS = disjoint_union(TORUS, THETA)
+
+
+def abstract_map(n: int, edges: list[tuple[int, int]]) -> RibbonGraph:
+    """A map of the abstract graph on vertices 0..n-1, darts of each
+    vertex in edge order: some rotation system, genus unspecified."""
+    at = [[] for _ in range(n)]
+    for i, (u, w) in enumerate(edges):
+        at[u].append(2 * i)
+        at[w].append(2 * i + 1)
+    return build(2 * len(edges), at, [(2 * i, 2 * i + 1) for i in range(len(edges))])
+
+
+# Anchors past the census: K5 (E = 10) and the Petersen graph (E = 15).
+K5 = abstract_map(5, [(u, w) for u in range(5) for w in range(u + 1, 5)])
+PETERSEN = abstract_map(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
+
+
 def proper_colorings(g: RibbonGraph, k: int) -> int:
     """Brute-force proper k-colorings of the underlying abstract graph."""
     n = g.num_vertices

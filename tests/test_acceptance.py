@@ -16,7 +16,6 @@ import pytest
 
 import surfgraph as sg
 from surfgraph import (
-    CorpusSpec,
     OrientationClass,
     all_orientations,
     bao_witness_vector,
@@ -27,7 +26,6 @@ from surfgraph import (
     dual_orientation,
     enumerate_class,
     face_matrix,
-    generate,
     is_acyclic,
     is_boundary_acyclic,
     is_totally_biwalkable,
@@ -38,16 +36,16 @@ from surfgraph import (
     tbo_generating_polynomial,
 )
 from mapzoo import (
-    EDGELESS,
     FACE_MATRIX_PRIMAL,
+    ISOLATED,
     KITE,
     KITE_ANCHOR_BOUNDARY,
     KITE_ANCHOR_FACES,
     KITE_ANCHOR_SIGNED,
     SMALL,
-    THETA,
     TORUS,
     TRIANGLE,
+    TWO_COMPONENTS,
     proper_colorings,
 )
 
@@ -87,14 +85,6 @@ def _verdict(name: str, ok: bool) -> None:
     print(line, file=sys.__stderr__, flush=True)
     conftest.ACCEPTANCE_LINES.append(line)
     assert ok, name
-
-
-@pytest.fixture(scope="module")
-def corpus():
-    maps = []
-    for m in range(5):
-        maps.extend(generate(CorpusSpec(edges=m)))
-    return maps
 
 
 @pytest.fixture(scope="module")
@@ -300,26 +290,12 @@ def test_criterion_9_cw_face_counts(corpus):
     )
 
 
-def _disjoint_union(a, b):
-    n = a.num_darts
-    return sg.build(
-        n + b.num_darts,
-        list(a.sigma) + [d + n for d in b.sigma],
-        list(a.edge_pairs) + [(t + n, h + n) for t, h in b.edge_pairs],
-        isolated_vertices=a.isolated + b.isolated,
-    )
-
-
 def test_subset_polynomials_match_the_scans(corpus):
     # E + 2 scan points fix a polynomial of degree <= E, so agreement at
     # k = 1..E+2 proves the subset sums equal the assignment counts.
     from surfgraph import enumeration as en
 
-    extra = [
-        FACE_MATRIX_PRIMAL,
-        _disjoint_union(TRIANGLE, EDGELESS),  # an isolated vertex
-        _disjoint_union(TORUS, THETA),  # two components
-    ]
+    extra = [FACE_MATRIX_PRIMAL, ISOLATED, TWO_COMPONENTS]
     assert extra[1].num_vertices == 4 and extra[2].num_components == 2
     for g in [*corpus, *SMALL, *extra]:
         for kind in en.KINDS:

@@ -191,8 +191,9 @@ def test_non_integer_darts_exit_2(capsys, tmp_path):
 def test_cross_check_failure_exits_4(capsys, files, monkeypatch):
     from surfgraph import orientations
 
+    real = orientations._strongly_connected
     monkeypatch.setattr(
-        orientations, "_components_strongly_connected", lambda g, signs: False
+        orientations, "_strongly_connected", lambda h, rev: ~real(h, rev)
     )
     code, out, err = run(capsys, ["count", "--class", "tco", files["torus"]])
     assert code == 4 and out == ""

@@ -30,9 +30,11 @@ from surfgraph.enumeration import (
 from mapzoo import (
     BRIDGE,
     EDGELESS,
+    K5,
     KITE,
     LOOP,
     NAMED,
+    PETERSEN,
     SMALL,
     THETA,
     TORUS,
@@ -191,25 +193,6 @@ def test_poly_guard_fires_before_any_count(monkeypatch):
         calls.clear()
         fn(bouquet(7))
         assert calls == [2, 3]
-
-
-def _abstract_map(n, edges):
-    """A map of the abstract graph on vertices 0..n-1, darts of each
-    vertex in edge order: some rotation system, genus unspecified."""
-    at = [[] for _ in range(n)]
-    for i, (u, w) in enumerate(edges):
-        at[u].append(2 * i)
-        at[w].append(2 * i + 1)
-    return build(2 * len(edges), at, [(2 * i, 2 * i + 1) for i in range(len(edges))])
-
-
-K5 = _abstract_map(5, [(u, w) for u in range(5) for w in range(u + 1, 5)])
-PETERSEN = _abstract_map(
-    10,
-    [(i, (i + 1) % 5) for i in range(5)]
-    + [(i, i + 5) for i in range(5)]
-    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
-)
 
 
 def test_k5_tension_polynomial_past_the_scan_wall():

@@ -1,6 +1,8 @@
 """Orientation classes: predicates, censuses, duality, cw-face statistics."""
 
 import itertools
+import json
+from collections import Counter
 
 import pytest
 
@@ -24,11 +26,28 @@ from surfgraph import (
     is_totally_cyclic,
     orientation_from_string,
     orientation_to_string,
+    poly_eval,
     tbo_generating_poly_formula,
     tbo_generating_polynomial,
     tbo_histogram,
+    to_json_dict,
 )
-from mapzoo import KITE, LOOP, NAMED, TORUS, TRIANGLE, directed_walk_tbo
+from surfgraph import cli, enumeration, orientations
+from mapzoo import (
+    FACE_MATRIX_PRIMAL,
+    ISOLATED,
+    K5,
+    KITE,
+    LOOP,
+    NAMED,
+    PETERSEN,
+    SMALL,
+    TORUS,
+    TRIANGLE,
+    TWO_COMPONENTS,
+    abstract_map,
+    directed_walk_tbo,
+)
 
 # (ao, tco, bao, tbo) per zoo map; frozen by brute force over 2^E orientations
 CENSUS = {
@@ -198,3 +217,93 @@ def test_enumeration_guard():
     )
     with pytest.raises(TooLarge):
         count_class(big, OrientationClass.AO)
+
+
+# -- the mask engine against the per-orientation predicates -------------------
+
+
+def test_engine_matches_the_predicates(corpus):
+    # The predicates are the oracle: enumerate_class must list exactly the
+    # orientations they accept, in all_orientations order, and the cw-face
+    # histogram must count cw_faces over that list.
+    assert ISOLATED.isolated == 1 and TWO_COMPONENTS.num_components == 2
+    for g in [*corpus, *SMALL, FACE_MATRIX_PRIMAL, ISOLATED, TWO_COMPONENTS]:
+        for cls in _CLASSES:
+            pred = orientations._PREDICATES[cls]
+            want = [o.signs for o in all_orientations(g) if pred(g, o)]
+            assert [o.signs for o in enumerate_class(g, cls)] == want, cls
+            assert count_class(g, cls) == len(want), cls
+        tbo = [o for o in all_orientations(g) if is_totally_biwalkable(g, o)]
+        assert tbo_histogram(g) == Counter(len(cw_faces(g, o)) for o in tbo)
+
+
+@pytest.mark.parametrize(
+    "route, cls",
+    [
+        ("_avoids", OrientationClass.BAO),
+        ("_peel", OrientationClass.AO),
+        ("_strongly_connected", OrientationClass.TCO),
+    ],
+)
+def test_a_flipped_mask_fails_the_cross_check(route, cls, monkeypatch, tmp_path, capsys):
+    # Mask 3 of the triangle is the orientation +-- (edge 0 is the top bit).
+    real = getattr(orientations, route)
+
+    def flipped(*args):
+        out = real(*args)
+        out[3] = not out[3]
+        return out
+
+    monkeypatch.setattr(orientations, route, flipped)
+    with pytest.raises(AssertionError, match=r"on \+--$"):
+        count_class(TRIANGLE, cls)
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(to_json_dict(TRIANGLE)))
+    assert cli.main(["count", "--class", cls.value, str(path)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_class_scan_guard_refuses_before_any_route(monkeypatch):
+    monkeypatch.delenv("SURFGRAPH_GUARD_OVERRIDE", raising=False)
+    calls = []
+    for route in ("_avoids", "_peel", "_strongly_connected"):
+        real = getattr(orientations, route)
+        monkeypatch.setattr(
+            orientations, route, lambda *a, _r=route, _f=real: calls.append(_r) or _f(*a)
+        )
+    # A 20-edge cycle passes the 2^20 orientation guard; its 2^20 cut sides
+    # (TCO) and 20 x 20 peel steps per mask (AO), and the same counts read
+    # on its dual (BAO, TBO), do not pass the total-work guard.
+    ring = abstract_map(20, [(i, (i + 1) % 20) for i in range(20)])
+    assert ring.num_faces == 2
+    cases = [
+        (ring, OrientationClass.AO, 2 * 1 + 20 * 20),
+        (ring, OrientationClass.TCO, 2**20 - 2 + 2 * 20 * 20),
+        (dual(ring), OrientationClass.BAO, 2**20 + 2 * 20 * 20),
+        (dual(ring), OrientationClass.TBO, 2 * 1 + 20 * 20),
+    ]
+    for g, cls, per_mask in cases:
+        for fn in (count_class, enumerate_class):
+            with pytest.raises(TooLarge, match=f"about {per_mask << 20} tests"):
+                fn(g, cls)
+    assert calls == []
+    # the same spies do see a scan the guard lets through
+    count_class(TRIANGLE, OrientationClass.TCO)
+    assert calls == ["_avoids", "_strongly_connected"]
+
+
+def test_cycle_bound_is_an_upper_bound(corpus):
+    # The guard counts two patterns per cycle before any cycle is listed.
+    for g in [*corpus, *SMALL, FACE_MATRIX_PRIMAL, TWO_COMPONENTS, K5, PETERSEN]:
+        for h in (g, dual(g)):
+            assert len(h._cycles) <= orientations._cycle_bound(h)
+    assert orientations._cycle_bound(dual(PETERSEN)) == len(dual(PETERSEN)._cycles) == 34
+
+
+def test_class_counts_past_the_census():
+    # |p(-1)| of each polynomial counts its class: the engine at E = 10, 15
+    for g in (K5, PETERSEN):
+        for kind in enumeration.KINDS:
+            value = abs(poly_eval(enumeration.POLY[kind](g), -1))
+            assert count_class(g, enumeration.CLASS_OF[kind]) == value, kind
