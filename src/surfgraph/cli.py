@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -458,6 +459,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # numpy serves here only as integer and boolean arrays, never as BLAS.
+    # Loaded with its default pool, OpenBLAS starts a worker per CPU that
+    # spins for about 0.1 s, as long as a whole `count` call, and competes
+    # with the main thread; a setting made by the caller is kept.  The
+    # package imports numpy lazily, so this runs before it is loaded.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)

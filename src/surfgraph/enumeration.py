@@ -10,7 +10,8 @@ Four families of edge assignments, each defined by a linear condition:
 
 Counts are brute force over assignment vectors, vectorized with numpy on
 int64 blocks; arithmetic is exact (residues mod k or bounded integers,
-never floats).  The four polynomials in k come from two subset sums over
+never floats).  numpy is imported inside the functions that use it, so
+importing the package does not load it.  The four polynomials in k come from two subset sums over
 the 2^E edge subsets (Whitney, Tutte): local tension is flow on the dual,
 balanced flow is tension on the dual.  Every condition matrix is an
 incidence matrix, hence totally unimodular, so the sums are exact; each
@@ -24,9 +25,7 @@ raise on disagreement, same contract as the orientation predicates.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from . import ribbonmap
 from .errors import BadModulus, NoFit, NotBoundaryAcyclic
@@ -50,6 +49,9 @@ from .polynomials import (
 )
 from .ribbonmap import EulerData, RibbonGraph
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _CHUNK = 1 << 18  # assignment rows per numpy block
 
 
@@ -57,6 +59,8 @@ _CHUNK = 1 << 18  # assignment rows per numpy block
 
 
 def _np_rows(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
+    import numpy as np
+
     m = np.zeros((len(rows), width), dtype=np.int64)
     for i, r in enumerate(rows):
         m[i, :] = r
@@ -64,6 +68,8 @@ def _np_rows(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
 
 
 def _cycle_matrix(g: RibbonGraph, cycs) -> np.ndarray:
+    import numpy as np
+
     m = np.zeros((len(cycs), g.num_edges), dtype=np.int64)
     for i, c in enumerate(cycs):
         for e, d in zip(c.edges, c.directions):
@@ -77,6 +83,8 @@ def tension_matrix(g: RibbonGraph) -> np.ndarray:
 
 def incidence_matrix(g: RibbonGraph) -> np.ndarray:
     """Vertices x edges; +1 at the head, -1 at the tail, 0 on loops."""
+    import numpy as np
+
     m = np.zeros((g.num_vertices, g.num_edges), dtype=np.int64)
     for e in range(g.num_edges):
         m[g.edge_head_vertex(e), e] += 1
@@ -89,6 +97,8 @@ def local_tension_matrix(g: RibbonGraph) -> np.ndarray:
 
 
 def balanced_flow_matrix(g: RibbonGraph) -> np.ndarray:
+    import numpy as np
+
     # Cocycle sums over a generating set: cycles of the dual share edge ids.
     return np.vstack(
         [incidence_matrix(g), _cycle_matrix(g, g.dual._fundamental_cycles)]
@@ -99,6 +109,8 @@ def balanced_flow_matrix(g: RibbonGraph) -> np.ndarray:
 
 
 def _blocks(values: np.ndarray, width: int) -> Iterator[np.ndarray]:
+    import numpy as np
+
     if width == 0:
         yield np.zeros((1, 0), dtype=np.int64)
         return
@@ -115,6 +127,8 @@ def _blocks(values: np.ndarray, width: int) -> Iterator[np.ndarray]:
 
 
 def _valid(block: np.ndarray, matrix: np.ndarray, modulus: int | None) -> np.ndarray:
+    import numpy as np
+
     if matrix.shape[0] == 0:
         return np.ones(block.shape[0], dtype=bool)
     prod = block @ matrix.T
@@ -126,6 +140,8 @@ def _valid(block: np.ndarray, matrix: np.ndarray, modulus: int | None) -> np.nda
 def _count_solutions(
     matrix: np.ndarray, values: np.ndarray, width: int, modulus: int | None
 ) -> int:
+    import numpy as np
+
     total = 0
     for block in _blocks(values, width):
         total += int(np.count_nonzero(_valid(block, matrix, modulus)))
@@ -136,6 +152,8 @@ def _support_counts(
     matrix: np.ndarray, values: np.ndarray, width: int, modulus: int | None
 ) -> np.ndarray:
     """counts[mask] = solutions whose nonzero entries are exactly mask."""
+    import numpy as np
+
     out = np.zeros(1 << width, dtype=np.int64)
     weights = (1 << np.arange(width, dtype=np.int64))
     for block in _blocks(values, width):
@@ -149,6 +167,8 @@ def _signed_pattern_counts(
     matrix: np.ndarray, values: np.ndarray, width: int, modulus: int | None
 ) -> np.ndarray:
     """counts[code] = solutions with sign pattern code, base-3 digits sign+1."""
+    import numpy as np
+
     out = np.zeros(3**width, dtype=np.int64)
     weights = 3 ** np.arange(width, dtype=np.int64)
     for block in _blocks(values, width):
@@ -164,10 +184,14 @@ def _require_k(k: int) -> None:
 
 
 def _mod_values(k: int, nonzero: bool) -> np.ndarray:
+    import numpy as np
+
     return np.arange(1 if nonzero else 0, k, dtype=np.int64)
 
 
 def _box_values(k: int) -> np.ndarray:
+    import numpy as np
+
     vals = np.arange(-(k - 1), k, dtype=np.int64)
     return vals[vals != 0]
 
@@ -370,6 +394,8 @@ def _pair_total(
     matrix: np.ndarray,
     surgery: Callable[[list[int]], RibbonGraph],
 ) -> int:
+    import numpy as np
+
     cls = CLASS_OF[kind]
     _require_k(k)
     check_assignment_scan(k, g.num_edges)
@@ -434,6 +460,8 @@ def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
     t > 0 and reverses it where t < 0; edges with t = 0 are free.  At
     k = 0 only t = 0 remains and the result is |BAO(g)|.
     """
+    import numpy as np
+
     if not isinstance(k, int) or k < 0:
         raise BadModulus(f"k must be a nonnegative integer, got {k!r}")
     width = g.num_edges
@@ -520,6 +548,8 @@ def bao_witness_vector(g: RibbonGraph, o: Orientation) -> tuple[Fraction, ...]:
     element of the face matrix kernel whose signs reproduce the
     orientation; all three postconditions are asserted.
     """
+    import numpy as np
+
     if not is_boundary_acyclic(g, o):
         raise NotBoundaryAcyclic(
             "orientation admits a coherently oriented boundary"

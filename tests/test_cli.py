@@ -1,6 +1,10 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +202,24 @@ def test_cross_check_failure_exits_4(capsys, files, monkeypatch):
     code, out, err = run(capsys, ["count", "--class", "tco", files["torus"]])
     assert code == 4 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_blas_pool_defaults_to_one_thread(capsys, files, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert run(capsys, ["info", files["torus"]])[0] == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    assert run(capsys, ["info", files["torus"]])[0] == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+
+def test_package_import_leaves_numpy_unloaded():
+    # The BLAS setting above only takes effect if numpy loads after main starts.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, surfgraph.cli; print('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert done.stdout.strip() == "False", done.stderr
