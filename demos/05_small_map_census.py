@@ -1,8 +1,10 @@
 """Every connected map with at most three edges, sorted by surface.
 
-The generator fixes the edge pairing and sweeps all rotation systems,
-keeping one representative per isomorphism class.  This script builds
-the census for 0..3 edges, stratifies it by (vertices, edges, faces,
+The generator fixes the edge pairing and grows the census one edge at
+a time: every connected map with m edges is a connected map with m - 1
+edges plus one edge, joining two corners or hanging off one.  It keeps
+one representative per isomorphism class.  This script builds the
+census for 0..3 edges, stratifies it by (vertices, edges, faces,
 genus), and tallies the orientation classes across each stratum.
 """
 

@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import enumeration as en
@@ -168,13 +167,18 @@ def cmd_cw_hist(args) -> int:
 
 
 def _corpus(args) -> list[ribbonmap.RibbonGraph]:
+    """The generated maps; their count and generation time go to stderr."""
     spec = generator.CorpusSpec(
         edges=args.edges,
         genus=args.genus,
         planar=args.planar,
         dedupe=not args.no_dedupe,
     )
-    return list(generator.generate(spec))
+    t0 = time.perf_counter()
+    maps = list(generator.generate(spec))
+    _say(f"generated {len(maps)} maps with {args.edges} edges in "
+         f"{time.perf_counter() - t0:.3f}s")
+    return maps
 
 
 def cmd_generate(args) -> int:
@@ -187,7 +191,6 @@ def cmd_generate(args) -> int:
         for line in lines:
             print(line)
     stats = generator.corpus_stats(maps)
-    _say(f"{len(maps)} maps with {args.edges} edges")
     for key, n in stats.items():
         _say(f"  (V,E,F,c,g)={key}: {n}")
     return 0
@@ -344,6 +347,10 @@ def _batch_worker(payload: tuple[dict, int]) -> dict:
 def cmd_batch(args) -> int:
     payloads = [(ribbonmap.to_json_dict(g), args.kmax) for g in _corpus(args)]
     if args.jobs > 1:
+        # Imported here: the pool pulls in multiprocessing, which no other
+        # command needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(_batch_worker, payloads))
     else:

@@ -1,10 +1,17 @@
 """Exhaustive generation of small ribbon maps up to isomorphism.
 
-With darts 0..2m-1 and the edge pairing frozen as (0,1)(2,3)..., every
-map with m edges appears as some rotation permutation, so scanning all
-(2m)! rotations and deduplicating by canonical code enumerates the
-isomorphism classes exactly.  Factorial growth is the point: the guard
-caps m so the scan stays exhaustive rather than sampled.
+Darts are 0..2m-1 with the edge pairing frozen as (0,1)(2,3)....  The
+connected census grows by edge extension.  Every connected map with
+m >= 2 edges has an edge whose removal leaves a connected map: a
+non-bridge edge, or a leaf edge taken with its leaf.  So the m-edge
+classes are the one-edge extensions of the (m-1)-edge classes, starting
+from the loop and the single edge, deduplicated by canonical code.  A
+new edge (a, b) either cuts a in after some dart and b after some dart,
+or cuts a in and makes b a vertex of its own: (2m-2)(2m-1) + (2m-2)
+candidates per parent.
+
+The labelled scan over all (2m)! rotations stays for labelled maps
+(dedupe=False) and for censuses that keep disconnected maps.
 
 Maps with isolated vertices are not generated (any number could be
 added to any map); the one exception is m = 0, which yields the single
@@ -16,10 +23,10 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import SurfGraphError
-from .guards import check_generator_size
+from .guards import check_generator_size, check_rotation_scan
 from .ribbonmap import RibbonGraph, build
 
 
@@ -57,37 +64,66 @@ def _admit(spec: CorpusSpec, g: RibbonGraph) -> bool:
     return True
 
 
+def _labelled(m: int) -> Iterator[RibbonGraph]:
+    """Every rotation system on 2m darts, in lexicographic order."""
+    pairs = tuple((2 * i, 2 * i + 1) for i in range(m))
+    for sigma in itertools.permutations(range(2 * m)):
+        yield RibbonGraph(sigma, pairs)
+
+
+def _extensions(g: RibbonGraph) -> Iterator[RibbonGraph]:
+    """Every map made by adding one edge (a, b) to g, a and b new darts."""
+    n = g.num_darts
+    a, b = n, n + 1
+    pairs = g.edge_pairs + ((a, b),)
+    for x in range(n):
+        sigma = [*g.sigma, a, b]
+        sigma[x], sigma[a] = a, sigma[x]
+        yield RibbonGraph(tuple(sigma), pairs)  # b a vertex of its own
+        for y in range(n + 1):
+            s = sigma.copy()
+            s[y], s[b] = b, sigma[y]
+            yield RibbonGraph(tuple(s), pairs)
+
+
+def _classes(maps: Iterable[RibbonGraph]) -> dict[bytes, RibbonGraph]:
+    """The first map seen of each isomorphism class, keyed by canonical code."""
+    seen: dict[bytes, RibbonGraph] = {}
+    for g in maps:
+        seen.setdefault(g._canonical_code, g)
+    return seen
+
+
+def _census(m: int) -> dict[bytes, RibbonGraph]:
+    """Connected maps with m >= 1 edges, one per class, keyed by canonical code."""
+    level = _classes([RibbonGraph((1, 0), ((0, 1),)), RibbonGraph((0, 1), ((0, 1),))])
+    for _ in range(m - 1):
+        level = _classes(h for code in sorted(level) for h in _extensions(level[code]))
+    return level
+
+
 def generate(spec: CorpusSpec) -> Iterator[RibbonGraph]:
     """Yield the maps admitted by spec in a deterministic order.
 
-    With dedupe the order is by canonical code; without it, rotation
-    permutations are scanned lexicographically and every labeled map is
-    yielded as encountered.
+    With dedupe the order is by canonical code, and the connected census
+    grows by edge extension; without it, rotation permutations are
+    scanned lexicographically and every labeled map is yielded as
+    encountered.
     """
-    check_generator_size(spec.edges)
+    if spec.dedupe and spec.connected:
+        check_generator_size(spec.edges)
+    else:
+        check_rotation_scan(spec.edges)
     if spec.edges == 0:
-        g = build(0, [], [], isolated_vertices=1)
+        maps: Iterable[RibbonGraph] = [build(0, [], [], isolated_vertices=1)]
+    elif not spec.dedupe:
+        maps = _labelled(spec.edges)
+    else:
+        classes = _census(spec.edges) if spec.connected else _classes(_labelled(spec.edges))
+        maps = (classes[code] for code in sorted(classes))
+    for g in maps:
         if _admit(spec, g):
             yield g
-        return
-    darts = 2 * spec.edges
-    pairs = [(2 * i, 2 * i + 1) for i in range(spec.edges)]
-    if not spec.dedupe:
-        for sigma in itertools.permutations(range(darts)):
-            g = RibbonGraph(sigma, tuple(pairs))
-            if _admit(spec, g):
-                yield g
-        return
-    seen: dict[bytes, RibbonGraph] = {}
-    for sigma in itertools.permutations(range(darts)):
-        g = RibbonGraph(sigma, tuple(pairs))
-        if not _admit(spec, g):
-            continue
-        code = g._canonical_code
-        if code not in seen:
-            seen[code] = g
-    for code in sorted(seen):
-        yield seen[code]
 
 
 def corpus_stats(stream) -> dict[tuple[int, int, int, int, int], int]:

@@ -8,6 +8,7 @@ the environment variable SURFGRAPH_GUARD_OVERRIDE=1 when the caller
 knows what they are asking for.
 """
 
+import math
 import os
 
 from .errors import TooLarge
@@ -15,12 +16,13 @@ from .errors import TooLarge
 # 2^MAX_SCAN_EDGES orientation vectors per scan.
 MAX_SCAN_EDGES = 20
 
-# Total assignments evaluated in one polynomial count, and total mask
-# tests (masks times patterns and search steps) in one class scan.
+# Total assignments evaluated in one polynomial count, total mask tests
+# (masks times patterns and search steps) in one class scan, and total
+# rotation systems in one labelled map scan.
 MAX_ASSIGNMENTS = 10**8
 
-# Edges for exhaustive map generation (all sigma on 2m darts).
-MAX_GENERATOR_EDGES = 5
+# Edges for the connected census by edge extension.
+MAX_GENERATOR_EDGES = 6
 
 
 def _override() -> bool:
@@ -60,10 +62,41 @@ def check_assignment_scan(base: int, num_edges: int) -> None:
         )
 
 
+def _rooted_maps(m: int) -> int:
+    """Rooted maps with m edges, all genera: a(m+1) of OEIS A000698.
+
+    Walsh and Lehman (1972): a(n) = (2n-1)!! - sum_{k=1}^{n-1} (2k-1)!! a(n-k),
+    with a(0) = 1.
+    """
+    odd = [1]  # odd[k] = (2k-1)!!
+    a = [1]
+    for n in range(1, m + 2):
+        odd.append(odd[-1] * (2 * n - 1))
+        a.append(odd[n] - sum(odd[k] * a[n - k] for k in range(1, n)))
+    return a[m + 1]
+
+
 def check_generator_size(num_edges: int) -> None:
+    """Refuse a census by edge extension past MAX_GENERATOR_EDGES.
+
+    The estimate bounds the candidates built: each (j-1)-edge class, of
+    which there are at most as many as rooted maps, has (2j-2)(2j)
+    one-edge extensions.
+    """
     if num_edges > MAX_GENERATOR_EDGES and not _override():
+        work = sum(_rooted_maps(j - 1) * (2 * j - 2) * 2 * j for j in range(2, num_edges + 1))
         raise TooLarge(
-            f"exhaustive generation over (2*{num_edges})! rotation systems "
-            f"exceeds the m <= {MAX_GENERATOR_EDGES} guard; "
+            f"census by edge extension to {num_edges} edges builds up to {work} "
+            f"candidate maps and exceeds the m <= {MAX_GENERATOR_EDGES} guard; "
             f"set SURFGRAPH_GUARD_OVERRIDE=1 to force"
+        )
+
+
+def check_rotation_scan(num_edges: int) -> None:
+    """Refuse a labelled scan of all (2m)! rotation systems past MAX_ASSIGNMENTS."""
+    work = math.factorial(2 * num_edges)
+    if work > MAX_ASSIGNMENTS and not _override():
+        raise TooLarge(
+            f"labelled scan over (2*{num_edges})! = {work} rotation systems "
+            f"exceeds the {MAX_ASSIGNMENTS} guard; set SURFGRAPH_GUARD_OVERRIDE=1 to force"
         )

@@ -213,13 +213,22 @@ def test_blas_pool_defaults_to_one_thread(capsys, files, monkeypatch):
     assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
 
-def test_package_import_leaves_numpy_unloaded():
-    # The BLAS setting above only takes effect if numpy loads after main starts.
+def _loaded_by_cli_import(module: str) -> str:
     src = str(Path(__file__).resolve().parent.parent / "src")
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, surfgraph.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, surfgraph.cli; print({module!r} in sys.modules)"],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
     )
-    assert done.stdout.strip() == "False", done.stderr
+    return done.stdout.strip() or done.stderr
+
+
+def test_package_import_leaves_numpy_unloaded():
+    # The BLAS setting above only takes effect if numpy loads after main starts.
+    assert _loaded_by_cli_import("numpy") == "False"
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    # Only batch with more than one job starts a pool.
+    assert _loaded_by_cli_import("concurrent.futures.process") == "False"

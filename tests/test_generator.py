@@ -1,9 +1,12 @@
 """Exhaustive map generation and its censuses."""
 
+import itertools
+
 import pytest
 
 from surfgraph import (
     CorpusSpec,
+    RibbonGraph,
     SurfGraphError,
     TooLarge,
     canonical_code,
@@ -11,15 +14,70 @@ from surfgraph import (
     dual,
     generate,
 )
+from surfgraph.guards import _rooted_maps
+from surfgraph.ribbonmap import _code_from
 
 # connected maps up to isomorphism by edge count, checked against an
-# independent hand count for m <= 2
-CONNECTED_CENSUS = {0: 1, 1: 2, 2: 5, 3: 20, 4: 107}
+# independent hand count for m <= 2, the labelled scan for m <= 4 and
+# the rooted-map count for m <= 5 (below)
+CONNECTED_CENSUS = {0: 1, 1: 2, 2: 5, 3: 20, 4: 107, 5: 870}
+
+# rooted maps with m edges, all genera: Walsh and Lehman (1972), OEIS A000698
+ROOTED_MAPS = {1: 2, 2: 10, 3: 74, 4: 706, 5: 8162}
 
 
-def test_connected_census():
-    for m, expect in CONNECTED_CENSUS.items():
-        assert sum(1 for _ in generate(CorpusSpec(edges=m))) == expect
+@pytest.fixture(scope="module")
+def census():
+    return {m: list(generate(CorpusSpec(edges=m))) for m in CONNECTED_CENSUS}
+
+
+@pytest.fixture(scope="module")
+def scanned():
+    """Connected classes by a scan of every rotation system: {m: {code: genus}}."""
+    out = {}
+    for m in range(1, 5):
+        pairs = tuple((2 * i, 2 * i + 1) for i in range(m))
+        classes = {}
+        for sigma in itertools.permutations(range(2 * m)):
+            g = RibbonGraph(sigma, pairs)
+            if g.euler.c == 1:
+                classes.setdefault(canonical_code(g), g.euler.g)
+        out[m] = classes
+    return out
+
+
+def test_connected_census(census):
+    assert {m: len(maps) for m, maps in census.items()} == CONNECTED_CENSUS
+
+
+def test_extension_census_equals_rotation_scan(census, scanned):
+    for m, classes in scanned.items():
+        assert [canonical_code(g) for g in census[m]] == sorted(classes)
+
+
+def test_surface_filters_agree_with_rotation_scan(scanned):
+    classes = scanned[4]
+
+    def codes(**kw):
+        return [canonical_code(g) for g in generate(CorpusSpec(edges=4, **kw))]
+
+    for genus in range(3):
+        assert codes(genus=genus) == sorted(c for c, g in classes.items() if g == genus)
+    assert codes(planar=True) == sorted(c for c, g in classes.items() if g == 0)
+    assert codes(planar=False) == sorted(c for c, g in classes.items() if g > 0)
+
+
+def test_rooted_map_count(census):
+    # A class with |Aut| automorphisms has 2m/|Aut| rootings; the
+    # automorphisms fix the start dart of the least relabelling.
+    for m, expect in ROOTED_MAPS.items():
+        rooted = 0
+        for g in census[m]:
+            codes = [_code_from(g, d) for d in range(2 * m)]
+            aut = codes.count(min(codes))
+            assert (2 * m) % aut == 0
+            rooted += 2 * m // aut
+        assert rooted == expect == _rooted_maps(m)
 
 
 def test_two_edge_stratification():
@@ -53,10 +111,13 @@ def test_no_dedupe_counts_labeled_maps():
     assert sum(1 for _ in generate(CorpusSpec(edges=2, dedupe=False))) == 20
 
 
-def test_output_is_sorted_and_duplicate_free():
-    codes = [canonical_code(g) for g in generate(CorpusSpec(edges=3))]
-    assert codes == sorted(codes)
-    assert len(set(codes)) == len(codes)
+def test_output_is_sorted_and_duplicate_free(census):
+    for m, maps in census.items():
+        codes = [canonical_code(g) for g in maps]
+        assert codes == sorted(set(codes))
+        for g in maps:
+            assert g.euler.c == 1
+            assert g.edge_pairs == tuple((2 * i, 2 * i + 1) for i in range(m))
 
 
 def test_corpus_is_closed_under_duality():
@@ -72,5 +133,9 @@ def test_spec_validation():
 
 
 def test_generator_guard():
-    with pytest.raises(TooLarge):
-        next(generate(CorpusSpec(edges=6)))
+    with pytest.raises(TooLarge, match="19588608 candidate maps"):
+        next(generate(CorpusSpec(edges=7)))
+    with pytest.raises(TooLarge, match=r"\(2\*6\)! = 479001600 rotation systems"):
+        next(generate(CorpusSpec(edges=6, dedupe=False)))
+    with pytest.raises(TooLarge, match="rotation systems"):
+        next(generate(CorpusSpec(edges=6, connected=False)))
