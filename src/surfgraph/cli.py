@@ -257,7 +257,7 @@ def _verify_graph(g: ribbonmap.RibbonGraph, kmax: int) -> dict:
             [0, kmax],
         )
 
-    dual_tension = en.poly_tension(gd)
+    dual_tension = polys["balanced-flow"]  # the tension polynomial of gd
     check(
         "|dual tension polynomial at -1| counts totally bi-walkable orientations",
         abs(poly_eval(dual_tension, -1)),

@@ -8,11 +8,14 @@ Four families of edge assignments, each defined by a linear condition:
   balanced flow   flow whose signed sums across all cocycles vanish
                   (incidence stacked with a cycle basis of the dual)
 
-Counts are brute force over assignment vectors, vectorized with numpy on
-int64 blocks; arithmetic is exact (residues mod k or bounded integers,
-never floats).  numpy is imported inside the functions that use it, so
-importing the package does not load it.  The four polynomials in k come from two subset sums over
-the 2^E edge subsets (Whitney, Tutte): local tension is flow on the dual,
+Counts are brute force over assignment vectors: every count and support
+or sign histogram reduces the int64 numpy blocks of one scan, _solutions.
+Arithmetic is exact (residues mod k or bounded integers, never floats).
+numpy is imported inside the functions that use it, so importing the
+package does not load it.
+
+The four polynomials in k come from two subset sums over the 2^E edge
+subsets (Whitney, Tutte): local tension is flow on the dual,
 balanced flow is tension on the dual.  Every condition matrix is an
 incidence matrix, hence totally unimodular, so the sums are exact; each
 result is still checked against the nowhere-zero scan at k = 2 and 3.
@@ -24,8 +27,9 @@ raise on disagreement, same contract as the orientation predicates.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from . import ribbonmap
 from .errors import BadModulus, NoFit, NotBoundaryAcyclic
@@ -58,15 +62,6 @@ _CHUNK = 1 << 18  # assignment rows per numpy block
 # -- condition matrices ------------------------------------------------------
 
 
-def _np_rows(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
-    import numpy as np
-
-    m = np.zeros((len(rows), width), dtype=np.int64)
-    for i, r in enumerate(rows):
-        m[i, :] = r
-    return m
-
-
 def _cycle_matrix(g: RibbonGraph, cycs) -> np.ndarray:
     import numpy as np
 
@@ -93,7 +88,9 @@ def incidence_matrix(g: RibbonGraph) -> np.ndarray:
 
 
 def local_tension_matrix(g: RibbonGraph) -> np.ndarray:
-    return _np_rows(g._face_matrix, g.num_edges)
+    import numpy as np
+
+    return np.array(g._face_matrix, dtype=np.int64).reshape(g.num_faces, g.num_edges)
 
 
 def balanced_flow_matrix(g: RibbonGraph) -> np.ndarray:
@@ -108,44 +105,34 @@ def balanced_flow_matrix(g: RibbonGraph) -> np.ndarray:
 # -- assignment scans --------------------------------------------------------
 
 
-def _blocks(values: np.ndarray, width: int) -> Iterator[np.ndarray]:
+def _solutions(
+    matrix: np.ndarray, values: np.ndarray, width: int, modulus: int | None
+) -> Iterator[np.ndarray]:
+    """The rows x of values^width with matrix @ x = 0 (mod modulus, if any),
+    in lexicographic order, in blocks of at most _CHUNK rows: one grid over
+    the last coordinates, built once, under each tuple of the leading ones.
+    """
     import numpy as np
 
-    if width == 0:
-        yield np.zeros((1, 0), dtype=np.int64)
-        return
-    if len(values) ** width <= _CHUNK:
-        grids = np.meshgrid(*([values] * width), indexing="ij")
-        yield np.stack(grids, axis=-1).reshape(-1, width).astype(np.int64)
-        return
-    for v in values:
-        for rest in _blocks(values, width - 1):
-            block = np.empty((rest.shape[0], width), dtype=np.int64)
-            block[:, 0] = v
-            block[:, 1:] = rest
-            yield block
-
-
-def _valid(block: np.ndarray, matrix: np.ndarray, modulus: int | None) -> np.ndarray:
-    import numpy as np
-
-    if matrix.shape[0] == 0:
-        return np.ones(block.shape[0], dtype=bool)
-    prod = block @ matrix.T
-    if modulus is None:
-        return np.all(prod == 0, axis=1)
-    return np.all(prod % modulus == 0, axis=1)
+    n = len(values)
+    low = 0
+    while low < width and n ** (low + 1) <= _CHUNK:
+        low += 1
+    high = width - low
+    block = np.empty((n**low, width), dtype=np.int64)
+    block[:, high:] = values[np.indices((n,) * low).reshape(low, n**low).T]
+    for head in itertools.product(values.tolist(), repeat=high):
+        block[:, :high] = head
+        prod = block @ matrix.T
+        if modulus is not None:
+            prod %= modulus
+        yield block[~prod.any(axis=1)]
 
 
 def _count_solutions(
     matrix: np.ndarray, values: np.ndarray, width: int, modulus: int | None
 ) -> int:
-    import numpy as np
-
-    total = 0
-    for block in _blocks(values, width):
-        total += int(np.count_nonzero(_valid(block, matrix, modulus)))
-    return total
+    return sum(len(rows) for rows in _solutions(matrix, values, width, modulus))
 
 
 def _support_counts(
@@ -155,11 +142,9 @@ def _support_counts(
     import numpy as np
 
     out = np.zeros(1 << width, dtype=np.int64)
-    weights = (1 << np.arange(width, dtype=np.int64))
-    for block in _blocks(values, width):
-        ok = _valid(block, matrix, modulus)
-        masks = (block[ok] != 0) @ weights
-        out += np.bincount(masks, minlength=1 << width).astype(np.int64)
+    weights = 1 << np.arange(width, dtype=np.int64)
+    for rows in _solutions(matrix, values, width, modulus):
+        out += np.bincount((rows != 0) @ weights, minlength=1 << width)
     return out
 
 
@@ -171,10 +156,8 @@ def _signed_pattern_counts(
 
     out = np.zeros(3**width, dtype=np.int64)
     weights = 3 ** np.arange(width, dtype=np.int64)
-    for block in _blocks(values, width):
-        ok = _valid(block, matrix, modulus)
-        codes = (np.sign(block[ok]) + 1) @ weights
-        out += np.bincount(codes, minlength=3**width).astype(np.int64)
+    for rows in _solutions(matrix, values, width, modulus):
+        out += np.bincount((np.sign(rows) + 1) @ weights, minlength=3**width)
     return out
 
 
@@ -399,9 +382,12 @@ def _pair_total(
     cls = CLASS_OF[kind]
     _require_k(k)
     check_assignment_scan(k, g.num_edges)
+    # Only the zero vector has empty support, and it is always a solution;
+    # counting its class first lets the class guard refuse before the 2^E
+    # histogram is built.
+    total = _cached_count_class(surgery([]), cls)
     counts = _support_counts(matrix, _mod_values(k, False), g.num_edges, k)
-    total = 0
-    for mask in np.nonzero(counts)[0]:
+    for mask in np.nonzero(counts[1:])[0] + 1:
         supp = [e for e in range(g.num_edges) if mask >> e & 1]
         total += int(counts[mask]) * _cached_count_class(surgery(supp), cls)
     return total
@@ -466,9 +452,10 @@ def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
         raise BadModulus(f"k must be a nonnegative integer, got {k!r}")
     width = g.num_edges
     check_assignment_scan(2 * k + 1, width)
+    bao = np.flatnonzero(_class_mask(g, CLASS_OF["local-tension"]))
+    check_assignment_scan(3, width)  # the 3^E sign-pattern histogram
     vals = np.arange(-k, k + 1, dtype=np.int64)
     pattern = _signed_pattern_counts(local_tension_matrix(g), vals, width, None)
-    bao = np.flatnonzero(_class_mask(g, CLASS_OF["local-tension"]))
     total = 0
     for code in np.nonzero(pattern)[0]:
         required = []

@@ -6,9 +6,10 @@ m >= 2 edges has an edge whose removal leaves a connected map: a
 non-bridge edge, or a leaf edge taken with its leaf.  So the m-edge
 classes are the one-edge extensions of the (m-1)-edge classes, starting
 from the loop and the single edge, deduplicated by canonical code.  A
-new edge (a, b) either cuts a in after some dart and b after some dart,
-or cuts a in and makes b a vertex of its own: (2m-2)(2m-1) + (2m-2)
-candidates per parent.
+new edge (a, b) cuts a in after some old dart x, then either cuts b in
+after some old dart or makes b a vertex of its own: (2m-2)(2m-1)
+candidates per parent.  Cutting b in right after a is left out: it is
+the mirror of cutting b in right after x, which the loop reaches first.
 
 The labelled scan over all (2m)! rotations stays for labelled maps
 (dedupe=False) and for censuses that keep disconnected maps.
@@ -80,7 +81,7 @@ def _extensions(g: RibbonGraph) -> Iterator[RibbonGraph]:
         sigma = [*g.sigma, a, b]
         sigma[x], sigma[a] = a, sigma[x]
         yield RibbonGraph(tuple(sigma), pairs)  # b a vertex of its own
-        for y in range(n + 1):
+        for y in range(n):  # y = a would mirror y = x
             s = sigma.copy()
             s[y], s[b] = b, sigma[y]
             yield RibbonGraph(tuple(s), pairs)

@@ -80,11 +80,11 @@ def check_generator_size(num_edges: int) -> None:
     """Refuse a census by edge extension past MAX_GENERATOR_EDGES.
 
     The estimate bounds the candidates built: each (j-1)-edge class, of
-    which there are at most as many as rooted maps, has (2j-2)(2j)
+    which there are at most as many as rooted maps, has (2j-2)(2j-1)
     one-edge extensions.
     """
     if num_edges > MAX_GENERATOR_EDGES and not _override():
-        work = sum(_rooted_maps(j - 1) * (2 * j - 2) * 2 * j for j in range(2, num_edges + 1))
+        work = sum(_rooted_maps(j - 1) * (2 * j - 2) * (2 * j - 1) for j in range(2, num_edges + 1))
         raise TooLarge(
             f"census by edge extension to {num_edges} edges builds up to {work} "
             f"candidate maps and exceeds the m <= {MAX_GENERATOR_EDGES} guard; "

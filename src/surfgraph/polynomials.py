@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 from .errors import NoFit, NonIntegerCoefficients
 
 Coeffs = list[Fraction]
+Num = int | Fraction
 
 
 def poly_eval(coeffs: Sequence[int | Fraction], x: int | Fraction):
@@ -25,27 +26,6 @@ def poly_eval(coeffs: Sequence[int | Fraction], x: int | Fraction):
     return acc
 
 
-def _poly_add(a: Coeffs, b: Coeffs) -> Coeffs:
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
-
-
-def _poly_scale(a: Coeffs, s: Fraction) -> Coeffs:
-    return [c * s for c in a]
-
-
-def _poly_mul_linear(a: Coeffs, root: Fraction) -> Coeffs:
-    # a(x) * (x - root)
-    out = [Fraction(0)] * (len(a) + 1)
-    for i, c in enumerate(a):
-        out[i + 1] += c
-        out[i] -= c * root
-    return out
-
-
 def trim(coeffs: Sequence[int | Fraction]) -> Coeffs:
     out = [Fraction(c) for c in coeffs]
     while out and out[-1] == 0:
@@ -53,7 +33,8 @@ def trim(coeffs: Sequence[int | Fraction]) -> Coeffs:
     return out or [Fraction(0)]
 
 
-# Small integer-coefficient helpers for generating functions.
+# Coefficient-list helpers, exact for int and Fraction entries alike:
+# generating functions use them on ints, interpolation on fractions.
 
 
 def ipoly_trim(a: Sequence[int]) -> list[int]:
@@ -63,7 +44,7 @@ def ipoly_trim(a: Sequence[int]) -> list[int]:
     return out or [0]
 
 
-def ipoly_add(a: Sequence[int], b: Sequence[int]) -> list[int]:
+def ipoly_add(a: Sequence[Num], b: Sequence[Num]) -> list[Num]:
     n = max(len(a), len(b))
     return [
         (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
@@ -74,7 +55,7 @@ def ipoly_sub(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return ipoly_add(a, [-x for x in b])
 
 
-def ipoly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+def ipoly_mul(a: Sequence[Num], b: Sequence[Num]) -> list[Num]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
@@ -91,7 +72,7 @@ def ipoly_pow(a: Sequence[int], n: int) -> list[int]:
     return out
 
 
-def ipoly_scale(a: Sequence[int], s: int) -> list[int]:
+def ipoly_scale(a: Sequence[Num], s: Num) -> list[Num]:
     return [s * x for x in a]
 
 
@@ -100,16 +81,16 @@ def lagrange(points: Sequence[tuple[int, int | Fraction]]) -> Coeffs:
     xs = [p[0] for p in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation points must have distinct x")
-    result: Coeffs = [Fraction(0)]
+    result: list[Num] = [0]
     for i, (xi, yi) in enumerate(points):
-        basis: Coeffs = [Fraction(1)]
-        denom = Fraction(1)
+        basis: list[Num] = [1]
+        denom = 1
         for j, (xj, _) in enumerate(points):
             if j == i:
                 continue
-            basis = _poly_mul_linear(basis, Fraction(xj))
+            basis = ipoly_mul(basis, [-xj, 1])  # times (x - xj)
             denom *= xi - xj
-        result = _poly_add(result, _poly_scale(basis, Fraction(yi) / denom))
+        result = ipoly_add(result, ipoly_scale(basis, Fraction(yi) / denom))
     return trim(result)
 
 

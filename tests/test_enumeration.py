@@ -1,5 +1,6 @@
 """Counting layer: tensions, flows, polynomials, reciprocity, witnesses."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,10 +18,12 @@ from surfgraph import (
     count_class,
     dual,
     enumerate_class,
+    from_json_dict,
     generate,
     orientation_to_string,
     poly_eval,
 )
+from surfgraph import enumeration
 from surfgraph.enumeration import (
     balanced_flow_matrix,
     incidence_matrix,
@@ -154,6 +157,10 @@ def test_scan_guard():
         sg.count_nz_flows(big, 3)
 
 
+def _bouquet(m):
+    return build(2 * m, [tuple(range(2 * m))], [(2 * i, 2 * i + 1) for i in range(m)])
+
+
 def test_poly_guard_fires_before_any_count(monkeypatch):
     from surfgraph import enumeration, ribbonmap
 
@@ -178,20 +185,17 @@ def test_poly_guard_fires_before_any_count(monkeypatch):
         monkeypatch.setitem(enumeration.COUNT_NZ, kind, spy(real))
     monkeypatch.setattr(ribbonmap, "_spanning_forest", forest)
 
-    def bouquet(m):
-        return build(2 * m, [tuple(range(2 * m))], [(2 * i, 2 * i + 1) for i in range(m)])
-
     for fn in _POLY_FN.values():
         # 17 edges: the k = 3 check is guarded as 3^17 > 10^8 rows, so
         # neither it nor the 2^17 subset walk starts
         calls.clear()
         forests.clear()
         with pytest.raises(TooLarge):
-            fn(bouquet(17))
+            fn(_bouquet(17))
         assert calls == [] and forests == []
         # 7 edges: the subset sum needs no samples; the scans check k = 2, 3
         calls.clear()
-        fn(bouquet(7))
+        fn(_bouquet(7))
         assert calls == [2, 3]
 
 
@@ -344,3 +348,117 @@ def test_interpolate_round_trip():
     coeffs = [2, -3, 1]
     samples = [(k, poly_eval(coeffs, k)) for k in range(1, 5)]
     assert sg.interpolate(samples) == coeffs
+
+
+# -- the assignment scan ------------------------------------------------------------
+
+
+def test_pair_counters_refuse_before_the_support_histogram(monkeypatch):
+    # k^E is 1 at k = 1, but the class count of the empty support is
+    # refused at 21 edges; no 2^21 histogram may be built before that
+    monkeypatch.delenv("SURFGRAPH_GUARD_OVERRIDE", raising=False)
+    calls = []
+    real = enumeration._support_counts
+
+    def spy(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(enumeration, "_support_counts", spy)
+    g = _bouquet(21)
+    for kind, pairs in enumeration.PAIRS.items():
+        with pytest.raises(TooLarge):
+            pairs(g, 1)
+        assert calls == [], kind
+
+
+def test_integral_pairs_refuse_before_the_sign_histogram(monkeypatch):
+    # at k = 0 the scan is 1^E, but the BAO class scan of a 13-edge
+    # bouquet is refused; no 3^13 histogram may be built before that
+    monkeypatch.delenv("SURFGRAPH_GUARD_OVERRIDE", raising=False)
+    calls = []
+    real = enumeration._signed_pattern_counts
+
+    def spy(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(enumeration, "_signed_pattern_counts", spy)
+    with pytest.raises(TooLarge):
+        sg.integral_local_tension_reciprocity_pairs(_bouquet(13), 0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_solutions_without_conditions_yield_the_product_in_order(monkeypatch, chunk):
+    import numpy as np
+
+    if chunk is not None:
+        monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+    limit = enumeration._CHUNK
+    for values in ([], [0], [1, 2], [0, 1, 2], [-2, -1, 1, 2]):
+        vals = np.array(values, dtype=np.int64)
+        for width in range(5):
+            blocks = list(
+                enumeration._solutions(np.zeros((0, width), dtype=np.int64), vals, width, 3)
+            )
+            rows = [tuple(r) for b in blocks for r in b.tolist()]
+            assert rows == list(itertools.product(values, repeat=width))
+            for b in blocks:
+                # one grid as large as the chunk allows, never larger
+                assert len(b) <= limit
+                assert len(b) == len(values) ** width or len(b) * len(values) > limit
+
+
+# The E = 6 and E = 7 maps of the seed-1 `frontier` benchmark ladder.
+FRONTIER = [
+    {
+        "sigma": [[7, 2, 9], [0, 11, 5], [8, 1, 6], [3, 4, 10]],
+        "edges": [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11]],
+    },
+    {
+        "sigma": [[12, 3, 11, 9], [5, 2], [6, 10, 0, 8, 13], [4, 7, 1]],
+        "edges": [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11], [12, 13]],
+    },
+]
+
+_MATRIX = {
+    "tension": tension_matrix,
+    "flow": incidence_matrix,
+    "local-tension": local_tension_matrix,
+    "balanced-flow": balanced_flow_matrix,
+}
+
+
+def _scan_results(maps):
+    import numpy as np
+
+    out = []
+    for g in maps:
+        e = g.num_edges
+        for kind in enumeration.KINDS:
+            matrix = _MATRIX[kind](g)
+            for k in (1, 2, 3):
+                out.append(enumeration.COUNT_NZ[kind](g, k))
+                out.append(enumeration.PAIRS[kind](g, k))
+                vals = np.arange(k, dtype=np.int64)
+                out.append(enumeration._support_counts(matrix, vals, e, k).tolist())
+        for k in (1, 2):
+            vals = np.arange(-k, k + 1, dtype=np.int64)
+            out.append(
+                enumeration._signed_pattern_counts(local_tension_matrix(g), vals, e, None).tolist()
+            )
+            out.append(sg.count_integral_local_tensions(g, k + 1))
+            out.append(sg.count_integral_flows(g, k + 1))
+            out.append(sg.integral_local_tension_reciprocity_pairs(g, k))
+    return out
+
+
+def test_chunk_size_does_not_change_any_scan(monkeypatch):
+    maps = [g for m in range(4) for g in generate(CorpusSpec(edges=m))]
+    maps += [from_json_dict(doc) for doc in FRONTIER]
+    assert [g.num_edges for g in maps[-2:]] == [6, 7]
+    expected = _scan_results(maps)
+    for chunk in (1, 7):
+        monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+        assert _scan_results(maps) == expected, chunk

@@ -133,7 +133,7 @@ def test_spec_validation():
 
 
 def test_generator_guard():
-    with pytest.raises(TooLarge, match="19588608 candidate maps"):
+    with pytest.raises(TooLarge, match="18175932 candidate maps"):
         next(generate(CorpusSpec(edges=7)))
     with pytest.raises(TooLarge, match=r"\(2\*6\)! = 479001600 rotation systems"):
         next(generate(CorpusSpec(edges=6, dedupe=False)))
