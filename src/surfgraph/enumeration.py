@@ -8,9 +8,12 @@ Four families of edge assignments, each defined by a linear condition:
   balanced flow   flow whose signed sums across all cocycles vanish
                   (incidence stacked with a cycle basis of the dual)
 
-Counts are brute force over assignment vectors: every count and support
-or sign histogram reduces the int64 numpy blocks of one scan, _solutions.
-Arithmetic is exact (residues mod k or bounded integers, never floats).
+Counts are brute force over assignment vectors.  Every count mod k and
+every support or sign histogram reduces the int64 numpy blocks of one
+scan, _solutions.  The nowhere-zero integer counts in a box |x(e)| < k
+come from _box_counts instead, a meet-in-the-middle join of two half-box
+scans that reads every k up to a bound at once.  Arithmetic is exact
+(residues mod k or bounded integers, never floats).
 numpy is imported inside the functions that use it, so importing the
 package does not load it.
 
@@ -19,7 +22,9 @@ subsets (Whitney, Tutte): local tension is flow on the dual,
 balanced flow is tension on the dual.  Every condition matrix is an
 incidence matrix, hence totally unimodular, so the sums are exact; each
 result is still checked against the nowhere-zero scan at k = 2 and 3.
-Integral local tension counts get a quasipolynomial fit from scans.
+Integral local tension counts get a quasipolynomial fit, one join per
+period tried; the integral pair counts keep the direct scan, so verify
+compares two independent routes.
 
 Operations with a second independent characterization compute both and
 raise on disagreement, same contract as the orientation predicates.
@@ -45,6 +50,7 @@ from .orientations import (
 )
 from .polynomials import (
     QuasiPolynomial,
+    _require_max_period,
     as_int_coeffs,
     fit_quasipolynomial,
     ipoly_trim,
@@ -105,12 +111,19 @@ def balanced_flow_matrix(g: RibbonGraph) -> np.ndarray:
 # -- assignment scans --------------------------------------------------------
 
 
-def _solutions(
-    matrix: np.ndarray, values: np.ndarray, width: int, modulus: int | None
-) -> Iterator[np.ndarray]:
-    """The rows x of values^width with matrix @ x = 0 (mod modulus, if any),
-    in lexicographic order, in blocks of at most _CHUNK rows: one grid over
-    the last coordinates, built once, under each tuple of the leading ones.
+def _grid(values: np.ndarray, width: int) -> np.ndarray:
+    """All rows of values^width, in lexicographic order."""
+    import numpy as np
+
+    n = len(values)
+    return values[np.indices((n,) * width).reshape(width, n**width).T]
+
+
+def _grid_blocks(values: np.ndarray, width: int) -> Iterator[np.ndarray]:
+    """All rows of values^width, in lexicographic order, in blocks of at
+    most _CHUNK rows: one grid over the last coordinates, built once, under
+    each tuple of the leading ones.  Every block is the same buffer,
+    overwritten by the next one.
     """
     import numpy as np
 
@@ -120,9 +133,19 @@ def _solutions(
         low += 1
     high = width - low
     block = np.empty((n**low, width), dtype=np.int64)
-    block[:, high:] = values[np.indices((n,) * low).reshape(low, n**low).T]
+    block[:, high:] = _grid(values, low)
     for head in itertools.product(values.tolist(), repeat=high):
         block[:, :high] = head
+        yield block
+
+
+def _solutions(
+    matrix: np.ndarray, values: np.ndarray, width: int, modulus: int | None
+) -> Iterator[np.ndarray]:
+    """The rows x of values^width with matrix @ x = 0 (mod modulus, if any),
+    in lexicographic order, in blocks of at most _CHUNK rows.
+    """
+    for block in _grid_blocks(values, width):
         prod = block @ matrix.T
         if modulus is not None:
             prod %= modulus
@@ -159,6 +182,57 @@ def _signed_pattern_counts(
     for rows in _solutions(matrix, values, width, modulus):
         out += np.bincount((np.sign(rows) + 1) @ weights, minlength=3**width)
     return out
+
+
+def _box_counts(matrix: np.ndarray, width: int, ks: Sequence[int]) -> list[int]:
+    """counts[i] = nowhere-zero integer rows x with |x(e)| < ks[i] and
+    matrix @ x = 0, for ascending ks >= 1.
+
+    Meet in the middle (Horowitz and Sahni, J. ACM 1974): x solves the
+    system exactly when the sums of its first width // 2 columns equal the
+    negated sums of the rest.  The left half-box, at most the square root
+    of the whole box, is grouped by those sums and by the first ks[b] whose
+    box holds the half-row; the right half-box streams past in blocks of at
+    most _CHUNK rows.  Memory is the left half-box plus one block.
+    """
+    import numpy as np
+
+    ks = np.asarray(ks, dtype=np.int64)
+    nb = len(ks)
+    values = _box_values(int(ks[-1]))
+    half = width // 2
+
+    def first_box(rows: np.ndarray) -> np.ndarray:
+        # b such that the rows lie in the boxes of ks[b:] and no other
+        return np.searchsorted(ks, np.abs(rows).max(axis=1, initial=0), "right")
+
+    left = _grid(values, half)
+    keys, group = np.unique(left @ matrix[:, :half].T, axis=0, return_inverse=True)
+    # cells: occurring (group, b) codes, group-major; below[i]: rows before i
+    cells, sizes = np.unique(group.reshape(-1) * nb + first_box(left), return_counts=True)
+    below = np.concatenate([[0], sizes.cumsum()])
+    slot = np.arange(len(keys))
+    first = np.zeros(nb, dtype=np.int64)  # pairs first counted at ks[b]
+    later = np.zeros(len(cells) + 1, dtype=np.int64)  # right rows, by left cell
+    for block in _grid_blocks(values, width - half):
+        sums = -(block @ matrix[:, half:].T)
+        both, where = np.unique(np.vstack([keys, sums]), axis=0, return_inverse=True)
+        where = where.reshape(-1)
+        found = np.full(len(both), -1)
+        found[where[: len(keys)]] = slot
+        g = found[where[len(keys) :]]
+        hit = g >= 0
+        g, b = g[hit], first_box(block[hit])
+        start = np.searchsorted(cells, g * nb, "left")
+        upto = np.searchsorted(cells, g * nb + b, "right")
+        end = np.searchsorted(cells, g * nb + nb, "left")
+        # left half-rows whose box is no later: the pair starts at ks[b]
+        np.add.at(first, b, below[upto] - below[start])
+        # later left cells of the group, upto..end-1: it starts at theirs
+        later += np.bincount(upto, minlength=len(cells) + 1)
+        later -= np.bincount(end, minlength=len(cells) + 1)
+    np.add.at(first, cells % nb, sizes * later.cumsum()[:-1])
+    return first.cumsum().tolist()
 
 
 def _require_k(k: int) -> None:
@@ -257,16 +331,16 @@ def count_integral_local_tensions(g: RibbonGraph, k: int) -> int:
     """Nowhere-zero integer local tensions with |t(e)| < k."""
     _require_k(k)
     check_assignment_scan(2 * k - 1, g.num_edges)
-    return _count_solutions(
-        local_tension_matrix(g), _box_values(k), g.num_edges, None
-    )
+    (count,) = _box_counts(local_tension_matrix(g), g.num_edges, [k])
+    return count
 
 
 def count_integral_flows(g: RibbonGraph, k: int) -> int:
     """Nowhere-zero integer flows with |f(e)| < k."""
     _require_k(k)
     check_assignment_scan(2 * k - 1, g.num_edges)
-    return _count_solutions(incidence_matrix(g), _box_values(k), g.num_edges, None)
+    (count,) = _box_counts(incidence_matrix(g), g.num_edges, [k])
+    return count
 
 
 # -- polynomials by subset expansion -----------------------------------------
@@ -327,17 +401,20 @@ def poly_balanced_flow(g: RibbonGraph) -> list[int]:
 
 
 def _quasi_driver(
-    g: RibbonGraph,
-    counter: Callable[[RibbonGraph, int], int],
-    max_period: int,
+    g: RibbonGraph, matrix: np.ndarray, max_period: int
 ) -> QuasiPolynomial:
+    """Fit each period in turn from one join over k = 1..period(E+2)+2.
+
+    Each join is guarded as the (2 kmax - 1)^E box before it is built.
+    """
+    _require_max_period(max_period)
     degree = g.num_edges
-    samples: dict[int, int] = {}
     last: NoFit | None = None
     for period in range(1, max_period + 1):
-        for k in range(1, period * (degree + 2) + 3):
-            if k not in samples:
-                samples[k] = counter(g, k)
+        kmax = period * (degree + 2) + 2
+        check_assignment_scan(2 * kmax - 1, degree)
+        ks = range(1, kmax + 1)
+        samples = dict(zip(ks, _box_counts(matrix, degree, ks)))
         try:
             return fit_quasipolynomial(samples, degree, max_period=period)
         except NoFit as exc:
@@ -349,23 +426,28 @@ def quasi_integral_local_tensions(
     g: RibbonGraph, max_period: int = 6
 ) -> QuasiPolynomial:
     """Smallest-period quasipolynomial through the integral local tension counts."""
-    return _quasi_driver(g, count_integral_local_tensions, max_period)
+    return _quasi_driver(g, local_tension_matrix(g), max_period)
 
 
 def quasi_integral_flows(g: RibbonGraph, max_period: int = 6) -> QuasiPolynomial:
-    return _quasi_driver(g, count_integral_flows, max_period)
+    return _quasi_driver(g, incidence_matrix(g), max_period)
 
 
 # -- reciprocity pair counters -----------------------------------------------
 
 # Orientation-class counts are isomorphism invariants, so results for the
 # small graphs produced by repeated surgeries are memoized by canonical code.
+# The memo keeps at most _CLASS_CACHE_SIZE entries and drops the oldest
+# first; the census of m <= 5 edges fills fewer than 3500.
+_CLASS_CACHE_SIZE = 1 << 16
 _class_count_cache: dict[tuple[bytes, OrientationClass], int] = {}
 
 
 def _cached_count_class(h: RibbonGraph, cls: OrientationClass) -> int:
     key = (h._canonical_code, cls)
     if key not in _class_count_cache:
+        if len(_class_count_cache) >= _CLASS_CACHE_SIZE:
+            del _class_count_cache[next(iter(_class_count_cache))]
         _class_count_cache[key] = count_class(h, cls)
     return _class_count_cache[key]
 

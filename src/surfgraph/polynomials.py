@@ -142,6 +142,11 @@ class QuasiPolynomial:
         )
 
 
+def _require_max_period(max_period: int) -> None:
+    if not isinstance(max_period, int) or max_period < 1:
+        raise ValueError(f"max_period must be an integer >= 1, got {max_period!r}")
+
+
 def fit_quasipolynomial(
     samples: Mapping[int, int],
     max_degree: int,
@@ -154,6 +159,7 @@ def fit_quasipolynomial(
     one held out to verify.  Classes that verify exactly for every
     held-out point certify the period.
     """
+    _require_max_period(max_period)
     ks = sorted(samples)
     starving = False
     for p in range(1, max_period + 1):

@@ -1,4 +1,5 @@
-"""Shared pytest wiring: the census fixture and the acceptance verdict lines.
+"""Shared pytest wiring: the census fixture, guards left on for every test,
+and the acceptance verdict lines.
 
 The acceptance tests record one PASS/FAIL line per criterion in
 ACCEPTANCE_LINES; fd-level capture would otherwise swallow them, so a
@@ -10,6 +11,12 @@ import pytest
 from surfgraph import CorpusSpec, generate
 
 ACCEPTANCE_LINES: list[str] = []
+
+
+@pytest.fixture(autouse=True)
+def _no_guard_override(monkeypatch):
+    """Run every test with the guards on, whatever the caller's shell sets."""
+    monkeypatch.delenv("SURFGRAPH_GUARD_OVERRIDE", raising=False)
 
 
 @pytest.fixture(scope="session")

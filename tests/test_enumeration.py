@@ -33,6 +33,8 @@ from surfgraph.enumeration import (
 from mapzoo import (
     BRIDGE,
     EDGELESS,
+    FACE_MATRIX_PRIMAL,
+    ISOLATED,
     K5,
     KITE,
     LOOP,
@@ -42,6 +44,7 @@ from mapzoo import (
     THETA,
     TORUS,
     TRIANGLE,
+    TWO_COMPONENTS,
     proper_colorings,
 )
 
@@ -164,7 +167,6 @@ def _bouquet(m):
 def test_poly_guard_fires_before_any_count(monkeypatch):
     from surfgraph import enumeration, ribbonmap
 
-    monkeypatch.delenv("SURFGRAPH_GUARD_OVERRIDE", raising=False)
     calls = []
     forests = []
 
@@ -244,6 +246,25 @@ def test_quasipolynomials_have_period_one_here():
     q = sg.quasi_integral_flows(TRIANGLE)
     assert q.period == 1
     assert [q.evaluate(k) for k in range(1, 5)] == [0, 2, 4, 6]
+
+
+def test_kite_quasipolynomial():
+    # 4(k - 1)(k - 2)(k - 3): a 6-edge anchor for the half-box join
+    q = sg.quasi_integral_local_tensions(KITE)
+    assert q.period == 1
+    assert q.constituents == (tuple(map(Fraction, (-24, 44, -24, 4))),)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 1.0, "2", None])
+def test_max_period_must_be_a_positive_integer(monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr(enumeration, "_box_counts", lambda *a: calls.append(a))
+    for fit in (sg.quasi_integral_local_tensions, sg.quasi_integral_flows):
+        with pytest.raises(ValueError, match="max_period"):
+            fit(TORUS, max_period=bad)
+    with pytest.raises(ValueError, match="max_period"):
+        sg.fit_quasipolynomial({k: k for k in range(1, 9)}, 1, max_period=bad)
+    assert calls == []
 
 
 # -- reciprocity ----------------------------------------------------------------
@@ -356,7 +377,6 @@ def test_interpolate_round_trip():
 def test_pair_counters_refuse_before_the_support_histogram(monkeypatch):
     # k^E is 1 at k = 1, but the class count of the empty support is
     # refused at 21 edges; no 2^21 histogram may be built before that
-    monkeypatch.delenv("SURFGRAPH_GUARD_OVERRIDE", raising=False)
     calls = []
     real = enumeration._support_counts
 
@@ -375,7 +395,6 @@ def test_pair_counters_refuse_before_the_support_histogram(monkeypatch):
 def test_integral_pairs_refuse_before_the_sign_histogram(monkeypatch):
     # at k = 0 the scan is 1^E, but the BAO class scan of a 13-edge
     # bouquet is refused; no 3^13 histogram may be built before that
-    monkeypatch.delenv("SURFGRAPH_GUARD_OVERRIDE", raising=False)
     calls = []
     real = enumeration._signed_pattern_counts
 
@@ -462,3 +481,130 @@ def test_chunk_size_does_not_change_any_scan(monkeypatch):
     for chunk in (1, 7):
         monkeypatch.setattr(enumeration, "_CHUNK", chunk)
         assert _scan_results(maps) == expected, chunk
+
+
+# -- the half-box join --------------------------------------------------------------
+
+ZOO = SMALL + [FACE_MATRIX_PRIMAL, ISOLATED, TWO_COMPONENTS, K5, PETERSEN]
+
+
+def _box_kmax(g):
+    # k <= 8, as far as the direct oracle stays below about 2^21 rows
+    kmax = 1
+    while kmax < 8 and (2 * kmax) ** g.num_edges <= 1 << 21:
+        kmax += 1
+    return kmax
+
+
+def test_box_counts_match_the_direct_scan(corpus):
+    maps = [(g, 8) for g in corpus] + [(g, _box_kmax(g)) for g in ZOO]
+    assert [kmax for _, kmax in maps[-6:]] == [6, 8, 8, 8, 3, 2]
+    for g, kmax in maps:
+        e = g.num_edges
+        for matrix in (local_tension_matrix(g), incidence_matrix(g)):
+            counts = enumeration._box_counts(matrix, e, range(1, kmax + 1))
+            direct = [
+                enumeration._count_solutions(matrix, enumeration._box_values(k), e, None)
+                for k in range(1, kmax + 1)
+            ]
+            assert counts == direct, (g, matrix)
+
+
+def test_box_counts_edge_cases():
+    import numpy as np
+
+    # width 0: the one empty row, for every k
+    assert enumeration._box_counts(np.zeros((2, 0), dtype=np.int64), 0, [1, 2, 3]) == [1, 1, 1]
+    # kmax = 1: no values, so no rows of positive width
+    for width in (1, 2, 3):
+        assert enumeration._box_counts(np.ones((1, width), dtype=np.int64), width, [1]) == [0]
+    # no conditions: the whole box, (2k - 2)^width rows, odd widths included
+    for width in range(6):
+        counts = enumeration._box_counts(np.zeros((0, width), dtype=np.int64), width, range(1, 5))
+        assert counts == [(2 * k - 2) ** width for k in range(1, 5)]
+    # one condition x0 + x1 + x2 = 0 over an odd width
+    row = np.ones((1, 3), dtype=np.int64)
+    counts = enumeration._box_counts(row, 3, range(1, 5))
+    assert counts == [
+        sum(1 for x in itertools.product(range(-(k - 1), k), repeat=3) if 0 not in x and sum(x) == 0)
+        for k in range(1, 5)
+    ]
+
+
+def test_box_counts_stream_the_right_half_in_blocks(monkeypatch):
+    maps = [g for m in range(4) for g in generate(CorpusSpec(edges=m))]
+    matrices = [(f(g), g.num_edges) for g in maps for f in (local_tension_matrix, incidence_matrix)]
+    expected = [enumeration._box_counts(matrix, e, range(1, 7)) for matrix, e in matrices]
+    for chunk in (1, 7):
+        monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+        got = [enumeration._box_counts(matrix, e, range(1, 7)) for matrix, e in matrices]
+        assert got == expected, chunk
+
+
+def test_integral_counts_stay_small_at_large_k():
+    import tracemalloc
+
+    path = build(4, [0, 2, 1, 3], [(0, 1), (2, 3)])  # two edges, three vertices
+    cases = [
+        (sg.count_integral_flows, path, 5000, 0),
+        (sg.count_integral_local_tensions, path, 5000, 9998**2),
+        (sg.count_integral_flows, THETA, 232, sg.quasi_integral_flows(THETA).evaluate(232)),
+    ]
+    for count, g, k, expected in cases:
+        # the guard admits these boxes, 9999^2 and 463^3 < 10^8
+        tracemalloc.start()
+        try:
+            assert count(g, k) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20, (count.__name__, g.num_edges, k, peak)
+
+
+def test_quasi_fit_joins_once_per_period_and_refuses_first(monkeypatch):
+    joins, scans = [], []
+    real_join, real_scan = enumeration._box_counts, enumeration._solutions
+    real_fit = enumeration.fit_quasipolynomial
+
+    def join(matrix, width, ks):
+        joins.append(ks[-1])
+        return real_join(matrix, width, ks)
+
+    def scan(*args):
+        scans.append(args)
+        return real_scan(*args)
+
+    def fit_from_period_3(samples, degree, max_period):
+        # period-1 maps here; fail the smaller periods to make the driver go on
+        if max_period < 3:
+            raise sg.NoFit(f"forced miss at period {max_period}")
+        return real_fit(samples, degree, max_period=max_period)
+
+    monkeypatch.setattr(enumeration, "_box_counts", join)
+    monkeypatch.setattr(enumeration, "_solutions", scan)
+    q = sg.quasi_integral_local_tensions(TORUS)
+    assert q.period == 1 and joins == [6] and scans == []
+    monkeypatch.setattr(enumeration, "fit_quasipolynomial", fit_from_period_3)
+    joins.clear()
+    q = sg.quasi_integral_flows(TRIANGLE)
+    assert joins == [7, 12, 17] and scans == []
+    # 5 edges: the period-3 box 45^5 passes 10^8, so its join never starts
+    joins.clear()
+    with pytest.raises(TooLarge, match=r"45\^5"):
+        sg.quasi_integral_local_tensions(TWO_COMPONENTS)
+    assert joins == [9, 16] and scans == []
+
+
+def test_class_cache_is_bounded(monkeypatch):
+    maps = [g for m in range(4) for g in generate(CorpusSpec(edges=m))]
+
+    def pair_counts():
+        return [enumeration.PAIRS[kind](g, 2) for g in maps for kind in enumeration.KINDS]
+
+    monkeypatch.setattr(enumeration, "_class_count_cache", {})
+    expected = pair_counts()
+    assert len(enumeration._class_count_cache) > 8
+    monkeypatch.setattr(enumeration, "_class_count_cache", {})
+    monkeypatch.setattr(enumeration, "_CLASS_CACHE_SIZE", 8)
+    assert pair_counts() == expected
+    assert len(enumeration._class_count_cache) == 8

@@ -265,7 +265,6 @@ def test_a_flipped_mask_fails_the_cross_check(route, cls, monkeypatch, tmp_path,
 
 
 def test_class_scan_guard_refuses_before_any_route(monkeypatch):
-    monkeypatch.delenv("SURFGRAPH_GUARD_OVERRIDE", raising=False)
     calls = []
     for route in ("_avoids", "_peel", "_strongly_connected"):
         real = getattr(orientations, route)
