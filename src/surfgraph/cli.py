@@ -265,15 +265,9 @@ def _verify_graph(g: ribbonmap.RibbonGraph, kmax: int) -> dict:
     )
 
     const = abs(dual_tension[0]) if dual_tension else 0
-    tbos = orientations.enumerate_class(g, OrientationClass.TBO)
-    per_face = []
-    for f in range(g.num_faces):
-        per_face.append(
-            sum(1 for o in tbos if orientations.cw_faces(g, o) == {f})
-        )
     check(
         "every face is the unique cw face of |dual tension constant term| orientations",
-        per_face,
+        orientations.unique_cw_counts(g),
         [const] * g.num_faces,
     )
 
@@ -284,21 +278,15 @@ def _verify_graph(g: ribbonmap.RibbonGraph, kmax: int) -> dict:
     )
 
     # DUAL_KIND pairs the kinds two by two, so two of its entries give
-    # both class bijections: BAO -> TCO and AO -> TBO.
+    # both class bijections: BAO -> TCO and AO -> TBO.  dual_orientation
+    # keeps the sign vector, so the image of a class is its own signs.
     for kind in ("local-tension", "tension"):
         cls, dual_cls = en.CLASS_OF[kind], en.CLASS_OF[en.DUAL_KIND[kind]]
-        image = {
-            orientations.dual_orientation(g, o).signs
-            for o in orientations.enumerate_class(g, cls)
-        }
-        target = {
-            o.signs for o in orientations.enumerate_class(gd, dual_cls)
-        }
         check(
             f"dual orientations of {cls.value} maps are exactly the {dual_cls.value}"
             " maps of the dual",
-            sorted(image),
-            sorted(target),
+            sorted(orientations.class_signs(g, cls)),
+            sorted(orientations.class_signs(gd, dual_cls)),
         )
 
     return {

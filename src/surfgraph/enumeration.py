@@ -28,6 +28,12 @@ compares two independent routes.
 
 Operations with a second independent characterization compute both and
 raise on disagreement, same contract as the orientation predicates.
+
+The condition matrices (read-only), the mod-k counts keyed by condition,
+k and nonzero, and the class counts of the pair counters' surgered maps
+are kept on the map (RibbonGraph._memo), so verify computes each once per
+map.  Guards run before every lookup; nothing is stored from a call that
+raised.
 """
 
 from __future__ import annotations
@@ -66,6 +72,17 @@ _CHUNK = 1 << 18  # assignment rows per numpy block
 
 
 # -- condition matrices ------------------------------------------------------
+#
+# Each matrix is built once per map and handed out read-only.
+
+
+def _matrix(g: RibbonGraph, condition: str, build: Callable[[], np.ndarray]) -> np.ndarray:
+    return g._memoised(("matrix", condition), lambda: _read_only(build()))
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
 
 
 def _cycle_matrix(g: RibbonGraph, cycs) -> np.ndarray:
@@ -79,33 +96,55 @@ def _cycle_matrix(g: RibbonGraph, cycs) -> np.ndarray:
 
 
 def tension_matrix(g: RibbonGraph) -> np.ndarray:
-    return _cycle_matrix(g, g._fundamental_cycles)
+    return _matrix(g, "tension", lambda: _cycle_matrix(g, g._fundamental_cycles))
+
+
+def _all_cycles_matrix(g: RibbonGraph) -> np.ndarray:
+    return _matrix(g, "all-cycles", lambda: _cycle_matrix(g, g._cycles))
 
 
 def incidence_matrix(g: RibbonGraph) -> np.ndarray:
     """Vertices x edges; +1 at the head, -1 at the tail, 0 on loops."""
     import numpy as np
 
-    m = np.zeros((g.num_vertices, g.num_edges), dtype=np.int64)
-    for e in range(g.num_edges):
-        m[g.edge_head_vertex(e), e] += 1
-        m[g.edge_tail_vertex(e), e] -= 1
-    return m
+    def build():
+        m = np.zeros((g.num_vertices, g.num_edges), dtype=np.int64)
+        for e in range(g.num_edges):
+            m[g.edge_head_vertex(e), e] += 1
+            m[g.edge_tail_vertex(e), e] -= 1
+        return m
+
+    return _matrix(g, "flow", build)
 
 
 def local_tension_matrix(g: RibbonGraph) -> np.ndarray:
     import numpy as np
 
-    return np.array(g._face_matrix, dtype=np.int64).reshape(g.num_faces, g.num_edges)
+    return _matrix(
+        g,
+        "local-tension",
+        lambda: np.array(g._face_matrix, dtype=np.int64).reshape(g.num_faces, g.num_edges),
+    )
 
 
 def balanced_flow_matrix(g: RibbonGraph) -> np.ndarray:
     import numpy as np
 
     # Cocycle sums over a generating set: cycles of the dual share edge ids.
-    return np.vstack(
-        [incidence_matrix(g), _cycle_matrix(g, g.dual._fundamental_cycles)]
+    return _matrix(
+        g,
+        "balanced-flow",
+        lambda: np.vstack([incidence_matrix(g), _cycle_matrix(g, g.dual._fundamental_cycles)]),
     )
+
+
+_CONDITIONS = {
+    "tension": tension_matrix,
+    "all-cycles": _all_cycles_matrix,
+    "flow": incidence_matrix,
+    "local-tension": local_tension_matrix,
+    "balanced-flow": balanced_flow_matrix,
+}
 
 
 # -- assignment scans --------------------------------------------------------
@@ -256,17 +295,23 @@ def _box_values(k: int) -> np.ndarray:
 # -- the four counting families ----------------------------------------------
 
 
-def _count(g: RibbonGraph, k: int, nonzero: bool, matrix: np.ndarray) -> int:
+def _count(g: RibbonGraph, k: int, nonzero: bool, condition: str) -> int:
+    """Solutions mod k of one condition on g, scanned once per map."""
     _require_k(k)
     check_assignment_scan(k, g.num_edges)
-    return _count_solutions(matrix, _mod_values(k, nonzero), g.num_edges, k)
+    return g._memoised(
+        ("count", condition, k, nonzero),
+        lambda: _count_solutions(
+            _CONDITIONS[condition](g), _mod_values(k, nonzero), g.num_edges, k
+        ),
+    )
 
 
 def _tension_count(g: RibbonGraph, k: int, nonzero: bool) -> int:
-    n = _count(g, k, nonzero, tension_matrix(g))
+    n = _count(g, k, nonzero, "tension")
     if g.num_edges <= 4:
         # On small graphs, re-derive the condition from every simple cycle.
-        n2 = _count(g, k, nonzero, _cycle_matrix(g, g._cycles))
+        n2 = _count(g, k, nonzero, "all-cycles")
         if n2 != n:
             raise AssertionError(
                 f"cycle-basis tension count {n} != all-cycles count {n2}"
@@ -285,24 +330,24 @@ def count_tensions(g: RibbonGraph, k: int) -> int:
 
 def count_nz_flows(g: RibbonGraph, k: int) -> int:
     """Nowhere-zero assignments E -> Z_k conserved at every vertex."""
-    return _count(g, k, True, incidence_matrix(g))
+    return _count(g, k, True, "flow")
 
 
 def count_flows(g: RibbonGraph, k: int) -> int:
-    return _count(g, k, False, incidence_matrix(g))
+    return _count(g, k, False, "flow")
 
 
 def count_nz_local_tensions(g: RibbonGraph, k: int) -> int:
     """Nowhere-zero assignments with zero signed sum around every face."""
-    return _count(g, k, True, local_tension_matrix(g))
+    return _count(g, k, True, "local-tension")
 
 
 def count_local_tensions(g: RibbonGraph, k: int) -> int:
-    return _count(g, k, False, local_tension_matrix(g))
+    return _count(g, k, False, "local-tension")
 
 
 def _balanced_flow_count(g: RibbonGraph, k: int, nonzero: bool) -> int:
-    n = _count(g, k, nonzero, balanced_flow_matrix(g))
+    n = _count(g, k, nonzero, "balanced-flow")
     n2 = _tension_count(g.dual, k, nonzero)
     if n != n2:
         raise AssertionError(
@@ -437,8 +482,11 @@ def quasi_integral_flows(g: RibbonGraph, max_period: int = 6) -> QuasiPolynomial
 
 # Orientation-class counts are isomorphism invariants, so results for the
 # small graphs produced by repeated surgeries are memoized by canonical code.
-# The memo keeps at most _CLASS_CACHE_SIZE entries and drops the oldest
-# first; the census of m <= 5 edges fills fewer than 3500.
+# This cache sits behind the per-map array of _pair_total, which answers a
+# support seen at an earlier k without a surgery; it is read only for a
+# support the map has not met.  It keeps at most _CLASS_CACHE_SIZE entries
+# and drops the oldest first; the census of m <= 5 edges fills fewer than
+# 3500.
 _CLASS_CACHE_SIZE = 1 << 16
 _class_count_cache: dict[tuple[bytes, OrientationClass], int] = {}
 
@@ -453,72 +501,57 @@ def _cached_count_class(h: RibbonGraph, cls: OrientationClass) -> int:
 
 
 def _pair_total(
-    g: RibbonGraph,
-    k: int,
-    kind: str,
-    matrix: np.ndarray,
-    surgery: Callable[[list[int]], RibbonGraph],
+    g: RibbonGraph, k: int, kind: str, surgery: Callable[[list[int]], RibbonGraph]
 ) -> int:
     import numpy as np
 
     cls = CLASS_OF[kind]
     _require_k(k)
     check_assignment_scan(k, g.num_edges)
-    # Only the zero vector has empty support, and it is always a solution;
-    # counting its class first lets the class guard refuse before the 2^E
-    # histogram is built.
-    total = _cached_count_class(surgery([]), cls)
-    counts = _support_counts(matrix, _mod_values(k, False), g.num_edges, k)
-    for mask in np.nonzero(counts[1:])[0] + 1:
-        supp = [e for e in range(g.num_edges) if mask >> e & 1]
-        total += int(counts[mask]) * _cached_count_class(surgery(supp), cls)
+
+    def unknown() -> np.ndarray:
+        # Only the zero vector has empty support, and it is always a
+        # solution; counting its class first lets the class guard refuse
+        # before the 2^E arrays are built.
+        empty = _cached_count_class(surgery([]), cls)
+        classes = np.full(1 << g.num_edges, -1, dtype=np.int64)
+        classes[0] = empty
+        return classes
+
+    # classes[mask]: the class count of g surgered at support mask, -1 until
+    # some k needs it.  Kept per map, so each support is surgered once for
+    # every k; filled in place here and never handed out.
+    classes = g._memoised(("support classes", kind), unknown)
+    counts = _support_counts(_CONDITIONS[kind](g), _mod_values(k, False), g.num_edges, k)
+    total = 0
+    for mask in np.nonzero(counts)[0]:
+        if classes[mask] < 0:
+            supp = [e for e in range(g.num_edges) if mask >> e & 1]
+            classes[mask] = _cached_count_class(surgery(supp), cls)
+        total += int(counts[mask]) * int(classes[mask])
     return total
 
 
 def reciprocity_pairs_tension(g: RibbonGraph, k: int) -> int:
     """Pairs (tension t, acyclic orientation of g with supp(t) deleted)."""
-    return _pair_total(
-        g,
-        k,
-        "tension",
-        tension_matrix(g),
-        lambda supp: ribbonmap.delete(g, supp),
-    )
+    return _pair_total(g, k, "tension", lambda supp: ribbonmap.delete(g, supp))
 
 
 def reciprocity_pairs_flow(g: RibbonGraph, k: int) -> int:
     """Pairs (flow f, totally cyclic orientation of g with supp(f) contracted abstractly)."""
-    return _pair_total(
-        g,
-        k,
-        "flow",
-        incidence_matrix(g),
-        lambda supp: ribbonmap.abstract_contract(g, supp),
-    )
+    return _pair_total(g, k, "flow", lambda supp: ribbonmap.abstract_contract(g, supp))
 
 
 def reciprocity_pairs_local_tension(g: RibbonGraph, k: int) -> int:
     """Pairs (local tension t, boundary acyclic orientation after the
     coloop-aware removal of supp(t))."""
-    return _pair_total(
-        g,
-        k,
-        "local-tension",
-        local_tension_matrix(g),
-        lambda supp: ribbonmap.double_slash(g, supp),
-    )
+    return _pair_total(g, k, "local-tension", lambda supp: ribbonmap.double_slash(g, supp))
 
 
 def reciprocity_pairs_balanced_flow(g: RibbonGraph, k: int) -> int:
     """Pairs (balanced flow f, totally bi-walkable orientation of g with
     supp(f) contracted as a ribbon graph)."""
-    return _pair_total(
-        g,
-        k,
-        "balanced-flow",
-        balanced_flow_matrix(g),
-        lambda supp: ribbonmap.contract(g, supp),
-    )
+    return _pair_total(g, k, "balanced-flow", lambda supp: ribbonmap.contract(g, supp))
 
 
 def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:

@@ -29,7 +29,9 @@ edge lies on a directed cycle) as a third route.  The per-orientation
 predicates `is_*` compute their own characterizations in plain Python
 (two each for TCO, BAO and TBO) and serve as oracles for the engine.  Whenever two routes
 are computed they are compared, and any disagreement raises; that
-cross-check is part of the contract, not a debugging aid.
+cross-check is part of the contract, not a debugging aid.  A class mask
+that passed it is kept on the map, read-only, so each (map, class) is
+scanned once; the guards still run on every call.
 """
 
 from __future__ import annotations
@@ -327,8 +329,13 @@ def all_orientations(g: RibbonGraph) -> Iterator[Orientation]:
 def enumerate_class(
     g: RibbonGraph, cls: OrientationClass
 ) -> list[Orientation]:
+    return [Orientation(g, signs) for signs in class_signs(g, cls)]
+
+
+def class_signs(g: RibbonGraph, cls: OrientationClass) -> list[tuple[int, ...]]:
+    """The sign vectors of enumerate_class, without building Orientations."""
     masks = _class_mask(g, cls).nonzero()[0].tolist()
-    return [Orientation(g, _mask_signs(g.num_edges, r)) for r in masks]
+    return [_mask_signs(g.num_edges, r) for r in masks]
 
 
 def count_class(g: RibbonGraph, cls: OrientationClass) -> int:
@@ -515,12 +522,18 @@ def _agree(num_edges: int, a, b, what: str) -> None:
 
 
 def _class_mask(g: RibbonGraph, cls: OrientationClass) -> np.ndarray:
-    """Bool array over all 2^E sign masks: True where the orientation is in cls."""
-    import numpy as np
-
+    """Read-only bool array over all 2^E sign masks: True where the
+    orientation is in cls.  Guarded on every call, scanned once per map."""
     e = g.num_edges
     check_orientation_scan(e)
     check_class_scan(e, _scan_cost(g, cls))
+    return g._memoised(("class", cls), lambda: _scan_class(g, cls))
+
+
+def _scan_class(g: RibbonGraph, cls: OrientationClass) -> np.ndarray:
+    import numpy as np
+
+    e = g.num_edges
     masks = np.arange(1 << e, dtype=np.int64)
     rev = np.empty((e, masks.size), dtype=bool)
     for i in range(e):
@@ -532,6 +545,7 @@ def _class_mask(g: RibbonGraph, cls: OrientationClass) -> np.ndarray:
             [_every_edge_on_directed_cycle(g, _mask_signs(e, r)) for r in range(masks.size)]
         )
         _agree(e, cubes, walks, "tco: forbidden subcubes and directed cycles through every edge")
+    cubes.flags.writeable = False
     return cubes
 
 
@@ -567,15 +581,29 @@ def _cw_cubes(g: RibbonGraph) -> Iterator[tuple[int, int]]:
         yield _subcube(g.num_edges, [need[d] for d in orbit])
 
 
+def _tbo_cw(g: RibbonGraph) -> np.ndarray:
+    """Faces x totally bi-walkable orientations, in mask order: True where
+    the face is cw."""
+    import numpy as np
+
+    masks = np.flatnonzero(_class_mask(g, OrientationClass.TBO))
+    cw = np.zeros((g.num_faces, masks.size), dtype=bool)
+    for f, (x, p) in enumerate(_cw_cubes(g)):
+        cw[f] = (masks & x) == p
+    return cw
+
+
 def tbo_histogram(g: RibbonGraph) -> dict[int, int]:
     """Map j -> number of totally bi-walkable orientations with j cw-faces."""
     import numpy as np
 
-    masks = np.flatnonzero(_class_mask(g, OrientationClass.TBO))
-    cw = np.zeros(masks.size, dtype=np.int64)
-    for x, p in _cw_cubes(g):
-        cw += (masks & x) == p
-    return {j: int(n) for j, n in enumerate(np.bincount(cw)) if n}
+    return {j: int(n) for j, n in enumerate(np.bincount(_tbo_cw(g).sum(axis=0))) if n}
+
+
+def unique_cw_counts(g: RibbonGraph) -> list[int]:
+    """Per face: the totally bi-walkable orientations whose only cw face it is."""
+    cw = _tbo_cw(g)
+    return cw[:, cw.sum(axis=0) == 1].sum(axis=1).tolist()
 
 
 def tbo_generating_polynomial(g: RibbonGraph) -> list[int]:

@@ -71,7 +71,15 @@ class Cocycle:
 
 @dataclass(frozen=True)
 class RibbonGraph:
-    """Immutable combinatorial map; all derived data is cached."""
+    """Immutable combinatorial map; all derived data is cached.
+
+    Besides the cached properties below, the counting layers keep their
+    per-map results in `_memo` through `_memoised`: class masks,
+    condition matrices, mod-k scans and the class counts of surgered
+    maps.  They die with the map.  Each caller runs its guards before
+    the lookup and stores a value only once its cross-checks passed;
+    stored numpy arrays handed to callers are read-only.
+    """
 
     sigma: tuple[int, ...]
     edge_pairs: tuple[tuple[int, int], ...]
@@ -268,6 +276,20 @@ class RibbonGraph:
         comp_codes.sort()
         text = ";".join(",".join(map(str, code)) for code in comp_codes)
         return f"{text}|{self.isolated}".encode()
+
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def _memoised(self, key, compute):
+        """The value stored under key, from compute() on its first use.
+
+        compute() raising stores nothing, so a failed cross-check fails
+        again on the next call.
+        """
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
 
 def _orbits(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from surfgraph import RibbonGraph, build, dual
+from surfgraph import RibbonGraph, build, dual, from_json_dict, to_json_dict
 
 # One vertex, no edges: sphere with a single face.
 EDGELESS = build(0, [], [], isolated_vertices=1)
@@ -62,6 +62,15 @@ NAMED = {
 }
 
 SMALL = [EDGELESS, BRIDGE, LOOP, TRIANGLE, THETA, TORUS, KITE]
+
+
+def fresh(g: RibbonGraph) -> RibbonGraph:
+    """An equal map with nothing computed yet.
+
+    Its per-map memo starts empty, so a test that spies on or breaks a
+    route cannot be answered from what an earlier test stored on g.
+    """
+    return from_json_dict(to_json_dict(g))
 
 
 def disjoint_union(a: RibbonGraph, b: RibbonGraph) -> RibbonGraph:

@@ -45,6 +45,7 @@ from mapzoo import (
     TORUS,
     TRIANGLE,
     TWO_COMPONENTS,
+    fresh,
     proper_colorings,
 )
 
@@ -480,7 +481,8 @@ def test_chunk_size_does_not_change_any_scan(monkeypatch):
     expected = _scan_results(maps)
     for chunk in (1, 7):
         monkeypatch.setattr(enumeration, "_CHUNK", chunk)
-        assert _scan_results(maps) == expected, chunk
+        # fresh maps, or the counts would come from the first pass's memo
+        assert _scan_results([fresh(g) for g in maps]) == expected, chunk
 
 
 # -- the half-box join --------------------------------------------------------------
@@ -606,5 +608,7 @@ def test_class_cache_is_bounded(monkeypatch):
     assert len(enumeration._class_count_cache) > 8
     monkeypatch.setattr(enumeration, "_class_count_cache", {})
     monkeypatch.setattr(enumeration, "_CLASS_CACHE_SIZE", 8)
+    # fresh maps: the first pass stored its class counts on each map
+    maps = [fresh(g) for g in maps]
     assert pair_counts() == expected
     assert len(enumeration._class_count_cache) == 8

@@ -1,0 +1,160 @@
+"""The per-map memo: class masks, condition matrices, mod-k scans and the
+class counts of surgered maps are computed once per map, after the guards
+and the cross-checks, and handed out read-only."""
+
+import pytest
+
+from surfgraph import (
+    OrientationClass,
+    TooLarge,
+    cli,
+    count_class,
+    enumeration,
+    guards,
+    orientations,
+    ribbonmap,
+)
+from mapzoo import FACE_MATRIX_PRIMAL, ISOLATED, K5, SMALL, TRIANGLE, TWO_COMPONENTS, fresh
+
+ZOO = [*SMALL, FACE_MATRIX_PRIMAL, ISOLATED, TWO_COMPONENTS, K5]
+
+_MATRICES = (
+    enumeration.tension_matrix,
+    enumeration._all_cycles_matrix,
+    enumeration.incidence_matrix,
+    enumeration.local_tension_matrix,
+    enumeration.balanced_flow_matrix,
+)
+
+
+def _report(g, kmax=3):
+    report = cli._verify_graph(g, kmax)
+    del report["elapsed_s"]
+    return report
+
+
+def test_a_second_verify_on_the_same_map_gives_the_same_report(corpus):
+    for g in [fresh(h) for h in corpus]:
+        first = _report(g)
+        assert first["all_pass"], first["graph"]
+        assert _report(g) == first
+    for g in [fresh(h) for h in ZOO]:
+        assert _report(g) == _report(g)
+
+
+def test_verify_computes_each_quantity_once(corpus, monkeypatch):
+    masks, surgeries, scans = [], [], []
+    real_scan_class = orientations._scan_class
+    real_count = enumeration._count_solutions
+
+    def scan_class(g, cls):
+        masks.append((g, cls))
+        return real_scan_class(g, cls)
+
+    def count(matrix, values, width, modulus):
+        scans.append((matrix, len(values), modulus))
+        return real_count(matrix, values, width, modulus)
+
+    # Surgeries nest (contract deletes on the dual); only the outermost is
+    # one surgery of a support.
+    depth = [0]
+
+    def surgery(name):
+        real = getattr(ribbonmap, name)
+
+        def spy(g, edges):
+            edges = list(edges)
+            if not depth[0]:
+                surgeries.append((name, g, frozenset(edges)))
+            depth[0] += 1
+            try:
+                return real(g, edges)
+            finally:
+                depth[0] -= 1
+
+        return spy
+
+    monkeypatch.setattr(orientations, "_scan_class", scan_class)
+    monkeypatch.setattr(enumeration, "_count_solutions", count)
+    for name in ("delete", "contract", "double_slash", "abstract_contract"):
+        monkeypatch.setattr(ribbonmap, name, surgery(name))
+
+    for g in [fresh(h) for h in corpus]:
+        for log in (masks, surgeries, scans):
+            log.clear()
+        cli._verify_graph(g, 3)
+        # the lists hold every map and matrix, so no id is reused meanwhile
+        mask_keys = [(id(h), cls) for h, cls in masks]
+        assert len(set(mask_keys)) == len(mask_keys)
+        surgery_keys = [(name, id(h), supp) for name, h, supp in surgeries]
+        assert len(set(surgery_keys)) == len(surgery_keys)
+        scan_keys = [(id(m), n, k) for m, n, k in scans]
+        assert len(set(scan_keys)) == len(scan_keys)
+        # every condition is scanned at each k = 1..3, once
+        per_matrix: dict[int, list[int]] = {}
+        for key in scan_keys:
+            per_matrix.setdefault(key[0], []).append(key[2])
+        assert all(sorted(ks) == [1, 2, 3] for ks in per_matrix.values())
+        assert {cls for h, cls in masks if h is g} == set(OrientationClass)
+
+
+def test_memoised_arrays_are_read_only():
+    g = fresh(TRIANGLE)
+    for cls in OrientationClass:
+        mask = orientations._class_mask(g, cls)
+        assert orientations._class_mask(g, cls) is mask
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]
+    for build in _MATRICES:
+        matrix = build(g)
+        assert build(g) is matrix
+        with pytest.raises(ValueError):
+            matrix[...] = 0
+
+
+def test_a_failed_cross_check_stores_nothing(monkeypatch):
+    real_peel = orientations._peel
+
+    def flipped(*args):
+        out = real_peel(*args)
+        out[3] = not out[3]
+        return out
+
+    monkeypatch.setattr(orientations, "_peel", flipped)
+    g = fresh(TRIANGLE)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="forbidden subcubes and graph search"):
+            count_class(g, OrientationClass.AO)
+
+    # one route of a two-route count off by one: both calls raise
+    real_count = enumeration._count_solutions
+    all_cycles = enumeration._all_cycles_matrix(g)
+
+    def off_by_one(matrix, *args):
+        return real_count(matrix, *args) + (matrix is all_cycles)
+
+    monkeypatch.setattr(enumeration, "_count_solutions", off_by_one)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="all-cycles count"):
+            enumeration.count_nz_tensions(g, 2)
+
+
+def test_a_result_computed_under_the_override_is_still_refused_without_it(monkeypatch):
+    # 3 edges pass no scan under a 10-test guard: 3^3 rows, 2^3 masks x patterns
+    monkeypatch.setattr(guards, "MAX_ASSIGNMENTS", 10)
+    g = fresh(TRIANGLE)
+    calls = [
+        lambda: count_class(g, OrientationClass.AO),
+        lambda: orientations.tbo_histogram(g),
+        lambda: enumeration.count_nz_tensions(g, 3),
+        lambda: enumeration.count_nz_balanced_flows(g, 3),
+        lambda: enumeration.reciprocity_pairs_flow(g, 3),
+        lambda: enumeration.integral_local_tension_reciprocity_pairs(g, 1),
+    ]
+    monkeypatch.setenv("SURFGRAPH_GUARD_OVERRIDE", "1")
+    for call in calls:
+        call()
+    monkeypatch.delenv("SURFGRAPH_GUARD_OVERRIDE")
+    for call in calls:
+        with pytest.raises(TooLarge):
+            call()

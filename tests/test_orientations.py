@@ -47,6 +47,7 @@ from mapzoo import (
     TWO_COMPONENTS,
     abstract_map,
     directed_walk_tbo,
+    fresh,
 )
 
 # (ao, tco, bao, tbo) per zoo map; frozen by brute force over 2^E orientations
@@ -256,7 +257,7 @@ def test_a_flipped_mask_fails_the_cross_check(route, cls, monkeypatch, tmp_path,
 
     monkeypatch.setattr(orientations, route, flipped)
     with pytest.raises(AssertionError, match=r"on \+--$"):
-        count_class(TRIANGLE, cls)
+        count_class(fresh(TRIANGLE), cls)
     path = tmp_path / "triangle.json"
     path.write_text(json.dumps(to_json_dict(TRIANGLE)))
     assert cli.main(["count", "--class", cls.value, str(path)]) == 4
@@ -288,7 +289,7 @@ def test_class_scan_guard_refuses_before_any_route(monkeypatch):
                 fn(g, cls)
     assert calls == []
     # the same spies do see a scan the guard lets through
-    count_class(TRIANGLE, OrientationClass.TCO)
+    count_class(fresh(TRIANGLE), OrientationClass.TCO)
     assert calls == ["_avoids", "_strongly_connected"]
 
 
