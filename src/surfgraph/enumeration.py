@@ -29,11 +29,11 @@ compares two independent routes.
 Operations with a second independent characterization compute both and
 raise on disagreement, same contract as the orientation predicates.
 
-The condition matrices (read-only), the mod-k counts keyed by condition,
-k and nonzero, and the class counts of the pair counters' surgered maps
-are kept on the map (RibbonGraph._memo), so verify computes each once per
-map.  Guards run before every lookup; nothing is stored from a call that
-raised.
+The condition matrices (read-only) and the mod-k counts keyed by
+condition, k and nonzero are kept on the map (RibbonGraph._memo), so
+verify computes each once per map.  Guards run before every lookup;
+nothing is stored from a call that raised.  The pair counters build no
+surgered map: they read the class's forbidden subcubes on g itself.
 """
 
 from __future__ import annotations
@@ -44,10 +44,12 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from . import ribbonmap
 from .errors import BadModulus, NoFit, NotBoundaryAcyclic
-from .guards import check_assignment_scan
+from .guards import check_assignment_scan, check_pair_scan
 from .orientations import (
     Orientation,
     OrientationClass,
+    _avoids,
+    _class_cubes,
     _class_mask,
     _subcube,
     coherent_cocycles,
@@ -200,11 +202,11 @@ def _count_solutions(
 def _support_counts(
     matrix: np.ndarray, values: np.ndarray, width: int, modulus: int | None
 ) -> np.ndarray:
-    """counts[mask] = solutions whose nonzero entries are exactly mask."""
+    """counts[mask] = solutions nonzero exactly on mask (edge i at bit width-1-i)."""
     import numpy as np
 
     out = np.zeros(1 << width, dtype=np.int64)
-    weights = 1 << np.arange(width, dtype=np.int64)
+    weights = 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
     for rows in _solutions(matrix, values, width, modulus):
         out += np.bincount((rows != 0) @ weights, minlength=1 << width)
     return out
@@ -479,79 +481,58 @@ def quasi_integral_flows(g: RibbonGraph, max_period: int = 6) -> QuasiPolynomial
 
 
 # -- reciprocity pair counters -----------------------------------------------
-
-# Orientation-class counts are isomorphism invariants, so results for the
-# small graphs produced by repeated surgeries are memoized by canonical code.
-# This cache sits behind the per-map array of _pair_total, which answers a
-# support seen at an earlier k without a surgery; it is read only for a
-# support the map has not met.  It keeps at most _CLASS_CACHE_SIZE entries
-# and drops the oldest first; the census of m <= 5 edges fills fewer than
-# 3500.
-_CLASS_CACHE_SIZE = 1 << 16
-_class_count_cache: dict[tuple[bytes, OrientationClass], int] = {}
+# A pair is a solution x and an orientation of g surgered at A = supp(x):
+# AO(g\A), TCO(g/A) abstractly, BAO(g//A) or TBO(g/A).  That class is the
+# sign vectors on the edges off A avoiding the class's forbidden subcubes
+# of g that miss A, so no surgered map is built.
 
 
-def _cached_count_class(h: RibbonGraph, cls: OrientationClass) -> int:
-    key = (h._canonical_code, cls)
-    if key not in _class_count_cache:
-        if len(_class_count_cache) >= _CLASS_CACHE_SIZE:
-            del _class_count_cache[next(iter(_class_count_cache))]
-        _class_count_cache[key] = count_class(h, cls)
-    return _class_count_cache[key]
-
-
-def _pair_total(
-    g: RibbonGraph, k: int, kind: str, surgery: Callable[[list[int]], RibbonGraph]
-) -> int:
+def _pair_total(g: RibbonGraph, k: int, kind: str) -> int:
     import numpy as np
 
     cls = CLASS_OF[kind]
     _require_k(k)
-    check_assignment_scan(k, g.num_edges)
-
-    def unknown() -> np.ndarray:
-        # Only the zero vector has empty support, and it is always a
-        # solution; counting its class first lets the class guard refuse
-        # before the 2^E arrays are built.
-        empty = _cached_count_class(surgery([]), cls)
-        classes = np.full(1 << g.num_edges, -1, dtype=np.int64)
-        classes[0] = empty
-        return classes
-
-    # classes[mask]: the class count of g surgered at support mask, -1 until
-    # some k needs it.  Kept per map, so each support is surgered once for
-    # every k; filled in place here and never handed out.
-    classes = g._memoised(("support classes", kind), unknown)
-    counts = _support_counts(_CONDITIONS[kind](g), _mod_values(k, False), g.num_edges, k)
+    e = g.num_edges
+    check_assignment_scan(k, e)
+    # The zero vector, always a solution, has empty support: counting its
+    # class first lets the class guard refuse before the 2^E histogram.
+    whole = count_class(g, cls)
+    cubes = np.array(list(_class_cubes(g, cls)), dtype=np.int64).reshape(-1, 2)
+    counts = _support_counts(_CONDITIONS[kind](g), _mod_values(k, False), e, k)
+    supports = np.flatnonzero(counts).tolist()
+    check_pair_scan(sum(1 << (e - a.bit_count()) for a in supports), len(cubes))
     total = 0
-    for mask in np.nonzero(counts)[0]:
-        if classes[mask] < 0:
-            supp = [e for e in range(g.num_edges) if mask >> e & 1]
-            classes[mask] = _cached_count_class(surgery(supp), cls)
-        total += int(counts[mask]) * int(classes[mask])
+    for a in supports:
+        off = np.zeros(1, dtype=np.int64)  # the sign masks with no bit in a
+        for bit in (1 << i for i in range(e) if not a >> i & 1):
+            off = np.concatenate([off, off | bit])
+        n = int(_avoids(off, cubes[(cubes[:, 0] & a) == 0]).sum())
+        if a == 0 and n != whole:
+            raise AssertionError(f"{kind} pairs: {n} at the empty support, class mask {whole}")
+        total += int(counts[a]) * n
     return total
 
 
 def reciprocity_pairs_tension(g: RibbonGraph, k: int) -> int:
     """Pairs (tension t, acyclic orientation of g with supp(t) deleted)."""
-    return _pair_total(g, k, "tension", lambda supp: ribbonmap.delete(g, supp))
+    return _pair_total(g, k, "tension")
 
 
 def reciprocity_pairs_flow(g: RibbonGraph, k: int) -> int:
     """Pairs (flow f, totally cyclic orientation of g with supp(f) contracted abstractly)."""
-    return _pair_total(g, k, "flow", lambda supp: ribbonmap.abstract_contract(g, supp))
+    return _pair_total(g, k, "flow")
 
 
 def reciprocity_pairs_local_tension(g: RibbonGraph, k: int) -> int:
     """Pairs (local tension t, boundary acyclic orientation after the
     coloop-aware removal of supp(t))."""
-    return _pair_total(g, k, "local-tension", lambda supp: ribbonmap.double_slash(g, supp))
+    return _pair_total(g, k, "local-tension")
 
 
 def reciprocity_pairs_balanced_flow(g: RibbonGraph, k: int) -> int:
     """Pairs (balanced flow f, totally bi-walkable orientation of g with
     supp(f) contracted as a ribbon graph)."""
-    return _pair_total(g, k, "balanced-flow", lambda supp: ribbonmap.contract(g, supp))
+    return _pair_total(g, k, "balanced-flow")
 
 
 def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
@@ -572,14 +553,9 @@ def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
     vals = np.arange(-k, k + 1, dtype=np.int64)
     pattern = _signed_pattern_counts(local_tension_matrix(g), vals, width, None)
     total = 0
-    for code in np.nonzero(pattern)[0]:
-        required = []
-        c = int(code)
-        for e in range(width):
-            if c % 3 != 1:
-                required.append((e, c % 3 - 1))
-            c //= 3
-        x, p = _subcube(width, required)
+    for code in np.flatnonzero(pattern).tolist():
+        signs = [code // 3**e % 3 - 1 for e in range(width)]
+        x, p = _subcube(width, [(e, s) for e, s in enumerate(signs) if s])
         total += int(pattern[code]) * int(np.count_nonzero((bao & x) == p))
     return total
 

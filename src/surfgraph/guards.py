@@ -37,6 +37,14 @@ def check_orientation_scan(num_edges: int) -> None:
         )
 
 
+def _refuse(work: int, what: str) -> None:
+    """Refuse, stating what and its estimate, work past MAX_ASSIGNMENTS."""
+    if work > MAX_ASSIGNMENTS and not _override():
+        raise TooLarge(
+            f"{what} exceeds the {MAX_ASSIGNMENTS} guard; set SURFGRAPH_GUARD_OVERRIDE=1 to force"
+        )
+
+
 def check_class_scan(num_edges: int, per_mask: int) -> None:
     """Refuse an orientation-class scan whose total work is too large.
 
@@ -44,22 +52,27 @@ def check_class_scan(num_edges: int, per_mask: int) -> None:
     steps each mask meets, estimated from sizes alone before any scan.
     """
     work = per_mask << num_edges
-    if work > MAX_ASSIGNMENTS and not _override():
-        raise TooLarge(
-            f"orientation class scan of 2^{num_edges} sign masks against "
-            f"{per_mask} patterns and search steps each, about {work} tests, "
-            f"exceeds the {MAX_ASSIGNMENTS} guard; set SURFGRAPH_GUARD_OVERRIDE=1 to force"
-        )
+    _refuse(
+        work,
+        f"orientation class scan of 2^{num_edges} sign masks against "
+        f"{per_mask} patterns and search steps each, about {work} tests,",
+    )
+
+
+def check_pair_scan(sign_vectors: int, patterns: int) -> None:
+    """Refuse a reciprocity pair count whose sign vectors off the occurring
+    supports, each listed once and tested once per pattern, are too many."""
+    work = sign_vectors * (1 + patterns)
+    _refuse(
+        work,
+        f"reciprocity pair count of {sign_vectors} sign vectors off the supports "
+        f"against {patterns} patterns each, about {work} tests,",
+    )
 
 
 def check_assignment_scan(base: int, num_edges: int) -> None:
-    if base < 1:
-        return
-    if base**num_edges > MAX_ASSIGNMENTS and not _override():
-        raise TooLarge(
-            f"assignment scan over {base}^{num_edges} vectors exceeds the "
-            f"{MAX_ASSIGNMENTS} guard; set SURFGRAPH_GUARD_OVERRIDE=1 to force"
-        )
+    if base >= 1:
+        _refuse(base**num_edges, f"assignment scan over {base}^{num_edges} vectors")
 
 
 def _rooted_maps(m: int) -> int:
@@ -95,8 +108,4 @@ def check_generator_size(num_edges: int) -> None:
 def check_rotation_scan(num_edges: int) -> None:
     """Refuse a labelled scan of all (2m)! rotation systems past MAX_ASSIGNMENTS."""
     work = math.factorial(2 * num_edges)
-    if work > MAX_ASSIGNMENTS and not _override():
-        raise TooLarge(
-            f"labelled scan over (2*{num_edges})! = {work} rotation systems "
-            f"exceeds the {MAX_ASSIGNMENTS} guard; set SURFGRAPH_GUARD_OVERRIDE=1 to force"
-        )
+    _refuse(work, f"labelled scan over (2*{num_edges})! = {work} rotation systems")

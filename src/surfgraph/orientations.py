@@ -24,11 +24,14 @@ class is computed by two routes over the whole mask array:
   BAO    coherent face-set boundaries of g     reachability on g*
   TBO    cocycles of g, both ways              Kahn peel on g*
 
-TCO on at most 5 edges also evaluates its definitional reading (every
-edge lies on a directed cycle) as a third route.  The per-orientation
-predicates `is_*` compute their own characterizations in plain Python
-(two each for TCO, BAO and TBO) and serve as oracles for the engine.  Whenever two routes
-are computed they are compared, and any disagreement raises; that
+The reciprocity pair counters in `enumeration` read the same subcubes:
+those that miss an edge set A, tested on the masks with no bit in A,
+give the class of g surgered at A.  TCO on at most 5 edges also
+evaluates its definitional reading (every edge lies on a directed
+cycle) as a third route.  The per-orientation predicates `is_*` compute
+their own characterizations in plain Python (two each for TCO, BAO and
+TBO) and serve as oracles for the engine.  Whenever two routes are
+computed they are compared, and any disagreement raises; that
 cross-check is part of the contract, not a debugging aid.  A class mask
 that passed it is kept on the map, read-only, so each (map, class) is
 scanned once; the guards still run on every call.
@@ -501,16 +504,25 @@ def _scan_cost(g: RibbonGraph, cls: OrientationClass) -> int:
     return 2 ** g.num_faces + 2 * v * e
 
 
+def _class_cubes(g: RibbonGraph, cls: OrientationClass) -> Iterator[tuple[int, int]]:
+    """The forbidden subcubes of one class, read on g."""
+    if cls is OrientationClass.TCO:
+        return _cut_cubes(g)
+    if cls is OrientationClass.BAO:
+        return _boundary_cubes(g)
+    return _both_ways(g.num_edges, g._cycles if cls is OrientationClass.AO else g._cocycles)
+
+
 def _class_routes(g: RibbonGraph, cls: OrientationClass, masks, rev):
     """The forbidden-subcube route and the graph-search route of one class."""
-    e = g.num_edges
+    cubes = _avoids(masks, _class_cubes(g, cls))
     if cls is OrientationClass.AO:
-        return _avoids(masks, _both_ways(e, g._cycles)), _peel(g, rev)
+        return cubes, _peel(g, rev)
     if cls is OrientationClass.TCO:
-        return _avoids(masks, _cut_cubes(g)), _strongly_connected(g, rev)
+        return cubes, _strongly_connected(g, rev)
     if cls is OrientationClass.BAO:
-        return _avoids(masks, _boundary_cubes(g)), _strongly_connected(g.dual, rev)
-    return _avoids(masks, _both_ways(e, g._cocycles)), _peel(g.dual, rev)
+        return cubes, _strongly_connected(g.dual, rev)
+    return cubes, _peel(g.dual, rev)
 
 
 def _agree(num_edges: int, a, b, what: str) -> None:

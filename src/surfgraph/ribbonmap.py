@@ -75,10 +75,9 @@ class RibbonGraph:
 
     Besides the cached properties below, the counting layers keep their
     per-map results in `_memo` through `_memoised`: class masks,
-    condition matrices, mod-k scans and the class counts of surgered
-    maps.  They die with the map.  Each caller runs its guards before
-    the lookup and stores a value only once its cross-checks passed;
-    stored numpy arrays handed to callers are read-only.
+    condition matrices and mod-k scans.  They die with the map.  Each
+    caller runs its guards before the lookup and stores a value only
+    once its cross-checks passed; the stored numpy arrays are read-only.
     """
 
     sigma: tuple[int, ...]

@@ -10,7 +10,22 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from surfgraph import RibbonGraph, build, dual, from_json_dict, to_json_dict
+from hypothesis import strategies as st
+
+from surfgraph import (
+    OrientationClass,
+    RibbonGraph,
+    abstract_contract,
+    build,
+    contract,
+    count_class,
+    delete,
+    double_slash,
+    dual,
+    enumeration,
+    from_json_dict,
+    to_json_dict,
+)
 
 # One vertex, no edges: sphere with a single face.
 EDGELESS = build(0, [], [], isolated_vertices=1)
@@ -106,6 +121,49 @@ PETERSEN = abstract_map(
     + [(i, i + 5) for i in range(5)]
     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
 )
+
+
+@st.composite
+def ribbon_maps(draw, max_edges=4):
+    """Random rotations on up to max_edges edges, connected or not, with
+    up to two isolated vertices."""
+    m = draw(st.integers(0, max_edges))
+    sigma = draw(st.permutations(list(range(2 * m))))
+    pairs = tuple((2 * i, 2 * i + 1) for i in range(m))
+    isolated = draw(st.integers(0, 2))
+    return RibbonGraph(tuple(sigma), pairs, isolated=isolated)
+
+
+# The surgery and the class of each reciprocity theorem.
+SURGERY = {
+    "tension": (delete, OrientationClass.AO),
+    "flow": (abstract_contract, OrientationClass.TCO),
+    "local-tension": (double_slash, OrientationClass.BAO),
+    "balanced-flow": (contract, OrientationClass.TBO),
+}
+
+
+def surgery_pairs(g: RibbonGraph, kind: str, ks) -> list[int]:
+    """Reciprocity pairs the long way, at each k in ks: the solutions
+    with support A, times the class count of g surgered at A."""
+    import numpy as np
+
+    surgery, cls = SURGERY[kind]
+    e = g.num_edges
+    classes: dict[int, int] = {}
+    out = []
+    for k in ks:
+        counts = enumeration._support_counts(
+            enumeration._CONDITIONS[kind](g), np.arange(k, dtype=np.int64), e, k
+        )
+        total = 0
+        for a in np.flatnonzero(counts).tolist():
+            if a not in classes:  # edge i at bit e - 1 - i
+                support = [i for i in range(e) if a >> (e - 1 - i) & 1]
+                classes[a] = count_class(surgery(g, support), cls)
+            total += int(counts[a]) * classes[a]
+        out.append(total)
+    return out
 
 
 def proper_colorings(g: RibbonGraph, k: int) -> int:

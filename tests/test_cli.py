@@ -10,7 +10,16 @@ import pytest
 
 import surfgraph as sg
 from surfgraph import build, cli, dual
-from mapzoo import BRIDGE, KITE, LOOP, TORUS, TRIANGLE
+from mapzoo import (
+    BRIDGE,
+    ISOLATED,
+    KITE,
+    LOOP,
+    TORUS,
+    TRIANGLE,
+    TWO_COMPONENTS,
+    disjoint_union,
+)
 
 
 def run(capsys, argv):
@@ -117,6 +126,18 @@ def test_verify(capsys, files):
     doc = json.loads(out)
     assert doc["all_pass"] is True
     assert len(doc["identities"]) == 18
+
+
+def test_verify_passes_on_disconnected_maps(capsys, tmp_path):
+    # No map with two or more components has an orientation with exactly
+    # one cw face: each component of the dual has a sink of its own.
+    for g in (ISOLATED, TWO_COMPONENTS, disjoint_union(TRIANGLE, TRIANGLE)):
+        report = cli._verify_graph(g, 3)
+        assert report["all_pass"], [row for row in report["identities"] if not row["pass"]]
+    path = tmp_path / "isolated.json"
+    path.write_text(sg.dumps(ISOLATED))
+    code, out, _ = run(capsys, ["verify", str(path), "--kmax", "2"])
+    assert code == 0 and json.loads(out)["all_pass"]
 
 
 def test_verify_is_deterministic(capsys, files):

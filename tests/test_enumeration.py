@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import surfgraph as sg
 from surfgraph import (
@@ -15,6 +16,7 @@ from surfgraph import (
     all_orientations,
     bao_witness_vector,
     build,
+    cli,
     count_class,
     dual,
     enumerate_class,
@@ -47,6 +49,8 @@ from mapzoo import (
     TWO_COMPONENTS,
     fresh,
     proper_colorings,
+    ribbon_maps,
+    surgery_pairs,
 )
 
 # ascending coefficients, frozen from closed forms
@@ -393,6 +397,46 @@ def test_pair_counters_refuse_before_the_support_histogram(monkeypatch):
         assert calls == [], kind
 
 
+def test_pair_guard_refuses_before_any_pattern_count(monkeypatch):
+    # Every vector on a 17-loop bouquet is a flow, and it has no cut: at
+    # k = 2 the sign vectors off the 2^17 supports number 3^17, which
+    # passes 10^8 with no pattern to test at all
+    calls = []
+    real = enumeration._avoids
+    monkeypatch.setattr(enumeration, "_avoids", lambda *a: calls.append(a) or real(*a))
+    with pytest.raises(TooLarge, match=f"about {3**17} tests"):
+        enumeration.reciprocity_pairs_flow(_bouquet(17), 2)
+    assert calls == []
+
+
+def test_pair_counters_check_the_empty_support_against_the_class_mask(monkeypatch):
+    real = enumeration.count_class
+    monkeypatch.setattr(enumeration, "count_class", lambda g, cls: real(g, cls) + 1)
+    for kind, pairs in enumeration.PAIRS.items():
+        with pytest.raises(AssertionError, match="at the empty support"):
+            pairs(fresh(TRIANGLE), 2)
+
+
+# The zoo without the 15-edge Petersen graph, whose 3^15 scan is slow.
+PAIR_ZOO = [*SMALL, FACE_MATRIX_PRIMAL, ISOLATED, TWO_COMPONENTS, K5]
+
+
+def test_pair_counts_equal_the_surgery_route(corpus):
+    for g in [*corpus, *PAIR_ZOO]:
+        for kind, pairs in enumeration.PAIRS.items():
+            want = surgery_pairs(g, kind, (1, 2, 3))
+            assert [pairs(g, k) for k in (1, 2, 3)] == want, (kind, g)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ribbon_maps(max_edges=6))
+def test_random_maps_verify_and_match_the_surgery_route(g):
+    report = cli._verify_graph(g, 2)
+    assert report["all_pass"], [row for row in report["identities"] if not row["pass"]]
+    for kind, pairs in enumeration.PAIRS.items():
+        assert [pairs(g, 2)] == surgery_pairs(g, kind, (2,)), kind
+
+
 def test_integral_pairs_refuse_before_the_sign_histogram(monkeypatch):
     # at k = 0 the scan is 1^E, but the BAO class scan of a 13-edge
     # bouquet is refused; no 3^13 histogram may be built before that
@@ -595,20 +639,3 @@ def test_quasi_fit_joins_once_per_period_and_refuses_first(monkeypatch):
     with pytest.raises(TooLarge, match=r"45\^5"):
         sg.quasi_integral_local_tensions(TWO_COMPONENTS)
     assert joins == [9, 16] and scans == []
-
-
-def test_class_cache_is_bounded(monkeypatch):
-    maps = [g for m in range(4) for g in generate(CorpusSpec(edges=m))]
-
-    def pair_counts():
-        return [enumeration.PAIRS[kind](g, 2) for g in maps for kind in enumeration.KINDS]
-
-    monkeypatch.setattr(enumeration, "_class_count_cache", {})
-    expected = pair_counts()
-    assert len(enumeration._class_count_cache) > 8
-    monkeypatch.setattr(enumeration, "_class_count_cache", {})
-    monkeypatch.setattr(enumeration, "_CLASS_CACHE_SIZE", 8)
-    # fresh maps: the first pass stored its class counts on each map
-    maps = [fresh(g) for g in maps]
-    assert pair_counts() == expected
-    assert len(enumeration._class_count_cache) == 8

@@ -1,6 +1,8 @@
-"""The per-map memo: class masks, condition matrices, mod-k scans and the
-class counts of surgered maps are computed once per map, after the guards
-and the cross-checks, and handed out read-only."""
+"""The per-map memo: class masks, condition matrices and mod-k scans are
+computed once per map, after the guards and the cross-checks, and handed
+out read-only.  The pair counters read g's own forbidden subcubes, so
+verify builds no surgered map and takes no canonical code beyond the one
+naming g in its report."""
 
 import pytest
 
@@ -43,7 +45,7 @@ def test_a_second_verify_on_the_same_map_gives_the_same_report(corpus):
 
 
 def test_verify_computes_each_quantity_once(corpus, monkeypatch):
-    masks, surgeries, scans = [], [], []
+    masks, surgeries, scans, codes = [], [], [], []
     real_scan_class = orientations._scan_class
     real_count = enumeration._count_solutions
 
@@ -55,39 +57,24 @@ def test_verify_computes_each_quantity_once(corpus, monkeypatch):
         scans.append((matrix, len(values), modulus))
         return real_count(matrix, values, width, modulus)
 
-    # Surgeries nest (contract deletes on the dual); only the outermost is
-    # one surgery of a support.
-    depth = [0]
-
-    def surgery(name):
-        real = getattr(ribbonmap, name)
-
-        def spy(g, edges):
-            edges = list(edges)
-            if not depth[0]:
-                surgeries.append((name, g, frozenset(edges)))
-            depth[0] += 1
-            try:
-                return real(g, edges)
-            finally:
-                depth[0] -= 1
-
-        return spy
+    def spy(log, real):
+        return lambda *args: log.append(args) or real(*args)
 
     monkeypatch.setattr(orientations, "_scan_class", scan_class)
     monkeypatch.setattr(enumeration, "_count_solutions", count)
     for name in ("delete", "contract", "double_slash", "abstract_contract"):
-        monkeypatch.setattr(ribbonmap, name, surgery(name))
+        monkeypatch.setattr(ribbonmap, name, spy(surgeries, getattr(ribbonmap, name)))
+    monkeypatch.setattr(ribbonmap, "_code_from", spy(codes, ribbonmap._code_from))
 
     for g in [fresh(h) for h in corpus]:
-        for log in (masks, surgeries, scans):
+        g._canonical_code  # the report names g by its code
+        for log in (masks, surgeries, scans, codes):
             log.clear()
         cli._verify_graph(g, 3)
+        assert surgeries == [] and codes == []
         # the lists hold every map and matrix, so no id is reused meanwhile
         mask_keys = [(id(h), cls) for h, cls in masks]
         assert len(set(mask_keys)) == len(mask_keys)
-        surgery_keys = [(name, id(h), supp) for name, h, supp in surgeries]
-        assert len(set(surgery_keys)) == len(surgery_keys)
         scan_keys = [(id(m), n, k) for m, n, k in scans]
         assert len(set(scan_keys)) == len(scan_keys)
         # every condition is scanned at each k = 1..3, once

@@ -48,6 +48,7 @@ from mapzoo import (
     THETA,
     TORUS,
     TRIANGLE,
+    ribbon_maps,
 )
 
 # (V, E, F, c, genus) per zoo map; frozen by hand
@@ -60,15 +61,6 @@ EULER = {
     "torus": (1, 2, 1, 1, 1),
     "kite": (2, 6, 4, 1, 1),
 }
-
-
-@st.composite
-def ribbon_maps(draw, max_edges=4):
-    m = draw(st.integers(0, max_edges))
-    sigma = draw(st.permutations(list(range(2 * m))))
-    pairs = tuple((2 * i, 2 * i + 1) for i in range(m))
-    isolated = draw(st.integers(0, 2))
-    return RibbonGraph(tuple(sigma), pairs, isolated=isolated)
 
 
 def _relabel(g: RibbonGraph, perm):
