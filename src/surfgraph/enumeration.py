@@ -8,20 +8,24 @@ Four families of edge assignments, each defined by a linear condition:
   balanced flow   flow whose signed sums across all cocycles vanish
                   (incidence stacked with a cycle basis of the dual)
 
-Counts are brute force over assignment vectors.  Every count mod k and
-every support or sign histogram reduces the int64 numpy blocks of one
-scan, _solutions.  The nowhere-zero integer counts in a box |x(e)| < k
-come from _box_counts instead, a meet-in-the-middle join of two half-box
-scans that reads every k up to a bound at once.  Arithmetic is exact
-(residues mod k or bounded integers, never floats).
-numpy is imported inside the functions that use it, so importing the
-package does not load it.
+Nowhere-zero tensions and flows mod k are counted in pure Python by a
+DP over fundamental-cycle coordinates, _nz_count.  Every other count mod
+k, and every support or sign histogram, is brute force over assignment
+vectors: it reduces the int64 numpy blocks of one scan, _solutions.
+Local tensions and balanced flows keep that scan on their own matrices,
+so each duality check in verify compares two independent routes.  The
+nowhere-zero integer counts in a box |x(e)| < k come from _box_counts,
+a meet-in-the-middle join of two half-box scans that reads every k up to
+a bound at once.  Arithmetic is exact (residues mod k or bounded
+integers, never floats).  numpy is imported inside the functions that
+use it, so importing the package does not load it.
 
 The four polynomials in k come from two subset sums over the 2^E edge
 subsets (Whitney, Tutte): local tension is flow on the dual,
 balanced flow is tension on the dual.  Every condition matrix is an
 incidence matrix, hence totally unimodular, so the sums are exact; each
-result is still checked against the nowhere-zero scan at k = 2 and 3.
+result is still checked against the DP count on the same map at k = 2
+and 3, so a polynomial on more than 4 edges loads no numpy.
 Integral local tension counts get a quasipolynomial fit, one join per
 period tried; the integral pair counts keep the direct scan, so verify
 compares two independent routes.
@@ -29,11 +33,12 @@ compares two independent routes.
 Operations with a second independent characterization compute both and
 raise on disagreement, same contract as the orientation predicates.
 
-The condition matrices (read-only) and the mod-k counts keyed by
-condition, k and nonzero are kept on the map (RibbonGraph._memo), so
-verify computes each once per map.  Guards run before every lookup;
-nothing is stored from a call that raised.  The pair counters build no
-surgered map: they read the class's forbidden subcubes on g itself.
+The condition matrices (read-only), the mod-k counts keyed by
+condition, k and nonzero, and the DP's forms and counts are kept on the
+map (RibbonGraph._memo), so verify computes each once per map.  Guards
+run before every lookup; nothing is stored from a call that raised.
+The pair counters build no surgered map: they read the class's
+forbidden subcubes on g itself.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from . import ribbonmap
 from .errors import BadModulus, NoFit, NotBoundaryAcyclic
-from .guards import check_assignment_scan, check_pair_scan
+from .guards import check_assignment_scan, check_box_join, check_pair_scan, check_subset_poly
 from .orientations import (
     Orientation,
     OrientationClass,
@@ -294,6 +299,79 @@ def _box_values(k: int) -> np.ndarray:
     return vals[vals != 0]
 
 
+# -- nowhere-zero tensions and flows over fundamental-cycle coordinates ------
+#
+# Tensions and flows mod k form free Z_k-modules (Tutte 1954).  A tension
+# is fixed by its values on the spanning forest: each chord carries the
+# signed sum of the forest edges on its fundamental cycle.  A flow is
+# fixed by its values on the chords: each forest edge carries the signed
+# sum of the chords whose cycles use it.  So a nowhere-zero count gives
+# the free values 1..k-1 and asks every determined value, a form in the
+# free ones, to be nonzero; a form with no variables (a loop for
+# tensions, a bridge for flows) is always zero.  The frontier DP below
+# assigns the free values in order (Sekine, Imai and Tani, ISAAC 1995).
+
+
+def _forms(h: RibbonGraph, flow: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The determined values as forms in the free ones: one tuple of
+    (free index, sign) per determined edge, by free index."""
+    cycles = h._fundamental_cycles
+    chords = {c.edges[0] for c in cycles}
+    if flow:
+        forms: dict[int, list[tuple[int, int]]] = {}
+        for i, c in enumerate(cycles):
+            for e, d in zip(c.edges[1:], c.directions[1:]):
+                forms.setdefault(e, []).append((i, d))
+        return tuple(tuple(forms.get(e, ())) for e in range(h.num_edges) if e not in chords)
+    forest = {e: i for i, e in enumerate(e for e in range(h.num_edges) if e not in chords)}
+    return tuple(
+        tuple(sorted((forest[e], d) for e, d in zip(c.edges[1:], c.directions[1:])))
+        for c in cycles
+    )
+
+
+def _nz_count(h: RibbonGraph, k: int, flow: bool) -> int:
+    """Nowhere-zero flows (flow) or tensions of h mod k, by a DP whose state
+    is the partial sums mod k of the forms begun but not finished.  A form
+    is checked to be nonzero at its last variable, then leaves the state.
+    """
+    forms = h._memoised(("forms", flow), lambda: _forms(h, flow))
+    if not all(forms):
+        return 0
+    free = h.num_edges - len(forms)
+    opens, closes = [[] for _ in range(free)], [[] for _ in range(free)]
+    for i, f in enumerate(forms):
+        opens[f[0][0]].append(i)
+        closes[f[-1][0]].append(i)
+    signs = [dict(f) for f in forms]
+    states = {(): 1}
+    live: list[int] = []  # the forms behind each state position
+    for j in range(free):
+        live += opens[j]
+        sign = [signs[i].get(j, 0) for i in live]
+        shut = [s for s, i in enumerate(live) if i in closes[j]]
+        keep = [s for s, i in enumerate(live) if i not in closes[j]]
+        pad = (0,) * len(opens[j])
+        step: dict[tuple[int, ...], int] = {}
+        for state, n in states.items():
+            state += pad
+            for v in range(1, k):
+                sums = [(x + d * v) % k for x, d in zip(state, sign)]
+                if all(sums[s] for s in shut):
+                    key = tuple(sums[s] for s in keep)
+                    step[key] = step.get(key, 0) + n
+        states = step
+        live = [live[s] for s in keep]
+    return sum(states.values())
+
+
+def _dp_count(h: RibbonGraph, k: int, flow: bool) -> int:
+    """_nz_count behind the assignment guard, once per map, flag and k."""
+    _require_k(k)
+    check_assignment_scan(k, h.num_edges)
+    return h._memoised(("nz count", flow, k), lambda: _nz_count(h, k, flow))
+
+
 # -- the four counting families ----------------------------------------------
 
 
@@ -310,7 +388,7 @@ def _count(g: RibbonGraph, k: int, nonzero: bool, condition: str) -> int:
 
 
 def _tension_count(g: RibbonGraph, k: int, nonzero: bool) -> int:
-    n = _count(g, k, nonzero, "tension")
+    n = _dp_count(g, k, False) if nonzero else _count(g, k, False, "tension")
     if g.num_edges <= 4:
         # On small graphs, re-derive the condition from every simple cycle.
         n2 = _count(g, k, nonzero, "all-cycles")
@@ -332,7 +410,7 @@ def count_tensions(g: RibbonGraph, k: int) -> int:
 
 def count_nz_flows(g: RibbonGraph, k: int) -> int:
     """Nowhere-zero assignments E -> Z_k conserved at every vertex."""
-    return _count(g, k, True, "flow")
+    return _dp_count(g, k, True)
 
 
 def count_flows(g: RibbonGraph, k: int) -> int:
@@ -377,7 +455,7 @@ def count_balanced_flows(g: RibbonGraph, k: int) -> int:
 def count_integral_local_tensions(g: RibbonGraph, k: int) -> int:
     """Nowhere-zero integer local tensions with |t(e)| < k."""
     _require_k(k)
-    check_assignment_scan(2 * k - 1, g.num_edges)
+    check_box_join(2 * k - 2, g.num_edges, _CHUNK)
     (count,) = _box_counts(local_tension_matrix(g), g.num_edges, [k])
     return count
 
@@ -385,7 +463,7 @@ def count_integral_local_tensions(g: RibbonGraph, k: int) -> int:
 def count_integral_flows(g: RibbonGraph, k: int) -> int:
     """Nowhere-zero integer flows with |f(e)| < k."""
     _require_k(k)
-    check_assignment_scan(2 * k - 1, g.num_edges)
+    check_box_join(2 * k - 2, g.num_edges, _CHUNK)
     (count,) = _box_counts(incidence_matrix(g), g.num_edges, [k])
     return count
 
@@ -417,14 +495,16 @@ def _subset_sum(h: RibbonGraph, flow: bool) -> list[int]:
 
 
 def _subset_poly(g: RibbonGraph, kind: str, on_dual: bool, flow: bool) -> list[int]:
-    # The k = 3 self-check outweighs the 2^E subsets; refuse before either.
-    check_assignment_scan(3, g.num_edges)
-    coeffs = _subset_sum(g.dual if on_dual else g, flow)
+    # Refuse before the 2^E subsets and the k = 2, 3 counts on h start.
+    check_subset_poly(g.num_edges)
+    h = g.dual if on_dual else g
+    coeffs = _subset_sum(h, flow)
+    count = COUNT_NZ["flow" if flow else "tension"]
     for k in (2, 3):
-        value, scanned = poly_eval(coeffs, k), COUNT_NZ[kind](g, k)
-        if value != scanned:
+        value, counted = poly_eval(coeffs, k), count(h, k)
+        if value != counted:
             raise AssertionError(
-                f"{kind} subset sum gives {value} at k={k}, the scan {scanned}"
+                f"{kind} subset sum gives {value} at k={k}, the count {counted}"
             )
     return coeffs
 
@@ -452,14 +532,14 @@ def _quasi_driver(
 ) -> QuasiPolynomial:
     """Fit each period in turn from one join over k = 1..period(E+2)+2.
 
-    Each join is guarded as the (2 kmax - 1)^E box before it is built.
+    Each join is guarded by its own half-boxes before it is built.
     """
     _require_max_period(max_period)
     degree = g.num_edges
     last: NoFit | None = None
     for period in range(1, max_period + 1):
         kmax = period * (degree + 2) + 2
-        check_assignment_scan(2 * kmax - 1, degree)
+        check_box_join(2 * kmax - 2, degree, _CHUNK)
         ks = range(1, kmax + 1)
         samples = dict(zip(ks, _box_counts(matrix, degree, ks)))
         try:

@@ -70,9 +70,35 @@ def check_pair_scan(sign_vectors: int, patterns: int) -> None:
     )
 
 
+def check_subset_poly(num_edges: int) -> None:
+    """Refuse a polynomial by subset sum whose 2^E subset walk and k = 2, 3
+    nowhere-zero counts, together bounded by 3^E steps, are too many."""
+    _refuse(
+        3**num_edges,
+        f"subset-sum polynomial of 2^{num_edges} subsets and its k = 2, 3 counts, "
+        f"bounded by 3^{num_edges} steps,",
+    )
+
+
 def check_assignment_scan(base: int, num_edges: int) -> None:
     if base >= 1:
         _refuse(base**num_edges, f"assignment scan over {base}^{num_edges} vectors")
+
+
+def check_box_join(values: int, num_edges: int, max_left: int) -> None:
+    """Refuse a meet-in-the-middle count over values^E whose join, the left
+    half-box held in memory and the right one streamed past it, reads too
+    many half-rows, or whose left half-box holds more than max_left rows."""
+    low, high = num_edges // 2, num_edges - num_edges // 2
+    left = values**low
+    work = left + values**high
+    what = f"box join of {values}^{low} + {values}^{high} = {work} half-rows"
+    _refuse(work, what)
+    if left > max_left and not _override():
+        raise TooLarge(
+            f"{what} holds {left} left half-rows in memory, more than the {max_left} "
+            f"of one block; set SURFGRAPH_GUARD_OVERRIDE=1 to force"
+        )
 
 
 def _rooted_maps(m: int) -> int:

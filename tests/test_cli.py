@@ -84,6 +84,15 @@ def test_integral(capsys, files):
     assert json.loads(out)["count"] == 16
 
 
+def test_integral_guard_admits_what_the_join_reads(capsys, tmp_path):
+    # 7 loops at k = 8: 15^7 > 10^8 vectors in the box, but the join reads
+    # 14^3 + 14^4 half-rows; each loop bounds a face alone
+    path = tmp_path / "bouquet.json"
+    path.write_text(sg.dumps(build(14, [tuple(range(14))], [(2 * i, 2 * i + 1) for i in range(7)])))
+    code, out, _ = run(capsys, ["integral", "--kind", "local-tension", "--k", "8", str(path)])
+    assert code == 0 and json.loads(out)["count"] == 0
+
+
 def test_integral_rejects_other_kinds(capsys, files):
     code, _, err = run(
         capsys, ["integral", "--kind", "balanced-flow", "--k", "2", files["torus"]]
@@ -234,10 +243,14 @@ def test_blas_pool_defaults_to_one_thread(capsys, files, monkeypatch):
     assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
 
-def _loaded_by_cli_import(module: str) -> str:
+def _loaded_by_cli_import(module: str, *calls: list[str]) -> str:
+    """Whether module is loaded after importing the CLI and running calls,
+    each an argument list that must exit 0, in one fresh interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, surfgraph.cli\n"
+    code += "".join(f"assert surfgraph.cli.main({argv!r}) == 0\n" for argv in calls)
     done = subprocess.run(
-        [sys.executable, "-c", f"import sys, surfgraph.cli; print({module!r} in sys.modules)"],
+        [sys.executable, "-c", code + f"print({module!r} in sys.modules)"],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
@@ -253,3 +266,17 @@ def test_package_import_leaves_numpy_unloaded():
 def test_cli_import_leaves_process_pool_unloaded():
     # Only batch with more than one job starts a pool.
     assert _loaded_by_cli_import("concurrent.futures.process") == "False"
+
+
+def test_poly_past_four_edges_leaves_numpy_unloaded(tmp_path):
+    # Past 4 edges the k = 2, 3 checks of every polynomial are DP counts;
+    # only the all-cycles cross-check of tensions on E <= 4 scans in numpy.
+    calls = []
+    for name, g in (("kite", KITE), ("two", TWO_COMPONENTS), ("triangle", TRIANGLE)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(sg.dumps(g))
+        kinds = sg.enumeration.KINDS
+        calls.append([["poly", str(path), "--kind", kind, "--out", os.devnull] for kind in kinds])
+    assert [KITE.num_edges, TWO_COMPONENTS.num_edges] == [6, 5]
+    assert _loaded_by_cli_import("numpy", *calls[0], *calls[1]) == "False"
+    assert _loaded_by_cli_import("numpy", *calls[2]) == "True"

@@ -47,6 +47,7 @@ from mapzoo import (
     TORUS,
     TRIANGLE,
     TWO_COMPONENTS,
+    disjoint_union,
     fresh,
     proper_colorings,
     ribbon_maps,
@@ -523,15 +524,75 @@ def test_chunk_size_does_not_change_any_scan(monkeypatch):
     maps += [from_json_dict(doc) for doc in FRONTIER]
     assert [g.num_edges for g in maps[-2:]] == [6, 7]
     expected = _scan_results(maps)
+    # a block of 1 or 7 rows also caps the left half-box an integral count
+    # may hold, so its guard would refuse these joins
+    monkeypatch.setenv("SURFGRAPH_GUARD_OVERRIDE", "1")
     for chunk in (1, 7):
         monkeypatch.setattr(enumeration, "_CHUNK", chunk)
         # fresh maps, or the counts would come from the first pass's memo
         assert _scan_results([fresh(g) for g in maps]) == expected, chunk
 
 
-# -- the half-box join --------------------------------------------------------------
-
 ZOO = SMALL + [FACE_MATRIX_PRIMAL, ISOLATED, TWO_COMPONENTS, K5, PETERSEN]
+
+
+# -- the nowhere-zero DP ---------------------------------------------------------
+
+
+def _dp_mismatches(g, ks):
+    """(map, k, flow, DP, scan) wherever the DP over fundamental-cycle
+    coordinates and the kernel scan of the condition matrix disagree, for
+    tensions and flows on g and on its dual."""
+    out = []
+    for h in (g, g.dual):
+        for flow, matrix in ((False, tension_matrix(h)), (True, incidence_matrix(h))):
+            for k in ks:
+                values = enumeration._mod_values(k, True)
+                scan = enumeration._count_solutions(matrix, values, h.num_edges, k)
+                dp = enumeration._nz_count(h, k, flow)
+                if dp != scan:
+                    out.append((h, k, flow, dp, scan))
+    return out
+
+
+def test_dp_counts_equal_the_kernel_scans(corpus):
+    for g in [*corpus, *ZOO]:
+        # k = 4 on the 15-edge Petersen map scans 3^15 rows: stop at k = 3
+        assert _dp_mismatches(g, range(1, 4 if g.num_edges > 10 else 5)) == []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ribbon_maps(max_edges=7))
+def test_random_maps_dp_counts_equal_the_kernel_scans(g):
+    assert _dp_mismatches(g, range(1, 5)) == []
+
+
+def test_dp_forms_with_no_variables_count_nothing():
+    # a loop is a tension form with no variables, a bridge a flow form
+    for g, flow in ((LOOP, False), (BRIDGE, True), (disjoint_union(TRIANGLE, LOOP), False)):
+        assert () in enumeration._forms(g, flow)
+        assert [enumeration._nz_count(g, k, flow) for k in range(1, 6)] == [0] * 5
+    for flow in (False, True):
+        assert [enumeration._nz_count(EDGELESS, k, flow) for k in (1, 2)] == [1, 1]
+
+
+def test_a_wrong_dp_fails_verify(monkeypatch, tmp_path, capsys):
+    real = enumeration._nz_count
+    monkeypatch.setattr(enumeration, "_nz_count", lambda h, k, flow: real(h, k, flow) + 1)
+    # The first duality row counts the DP tensions of g.  Up to 4 edges they
+    # are cross-checked against the all-cycles scan; past that, the row's
+    # other side, the balanced flows of g* scanned on g*'s own matrix, is
+    # cross-checked against the DP on the dual of g*.  Either way verify
+    # fails with exit code 4.
+    for g, route in ((TRIANGLE, "all-cycles count"), (KITE, "balanced flow count")):
+        path = tmp_path / "g.json"
+        path.write_text(sg.dumps(g))
+        assert cli.main(["verify", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: internal cross-check failed:") and route in err, err
+
+
+# -- the half-box join --------------------------------------------------------------
 
 
 def _box_kmax(g):
@@ -607,6 +668,25 @@ def test_integral_counts_stay_small_at_large_k():
         assert peak < 64 << 20, (count.__name__, g.num_edges, k, peak)
 
 
+def test_integral_counts_guard_the_join_they_run(monkeypatch):
+    # 7 loops at k = 8: the box holds 15^7 > 10^8 vectors, the join reads
+    # 14^3 + 14^4 half-rows.  Every loop carries any flow; each loop of
+    # this planar bouquet bounds a face alone, so no local tension is
+    # nowhere zero.
+    assert sg.count_integral_flows(_bouquet(7), 8) == 14**7
+    assert sg.count_integral_local_tensions(_bouquet(7), 8) == 0
+
+    joins = []
+    monkeypatch.setattr(enumeration, "_box_counts", lambda *a: joins.append(a))
+    with pytest.raises(TooLarge, match=r"11998\^1 \+ 11998\^2 = 143964002 half-rows exceeds"):
+        sg.count_integral_flows(THETA, 6000)
+    path = build(4, [0, 2, 1, 3], [(0, 1), (2, 3)])
+    held = r"holds 399998 left half-rows in memory, more than the 262144 of one block"
+    with pytest.raises(TooLarge, match=held):
+        sg.count_integral_local_tensions(path, 200000)
+    assert joins == []
+
+
 def test_quasi_fit_joins_once_per_period_and_refuses_first(monkeypatch):
     joins, scans = [], []
     real_join, real_scan = enumeration._box_counts, enumeration._solutions
@@ -634,8 +714,10 @@ def test_quasi_fit_joins_once_per_period_and_refuses_first(monkeypatch):
     joins.clear()
     q = sg.quasi_integral_flows(TRIANGLE)
     assert joins == [7, 12, 17] and scans == []
-    # 5 edges: the period-3 box 45^5 passes 10^8, so its join never starts
+    # 6 edges: the period-2 left half-box, 34^3 rows, is more than a block
+    # of 6000 rows holds, so its join never starts
+    monkeypatch.setattr(enumeration, "_CHUNK", 6000)
     joins.clear()
-    with pytest.raises(TooLarge, match=r"45\^5"):
-        sg.quasi_integral_local_tensions(TWO_COMPONENTS)
-    assert joins == [9, 16] and scans == []
+    with pytest.raises(TooLarge, match=r"34\^3 \+ 34\^3 = 78608 half-rows holds 39304"):
+        sg.quasi_integral_local_tensions(KITE)
+    assert joins == [10] and scans == []

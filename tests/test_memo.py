@@ -1,8 +1,8 @@
-"""The per-map memo: class masks, condition matrices and mod-k scans are
-computed once per map, after the guards and the cross-checks, and handed
-out read-only.  The pair counters read g's own forbidden subcubes, so
-verify builds no surgered map and takes no canonical code beyond the one
-naming g in its report."""
+"""The per-map memo: class masks, condition matrices, mod-k scans, and the
+forms and counts of the nowhere-zero DP are computed once per map, after
+the guards and the cross-checks, and handed out read-only.  The pair
+counters read g's own forbidden subcubes, so verify builds no surgered
+map and takes no canonical code beyond the one naming g in its report."""
 
 import pytest
 
@@ -83,6 +83,36 @@ def test_verify_computes_each_quantity_once(corpus, monkeypatch):
             per_matrix.setdefault(key[0], []).append(key[2])
         assert all(sorted(ks) == [1, 2, 3] for ks in per_matrix.values())
         assert {cls for h, cls in masks if h is g} == set(OrientationClass)
+
+
+def test_verify_builds_each_form_set_and_dp_count_once(corpus, monkeypatch):
+    forms, counts = [], []
+    real_forms, real_count = enumeration._forms, enumeration._nz_count
+
+    def build(h, flow):
+        forms.append((h, flow))
+        return real_forms(h, flow)
+
+    def count(h, k, flow):
+        counts.append((h, k, flow))
+        return real_count(h, k, flow)
+
+    monkeypatch.setattr(enumeration, "_forms", build)
+    monkeypatch.setattr(enumeration, "_nz_count", count)
+    for g in [fresh(h) for h in [*corpus, *ZOO]]:
+        forms.clear()
+        counts.clear()
+        cli._verify_graph(g, 3)
+        # the lists hold every map, so no id is reused meanwhile
+        form_keys = [(id(h), flow) for h, flow in forms]
+        assert len(set(form_keys)) == len(form_keys)
+        count_keys = [(id(h), k, flow) for h, k, flow in counts]
+        assert len(set(count_keys)) == len(count_keys)
+        # tensions and flows of g, each at k = 1..3, are DP counts
+        assert {(k, flow) for h, k, flow in counts if h is g} == {
+            (k, flow) for k in (1, 2, 3) for flow in (False, True)
+        }
+        assert {flow for h, flow in forms if h is g} == {False, True}
 
 
 def test_memoised_arrays_are_read_only():
