@@ -21,24 +21,24 @@ integers, never floats).  numpy is imported inside the functions that
 use it, so importing the package does not load it.
 
 The four polynomials in k come from two subset sums over the 2^E edge
-subsets (Whitney, Tutte): local tension is flow on the dual,
-balanced flow is tension on the dual.  Every condition matrix is an
-incidence matrix, hence totally unimodular, so the sums are exact; each
-result is still checked against the DP count on the same map at k = 2
-and 3, so a polynomial on more than 4 edges loads no numpy.
-Integral local tension counts get a quasipolynomial fit, one join per
-period tried; the integral pair counts keep the direct scan, so verify
-compares two independent routes.
+subsets (Whitney, Tutte), read from the subset census of the map: local
+tension is flow on the dual, balanced flow is tension on the dual.
+Every condition matrix is an incidence matrix, hence totally
+unimodular, so the sums are exact; each result is still checked against
+the DP count on the same map at k = 2 and 3, so a polynomial on more
+than 4 edges loads no numpy.  Integral local tension counts get a
+quasipolynomial fit, one join per period tried; the integral pair
+counts keep the direct scan, so verify compares two independent routes.
 
 Operations with a second independent characterization compute both and
 raise on disagreement, same contract as the orientation predicates.
 
 The condition matrices (read-only), the mod-k counts keyed by
-condition, k and nonzero, and the DP's forms and counts are kept on the
-map (RibbonGraph._memo), so verify computes each once per map.  Guards
-run before every lookup; nothing is stored from a call that raised.
-The pair counters build no surgered map: they read the class's
-forbidden subcubes on g itself.
+condition, k and nonzero, the DP's forms and counts, and the subset
+census are kept on the map (RibbonGraph._memo), so verify computes each
+once per map.  Guards run before every lookup; nothing is stored from a
+call that raised.  The pair counters build no surgered map: they read
+the class's forbidden subcubes on g itself.
 """
 
 from __future__ import annotations
@@ -485,12 +485,12 @@ def _subset_sum(h: RibbonGraph, flow: bool) -> list[int]:
     """
     v, e, c = h.num_vertices, h.num_edges, h.num_components
     coeffs = [0] * (max(v, e) + 1)
-    for size, roots in ribbonmap._subset_forests(h):
-        cb = len(set(roots))
+    for size, comps, n in ribbonmap._subset_census(h):
+        cb = len(comps)
         if flow:
-            coeffs[size - v + cb] += -1 if (e - size) % 2 else 1
+            coeffs[size - v + cb] += -n if (e - size) % 2 else n
         else:
-            coeffs[cb - c] += -1 if size % 2 else 1
+            coeffs[cb - c] += -n if size % 2 else n
     return ipoly_trim(coeffs)
 
 

@@ -7,22 +7,23 @@ dart to head dart) or -1 (reverse it).  The classes:
   TCO  totally cyclic: no coherently directed nonempty cut, equivalently
        every component strongly connected.
   BAO  boundary acyclic: no face set whose signed boundary is coherent,
-       equivalently the carried-over orientation of the dual is TCO.
+       equivalently the carried-over orientation of the dual g* is TCO.
   TBO  totally bi-walkable: no coherently directed cocycle, equivalently
-       the carried-over orientation of the dual is AO.
+       the carried-over orientation of the dual g* is AO.
 
 Class counts and enumerations scan all 2^E orientations at once as sign
 masks r in [0, 2^E), in `all_orientations` order: edge 0 is the most
 significant bit, and a set bit means sign -1.  A coherent structure
 whose edges must carry given signs forbids the subcube of masks with
 r & X == P, where X holds its edges and P those that must be -1.  Each
-class is computed by two routes over the whole mask array:
+class forbids coherent cycles or coherent cuts, of g or of g*
+(`_primitive`), and is computed by two routes over the whole mask array:
 
-  class  forbidden subcubes, read on g         graph search
-  AO     directed cycles of g, both ways       Kahn peel on g
-  TCO    coherent cut sides in each component  reachability on g
-  BAO    coherent face-set boundaries of g     reachability on g*
-  TBO    cocycles of g, both ways              Kahn peel on g*
+  class  forbidden subcubes (cycles both ways)     graph search
+  AO     directed cycles of g                       Kahn peel on g
+  TCO    coherent cut sides of g                    reachability on g
+  BAO    coherent cut sides of g* (face sets of g)  reachability on g*
+  TBO    directed cycles of g* (cocycles of g)      Kahn peel on g*
 
 The reciprocity pair counters in `enumeration` read the same subcubes:
 those that miss an edge set A, tested on the masks with no bit in A,
@@ -49,7 +50,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from . import ribbonmap
 from .errors import GraphMismatch
 from .guards import check_class_scan, check_orientation_scan
-from .polynomials import ipoly_add, ipoly_mul, ipoly_pow, ipoly_scale, ipoly_sub, ipoly_trim
+from .polynomials import ipoly_add, ipoly_mul, ipoly_pow, ipoly_sub, ipoly_trim
 from .ribbonmap import RibbonGraph
 
 if TYPE_CHECKING:
@@ -368,48 +369,33 @@ def _ends(h: RibbonGraph) -> list[tuple[int, int]]:
     return [(h.edge_tail_vertex(e), h.edge_head_vertex(e)) for e in range(h.num_edges)]
 
 
-def _both_ways(num_edges: int, cycs) -> Iterator[tuple[int, int]]:
-    """Each cycle (or cocycle) is coherent when every edge carries its
-    direction, or every edge the opposite one."""
-    for c in cycs:
-        x, p = _subcube(num_edges, zip(c.edges, c.directions))
+def _both_ways(h: RibbonGraph) -> Iterator[tuple[int, int]]:
+    """Each cycle of h is coherent when every edge carries its direction,
+    or every edge the opposite one."""
+    for c in h._cycles:
+        x, p = _subcube(h.num_edges, zip(c.edges, c.directions))
         yield x, p
         yield x, x ^ p
 
 
-def _cut_cubes(g: RibbonGraph) -> Iterator[tuple[int, int]]:
-    """Every edge leaving S, for each side S of a cut within one component;
-    a cut coherent into S is caught by the complement of S."""
-    ends = _ends(g)
-    for comp in g.components:
+def _cut_cubes(h: RibbonGraph) -> Iterator[tuple[int, int]]:
+    """Every edge leaving S, for each side S of a cut within one component
+    of h; a cut coherent into S is caught by the complement of S.  A union
+    of sides across components forbids nothing more: its subcube lies in
+    each part's, and its edges miss a set A only when each part's do."""
+    ends = _ends(h)
+    for comp in h.components:
         verts = sorted(comp)
         for bits in range(1, (1 << len(verts)) - 1):
             side = {verts[i] for i in range(len(verts)) if bits >> i & 1}
             yield _subcube(
-                g.num_edges,
+                h.num_edges,
                 [
                     (e, 1 if t in side else -1)
-                    for e, (t, h) in enumerate(ends)
-                    if (t in side) != (h in side)
+                    for e, (t, w) in enumerate(ends)
+                    if (t in side) != (w in side)
                 ],
             )
-
-
-def _boundary_cubes(g: RibbonGraph) -> Iterator[tuple[int, int]]:
-    """Every boundary edge agreeing with the boundary direction, for each
-    face set with a nonzero boundary (the sum of its face matrix rows).
-
-    The set of all faces has boundary zero, so the complement of a face
-    set has the negated boundary, and the opposite coherence needs no
-    second pattern.  Faces of isolated vertices have all-zero rows and
-    are left out.
-    """
-    rows = [r for f, r in enumerate(g._face_matrix) if g.faces[f]]
-    for bits in range(1, 1 << len(rows)):
-        chosen = [r for i, r in enumerate(rows) if bits >> i & 1]
-        bnd = [sum(col) for col in zip(*chosen)]
-        if any(bnd):
-            yield _subcube(g.num_edges, [(e, b) for e, b in enumerate(bnd) if b])
 
 
 def _avoids(masks, cubes) -> np.ndarray:
@@ -488,41 +474,30 @@ def _cycle_bound(h: RibbonGraph) -> int:
     return loops + pairs + (2**rank - 1) * widest
 
 
+def _primitive(g: RibbonGraph, cls: OrientationClass) -> tuple[RibbonGraph, bool]:
+    """The map a class is read on, g or g*, and whether it forbids
+    coherent cycles (AO, TBO) rather than coherent cuts (TCO, BAO)."""
+    h = g.dual if cls in (OrientationClass.BAO, OrientationClass.TBO) else g
+    return h, cls in (OrientationClass.AO, OrientationClass.TBO)
+
+
 def _scan_cost(g: RibbonGraph, cls: OrientationClass) -> int:
     """Subcube patterns plus search steps per mask of both routes, from sizes.
 
-    Each cycle or cocycle gives two patterns, each cut side or face set
-    one; a search makes at most V rounds over the E edges, and
-    reachability runs both ways.
+    Each cycle gives two patterns, each cut side one; a search makes at
+    most V rounds over the E edges, and reachability runs both ways.
     """
-    h = g if cls in (OrientationClass.AO, OrientationClass.TCO) else g.dual
+    h, cycles = _primitive(g, cls)
     v, e = h.num_vertices, h.num_edges
-    if cls in (OrientationClass.AO, OrientationClass.TBO):
+    if cycles:
         return 2 * _cycle_bound(h) + v * e
-    if cls is OrientationClass.TCO:
-        return sum(2 ** len(comp) - 2 for comp in g.components) + 2 * v * e
-    return 2 ** g.num_faces + 2 * v * e
+    return sum(2 ** len(comp) - 2 for comp in h.components) + 2 * v * e
 
 
 def _class_cubes(g: RibbonGraph, cls: OrientationClass) -> Iterator[tuple[int, int]]:
-    """The forbidden subcubes of one class, read on g."""
-    if cls is OrientationClass.TCO:
-        return _cut_cubes(g)
-    if cls is OrientationClass.BAO:
-        return _boundary_cubes(g)
-    return _both_ways(g.num_edges, g._cycles if cls is OrientationClass.AO else g._cocycles)
-
-
-def _class_routes(g: RibbonGraph, cls: OrientationClass, masks, rev):
-    """The forbidden-subcube route and the graph-search route of one class."""
-    cubes = _avoids(masks, _class_cubes(g, cls))
-    if cls is OrientationClass.AO:
-        return cubes, _peel(g, rev)
-    if cls is OrientationClass.TCO:
-        return cubes, _strongly_connected(g, rev)
-    if cls is OrientationClass.BAO:
-        return cubes, _strongly_connected(g.dual, rev)
-    return cubes, _peel(g.dual, rev)
+    """The forbidden subcubes of one class."""
+    h, cycles = _primitive(g, cls)
+    return _both_ways(h) if cycles else _cut_cubes(h)
 
 
 def _agree(num_edges: int, a, b, what: str) -> None:
@@ -550,7 +525,9 @@ def _scan_class(g: RibbonGraph, cls: OrientationClass) -> np.ndarray:
     rev = np.empty((e, masks.size), dtype=bool)
     for i in range(e):
         rev[i] = (masks & (1 << (e - 1 - i))) != 0
-    cubes, search = _class_routes(g, cls, masks, rev)
+    h, cycles = _primitive(g, cls)
+    cubes = _avoids(masks, _class_cubes(g, cls))
+    search = _peel(h, rev) if cycles else _strongly_connected(h, rev)
     _agree(e, cubes, search, f"{cls.value}: forbidden subcubes and graph search")
     if cls is OrientationClass.TCO and e <= 5:
         walks = np.array(
@@ -632,18 +609,16 @@ def tbo_generating_poly_formula(g: RibbonGraph) -> list[int]:
 
     Evaluated on the dual's vertex data: over edge subsets S, the sign is
     (-1)^(|S| - |V*| + c(S)) and each component C of the spanning subgraph
-    (V*, S) contributes a factor 1 - (1-q)^|V(C)|.
+    (V*, S) contributes a factor 1 - (1-q)^|V(C)|, one term per census key.
     """
     h = g.dual
     check_orientation_scan(h.num_edges)
     n = h.num_vertices
     factor = [ipoly_sub([1], ipoly_pow([1, -1], size)) for size in range(n + 1)]
     total = [0]
-    for size, roots in ribbonmap._subset_forests(h):
-        comps = Counter(roots)
-        sign = -1 if (size - n + len(comps)) % 2 else 1
-        term = [1]
-        for csize in comps.values():
+    for size, comps, count in ribbonmap._subset_census(h):
+        term = [-count if (size - n + len(comps)) % 2 else count]
+        for csize in comps:
             term = ipoly_mul(term, factor[csize])
-        total = ipoly_add(total, ipoly_scale(term, sign))
+        total = ipoly_add(total, term)
     return ipoly_trim(total)

@@ -17,9 +17,10 @@ and its left face is the orbit of its head dart.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     BadPairing,
@@ -75,9 +76,10 @@ class RibbonGraph:
 
     Besides the cached properties below, the counting layers keep their
     per-map results in `_memo` through `_memoised`: class masks,
-    condition matrices and mod-k scans.  They die with the map.  Each
-    caller runs its guards before the lookup and stores a value only
-    once its cross-checks passed; the stored numpy arrays are read-only.
+    condition matrices, mod-k scans, DP forms and counts, and the subset
+    census.  They die with the map.  Each caller runs its guards before
+    the lookup and stores a value only once its cross-checks passed; the
+    stored values are read-only.
     """
 
     sigma: tuple[int, ...]
@@ -230,8 +232,11 @@ class RibbonGraph:
 
     @cached_property
     def dual(self) -> "RibbonGraph":
-        """Same darts and pairing, vertex rotation phi; labels dropped."""
-        return RibbonGraph(self.phi, self.edge_pairs, self.isolated)
+        """Same darts and pairing, vertex rotation phi; labels dropped.  Its
+        own dual is this map (phi o alpha = sigma), sharing its memo."""
+        d = RibbonGraph(self.phi, self.edge_pairs, self.isolated)
+        d.__dict__["dual"] = self
+        return d
 
     # Enumerated structures are cached per instance; the module-level
     # functions below hand out fresh lists so callers cannot corrupt them.
@@ -334,14 +339,32 @@ def _spanning_forest(
     return [find(v) for v in range(n)], forest
 
 
-def _subset_forests(h: RibbonGraph) -> Iterator[tuple[int, list[int]]]:
-    """(|B|, root of every vertex of the spanning subgraph (V, B)) for each
-    of the 2^E edge subsets B of h: the walk behind every subset-sum formula.
-    """
-    ends = [(h.edge_tail_vertex(e), h.edge_head_vertex(e)) for e in range(h.num_edges)]
-    for bits in range(1 << h.num_edges):
-        chosen = [uw for e, uw in enumerate(ends) if bits >> e & 1]
-        yield len(chosen), _spanning_forest(h.num_vertices, chosen)[0]
+def _subset_census(h: RibbonGraph) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """(|B|, sorted component sizes of (V, B), number of such B) over the
+    2^E edge subsets B of h: the data behind every subset-sum formula,
+    walked once per map."""
+    return h._memoised(("subset census",), lambda: _census_walk(h))
+
+
+def _census_walk(h: RibbonGraph) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """Take or skip each edge in turn, carrying each vertex's component
+    label (the least vertex of its component).  Subsets of equal size and
+    labels have the same future, so they are counted as one state."""
+    states = Counter({(0, tuple(range(h.num_vertices))): 1})
+    for e in range(h.num_edges):
+        t, w = h.edge_tail_vertex(e), h.edge_head_vertex(e)
+        step: Counter[tuple[int, tuple[int, ...]]] = Counter()
+        for (size, labels), n in states.items():
+            step[size, labels] += n
+            a, b = sorted((labels[t], labels[w]))
+            if a != b:
+                labels = tuple(a if x == b else x for x in labels)
+            step[size + 1, labels] += n
+        states = step
+    census: Counter[tuple[int, tuple[int, ...]]] = Counter()
+    for (size, labels), n in states.items():
+        census[size, tuple(sorted(Counter(labels).values()))] += n
+    return tuple((size, comps, n) for (size, comps), n in sorted(census.items()))
 
 
 def _orbit_index(orbits: Sequence[tuple[int, ...]], n: int) -> tuple[int, ...]:

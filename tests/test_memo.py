@@ -1,8 +1,10 @@
-"""The per-map memo: class masks, condition matrices, mod-k scans, and the
-forms and counts of the nowhere-zero DP are computed once per map, after
-the guards and the cross-checks, and handed out read-only.  The pair
-counters read g's own forbidden subcubes, so verify builds no surgered
-map and takes no canonical code beyond the one naming g in its report."""
+"""The per-map memo: class masks, condition matrices, mod-k scans, the
+forms and counts of the nowhere-zero DP and the subset census are
+computed once per map, after the guards and the cross-checks, and handed
+out read-only.  The dual of g.dual is g itself, so nothing is computed
+again on an equal copy of g.  The pair counters read g's own forbidden
+subcubes, so verify builds no surgered map and takes no canonical code
+beyond the one naming g in its report."""
 
 import pytest
 
@@ -86,8 +88,9 @@ def test_verify_computes_each_quantity_once(corpus, monkeypatch):
 
 
 def test_verify_builds_each_form_set_and_dp_count_once(corpus, monkeypatch):
-    forms, counts = [], []
+    forms, counts, walks = [], [], []
     real_forms, real_count = enumeration._forms, enumeration._nz_count
+    real_walk = ribbonmap._census_walk
 
     def build(h, flow):
         forms.append((h, flow))
@@ -97,12 +100,23 @@ def test_verify_builds_each_form_set_and_dp_count_once(corpus, monkeypatch):
         counts.append((h, k, flow))
         return real_count(h, k, flow)
 
+    def walk(h):
+        walks.append(h)
+        return real_walk(h)
+
     monkeypatch.setattr(enumeration, "_forms", build)
     monkeypatch.setattr(enumeration, "_nz_count", count)
+    monkeypatch.setattr(ribbonmap, "_census_walk", walk)
     for g in [fresh(h) for h in [*corpus, *ZOO]]:
         forms.clear()
         counts.clear()
+        walks.clear()
         cli._verify_graph(g, 3)
+        # all of it on g or g.dual, none on g.dual.dual built afresh
+        built = [h for h, _ in forms] + [h for h, _, _ in counts] + walks
+        assert all(h is g or h is g.dual for h in built)
+        # four polynomials and the cw formula: one census walk each of g and g*
+        assert sorted(map(id, walks)) == sorted([id(g), id(g.dual)])
         # the lists hold every map, so no id is reused meanwhile
         form_keys = [(id(h), flow) for h, flow in forms]
         assert len(set(form_keys)) == len(form_keys)

@@ -5,6 +5,7 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from surfgraph import (
     CorpusSpec,
@@ -48,6 +49,7 @@ from mapzoo import (
     abstract_map,
     directed_walk_tbo,
     fresh,
+    ribbon_maps,
 )
 
 # (ao, tco, bao, tbo) per zoo map; frozen by brute force over 2^E orientations
@@ -238,6 +240,17 @@ def test_engine_matches_the_predicates(corpus):
         assert tbo_histogram(g) == Counter(len(cw_faces(g, o)) for o in tbo)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ribbon_maps(max_edges=6))
+def test_random_maps_engine_matches_the_predicates(g):
+    # Disconnected maps and isolated vertices included: each class read on
+    # g or g* must keep exactly the orientations its predicate accepts.
+    for cls in _CLASSES:
+        pred = orientations._PREDICATES[cls]
+        want = [o.signs for o in all_orientations(g) if pred(g, o)]
+        assert [o.signs for o in enumerate_class(g, cls)] == want, cls
+
+
 @pytest.mark.parametrize(
     "route, cls",
     [
@@ -272,15 +285,16 @@ def test_class_scan_guard_refuses_before_any_route(monkeypatch):
         monkeypatch.setattr(
             orientations, route, lambda *a, _r=route, _f=real: calls.append(_r) or _f(*a)
         )
-    # A 20-edge cycle passes the 2^20 orientation guard; its 2^20 cut sides
-    # (TCO) and 20 x 20 peel steps per mask (AO), and the same counts read
-    # on its dual (BAO, TBO), do not pass the total-work guard.
+    # A 20-edge cycle passes the 2^20 orientation guard; its 2^20 - 2 cut
+    # sides (TCO) and 20 x 20 peel steps per mask (AO), and the same counts
+    # read on its dual (BAO, TBO, whose g* is the ring), do not pass the
+    # total-work guard.
     ring = abstract_map(20, [(i, (i + 1) % 20) for i in range(20)])
     assert ring.num_faces == 2
     cases = [
         (ring, OrientationClass.AO, 2 * 1 + 20 * 20),
         (ring, OrientationClass.TCO, 2**20 - 2 + 2 * 20 * 20),
-        (dual(ring), OrientationClass.BAO, 2**20 + 2 * 20 * 20),
+        (dual(ring), OrientationClass.BAO, 2**20 - 2 + 2 * 20 * 20),
         (dual(ring), OrientationClass.TBO, 2 * 1 + 20 * 20),
     ]
     for g, cls, per_mask in cases:
