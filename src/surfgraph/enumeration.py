@@ -53,9 +53,9 @@ from .guards import check_assignment_scan, check_box_join, check_pair_scan, chec
 from .orientations import (
     Orientation,
     OrientationClass,
-    _avoids,
     _class_cubes,
     _class_mask,
+    _cube,
     _subcube,
     coherent_cocycles,
     count_class,
@@ -567,6 +567,16 @@ def quasi_integral_flows(g: RibbonGraph, max_period: int = 6) -> QuasiPolynomial
 # of g that miss A, so no surgered map is built.
 
 
+def _avoids(masks: np.ndarray, cubes: np.ndarray) -> np.ndarray:
+    """True at every mask outside all the given subcubes (X, P)."""
+    import numpy as np
+
+    hit = np.zeros(masks.shape, dtype=bool)
+    for x, p in cubes:
+        hit |= (masks & x) == p
+    return ~hit
+
+
 def _pair_total(g: RibbonGraph, k: int, kind: str) -> int:
     import numpy as np
 
@@ -628,7 +638,7 @@ def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
         raise BadModulus(f"k must be a nonnegative integer, got {k!r}")
     width = g.num_edges
     check_assignment_scan(2 * k + 1, width)
-    bao = np.flatnonzero(_class_mask(g, CLASS_OF["local-tension"]))
+    bao = _class_mask(g, CLASS_OF["local-tension"])
     check_assignment_scan(3, width)  # the 3^E sign-pattern histogram
     vals = np.arange(-k, k + 1, dtype=np.int64)
     pattern = _signed_pattern_counts(local_tension_matrix(g), vals, width, None)
@@ -636,7 +646,7 @@ def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
     for code in np.flatnonzero(pattern).tolist():
         signs = [code // 3**e % 3 - 1 for e in range(width)]
         x, p = _subcube(width, [(e, s) for e, s in enumerate(signs) if s])
-        total += int(pattern[code]) * int(np.count_nonzero((bao & x) == p))
+        total += int(pattern[code]) * (bao & _cube(width, x, p)).bit_count()
     return total
 
 

@@ -13,11 +13,13 @@ dart to head dart) or -1 (reverse it).  The classes:
 
 Class counts and enumerations scan all 2^E orientations at once as sign
 masks r in [0, 2^E), in `all_orientations` order: edge 0 is the most
-significant bit, and a set bit means sign -1.  A coherent structure
+significant bit, and a set bit means sign -1.  A set of masks is one
+Python int whose bit r stands for mask r, so a scan is a few bitwise
+operations on 2^E-bit ints and loads no numpy.  A coherent structure
 whose edges must carry given signs forbids the subcube of masks with
 r & X == P, where X holds its edges and P those that must be -1.  Each
 class forbids coherent cycles or coherent cuts, of g or of g*
-(`_primitive`), and is computed by two routes over the whole mask array:
+(`_primitive`), and is computed by two routes over all the masks:
 
   class  forbidden subcubes (cycles both ways)     graph search
   AO     directed cycles of g                       Kahn peel on g
@@ -34,8 +36,8 @@ their own characterizations in plain Python (two each for TCO, BAO and
 TBO) and serve as oracles for the engine.  Whenever two routes are
 computed they are compared, and any disagreement raises; that
 cross-check is part of the contract, not a debugging aid.  A class mask
-that passed it is kept on the map, read-only, so each (map, class) is
-scanned once; the guards still run on every call.
+that passed it is kept on the map (an int, so read-only), and each
+(map, class) is scanned once; the guards still run on every call.
 """
 
 from __future__ import annotations
@@ -43,18 +45,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache, reduce
 from itertools import product
 from math import prod
-from typing import TYPE_CHECKING, Iterator, Sequence
+from operator import and_, or_
+from typing import Iterator, Sequence
 
 from . import ribbonmap
 from .errors import GraphMismatch
 from .guards import check_class_scan, check_orientation_scan
 from .polynomials import ipoly_add, ipoly_mul, ipoly_pow, ipoly_sub, ipoly_trim
 from .ribbonmap import RibbonGraph
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -338,12 +339,11 @@ def enumerate_class(
 
 def class_signs(g: RibbonGraph, cls: OrientationClass) -> list[tuple[int, ...]]:
     """The sign vectors of enumerate_class, without building Orientations."""
-    masks = _class_mask(g, cls).nonzero()[0].tolist()
-    return [_mask_signs(g.num_edges, r) for r in masks]
+    return [_mask_signs(g.num_edges, r) for r in _set_bits(_class_mask(g, cls))]
 
 
 def count_class(g: RibbonGraph, cls: OrientationClass) -> int:
-    return int(_class_mask(g, cls).sum())
+    return _class_mask(g, cls).bit_count()
 
 
 # -- the mask engine ---------------------------------------------------------
@@ -363,6 +363,44 @@ def _subcube(num_edges: int, required) -> tuple[int, int]:
 
 def _mask_signs(num_edges: int, r: int) -> tuple[int, ...]:
     return tuple(-1 if r >> (num_edges - 1 - e) & 1 else 1 for e in range(num_edges))
+
+
+def _full(num_edges: int) -> int:
+    """All 2^E sign masks."""
+    return (1 << (1 << num_edges)) - 1
+
+
+@lru_cache(maxsize=4)
+def _lanes(num_edges: int) -> tuple[tuple[int, int], ...]:
+    """Per edge e, (masks keeping its direction, masks running it head to
+    tail).  The second, rev[e], repeats 2^b zeros then 2^b ones through the
+    2^E bits, b = E - 1 - e; the first is its complement."""
+    size, full = 1 << num_edges, _full(num_edges)
+    out = []
+    for e in range(num_edges):
+        half = 1 << (num_edges - 1 - e)
+        rev, period = ((1 << half) - 1) << half, 2 * half
+        while period < size:
+            rev |= rev << period
+            period *= 2
+        out.append((full ^ rev, rev))
+    return tuple(out)
+
+
+def _cube(num_edges: int, x: int, p: int) -> int:
+    """The masks r with r & x == p."""
+    lanes = _lanes(num_edges)
+    out = _full(num_edges)
+    while x:
+        b = x.bit_length() - 1
+        out &= lanes[num_edges - 1 - b][p >> b & 1]
+        x ^= 1 << b
+    return out
+
+
+def _set_bits(m: int) -> list[int]:
+    """The positions of the set bits of m, ascending."""
+    return [r for r, c in enumerate(reversed(format(m, "b"))) if c == "1"]
 
 
 def _ends(h: RibbonGraph) -> list[tuple[int, int]]:
@@ -398,59 +436,55 @@ def _cut_cubes(h: RibbonGraph) -> Iterator[tuple[int, int]]:
             )
 
 
-def _avoids(masks, cubes) -> np.ndarray:
-    """True at every mask outside all the given subcubes."""
-    import numpy as np
-
-    hit = np.zeros(masks.shape, dtype=bool)
+def _avoids(num_edges: int, cubes) -> int:
+    """The masks outside all the given subcubes."""
+    hit = 0
     for x, p in cubes:
-        hit |= (masks & x) == p
-    return ~hit
+        hit |= _cube(num_edges, x, p)
+    return _full(num_edges) ^ hit
 
 
-def _peel(h: RibbonGraph, rev) -> np.ndarray:
+def _peel(h: RibbonGraph) -> int:
     """Kahn peel on h for every mask at once: repeatedly drop the vertices
-    no live edge enters; True where no vertex survives (no directed cycle).
-
-    rev[e] holds, per mask, whether edge e runs head to tail.
-    """
-    import numpy as np
-
-    alive = np.ones((h.num_vertices, rev.shape[1]), dtype=bool)
+    no live edge enters; the masks where no vertex survives (no directed
+    cycle)."""
+    full = _full(h.num_edges)
+    alive = [full] * h.num_vertices
     ends = _ends(h)
     while True:
-        entered = np.zeros_like(alive)
-        for (t, w), r in zip(ends, rev):
-            entered[w] |= alive[t] & ~r
-            entered[t] |= alive[w] & r
-        kept = alive & entered
-        if np.array_equal(kept, alive):
-            return ~alive.any(axis=0)
+        entered = [0] * h.num_vertices
+        for (t, w), (keep, rev) in zip(ends, _lanes(h.num_edges)):
+            entered[w] |= alive[t] & keep
+            entered[t] |= alive[w] & rev
+        kept = [a & n for a, n in zip(alive, entered)]
+        if kept == alive:
+            return full ^ reduce(or_, alive, 0)
         alive = kept
 
 
-def _reached(h: RibbonGraph, rev, forward: bool) -> np.ndarray:
-    """Per vertex and mask: reached from the least vertex of its component,
-    along (forward) or against the directed edges."""
-    import numpy as np
-
-    seen = np.zeros((h.num_vertices, rev.shape[1]), dtype=bool)
+def _reached(h: RibbonGraph, forward: bool) -> list[int]:
+    """Per vertex, the masks where it is reached from the least vertex of
+    its component, along (forward) or against the directed edges."""
+    full = _full(h.num_edges)
+    seen = [0] * h.num_vertices
     for comp in h.components:
-        seen[min(comp)] = True
+        seen[min(comp)] = full
     ends = _ends(h)
     while True:
-        before = seen.copy()
-        for (t, w), r in zip(ends, rev):
-            back = r if forward else ~r  # the search crosses from w to t
+        before = list(seen)
+        for (t, w), (keep, rev) in zip(ends, _lanes(h.num_edges)):
+            # back: the masks where the search crosses from w to t
+            back, ahead = (rev, keep) if forward else (keep, rev)
             seen[t] |= seen[w] & back
-            seen[w] |= seen[t] & ~back
-        if np.array_equal(before, seen):
+            seen[w] |= seen[t] & ahead
+        if seen == before:
             return seen
 
 
-def _strongly_connected(h: RibbonGraph, rev) -> np.ndarray:
-    """True where every component of h is strongly connected."""
-    return _reached(h, rev, True).all(axis=0) & _reached(h, rev, False).all(axis=0)
+def _strongly_connected(h: RibbonGraph) -> int:
+    """The masks where every component of h is strongly connected."""
+    both = _reached(h, True) + _reached(h, False)
+    return reduce(and_, both, _full(h.num_edges))
 
 
 def _cycle_bound(h: RibbonGraph) -> int:
@@ -500,41 +534,36 @@ def _class_cubes(g: RibbonGraph, cls: OrientationClass) -> Iterator[tuple[int, i
     return _both_ways(h) if cycles else _cut_cubes(h)
 
 
-def _agree(num_edges: int, a, b, what: str) -> None:
-    bad = (a != b).nonzero()[0]
-    if bad.size:
-        r = int(bad[0])
+def _agree(num_edges: int, a: int, b: int, what: str) -> None:
+    diff = a ^ b
+    if diff:
+        r = (diff & -diff).bit_length() - 1
         text = "".join("+" if s == 1 else "-" for s in _mask_signs(num_edges, r))
-        raise AssertionError(f"{what} disagree ({a[r]} vs {b[r]}) on {text}")
+        raise AssertionError(
+            f"{what} disagree ({bool(a >> r & 1)} vs {bool(b >> r & 1)}) on {text}"
+        )
 
 
-def _class_mask(g: RibbonGraph, cls: OrientationClass) -> np.ndarray:
-    """Read-only bool array over all 2^E sign masks: True where the
-    orientation is in cls.  Guarded on every call, scanned once per map."""
+def _class_mask(g: RibbonGraph, cls: OrientationClass) -> int:
+    """The sign masks of the orientations in cls, as the set bits of one
+    int.  Guarded on every call, scanned once per map."""
     e = g.num_edges
     check_orientation_scan(e)
     check_class_scan(e, _scan_cost(g, cls))
     return g._memoised(("class", cls), lambda: _scan_class(g, cls))
 
 
-def _scan_class(g: RibbonGraph, cls: OrientationClass) -> np.ndarray:
-    import numpy as np
-
+def _scan_class(g: RibbonGraph, cls: OrientationClass) -> int:
     e = g.num_edges
-    masks = np.arange(1 << e, dtype=np.int64)
-    rev = np.empty((e, masks.size), dtype=bool)
-    for i in range(e):
-        rev[i] = (masks & (1 << (e - 1 - i))) != 0
     h, cycles = _primitive(g, cls)
-    cubes = _avoids(masks, _class_cubes(g, cls))
-    search = _peel(h, rev) if cycles else _strongly_connected(h, rev)
+    cubes = _avoids(e, _class_cubes(g, cls))
+    search = _peel(h) if cycles else _strongly_connected(h)
     _agree(e, cubes, search, f"{cls.value}: forbidden subcubes and graph search")
     if cls is OrientationClass.TCO and e <= 5:
-        walks = np.array(
-            [_every_edge_on_directed_cycle(g, _mask_signs(e, r)) for r in range(masks.size)]
+        walks = sum(
+            1 << r for r in range(1 << e) if _every_edge_on_directed_cycle(g, _mask_signs(e, r))
         )
         _agree(e, cubes, walks, "tco: forbidden subcubes and directed cycles through every edge")
-    cubes.flags.writeable = False
     return cubes
 
 
@@ -570,29 +599,42 @@ def _cw_cubes(g: RibbonGraph) -> Iterator[tuple[int, int]]:
         yield _subcube(g.num_edges, [need[d] for d in orbit])
 
 
-def _tbo_cw(g: RibbonGraph) -> np.ndarray:
-    """Faces x totally bi-walkable orientations, in mask order: True where
-    the face is cw."""
-    import numpy as np
-
-    masks = np.flatnonzero(_class_mask(g, OrientationClass.TBO))
-    cw = np.zeros((g.num_faces, masks.size), dtype=bool)
-    for f, (x, p) in enumerate(_cw_cubes(g)):
-        cw[f] = (masks & x) == p
-    return cw
+def _tbo_cw(g: RibbonGraph) -> list[int]:
+    """Per face, the totally bi-walkable masks where it is cw."""
+    tbo = _class_mask(g, OrientationClass.TBO)
+    return [_cube(g.num_edges, x, p) & tbo for x, p in _cw_cubes(g)]
 
 
 def tbo_histogram(g: RibbonGraph) -> dict[int, int]:
     """Map j -> number of totally bi-walkable orientations with j cw-faces."""
-    import numpy as np
-
-    return {j: int(n) for j, n in enumerate(np.bincount(_tbo_cw(g).sum(axis=0))) if n}
+    tbo = _class_mask(g, OrientationClass.TBO)
+    # planes[i]: the masks whose cw-face count has bit i set; each face's
+    # masks are added by a ripple carry
+    planes = [0] * g.num_faces.bit_length()
+    for carry in _tbo_cw(g):
+        for i, plane in enumerate(planes):
+            if not carry:
+                break
+            planes[i], carry = plane ^ carry, plane & carry
+    hist = {}
+    for j in range(g.num_faces + 1):
+        masks = tbo
+        for i, plane in enumerate(planes):
+            masks &= plane if j >> i & 1 else tbo ^ plane
+        if masks:
+            hist[j] = masks.bit_count()
+    return hist
 
 
 def unique_cw_counts(g: RibbonGraph) -> list[int]:
     """Per face: the totally bi-walkable orientations whose only cw face it is."""
     cw = _tbo_cw(g)
-    return cw[:, cw.sum(axis=0) == 1].sum(axis=1).tolist()
+    ones = twos = 0  # the masks with at least one, at least two cw faces
+    for c in cw:
+        twos |= ones & c
+        ones |= c
+    once = ones & ~twos
+    return [(c & once).bit_count() for c in cw]
 
 
 def tbo_generating_polynomial(g: RibbonGraph) -> list[int]:

@@ -227,7 +227,9 @@ def test_cross_check_failure_exits_4(capsys, files, monkeypatch):
 
     real = orientations._strongly_connected
     monkeypatch.setattr(
-        orientations, "_strongly_connected", lambda h, rev: ~real(h, rev)
+        orientations,
+        "_strongly_connected",
+        lambda h: orientations._full(h.num_edges) ^ real(h),
     )
     code, out, err = run(capsys, ["count", "--class", "tco", files["torus"]])
     assert code == 4 and out == ""
@@ -280,3 +282,17 @@ def test_poly_past_four_edges_leaves_numpy_unloaded(tmp_path):
     assert [KITE.num_edges, TWO_COMPONENTS.num_edges] == [6, 5]
     assert _loaded_by_cli_import("numpy", *calls[0], *calls[1]) == "False"
     assert _loaded_by_cli_import("numpy", *calls[2]) == "True"
+
+
+def test_class_counts_and_cw_hist_leave_numpy_unloaded(tmp_path):
+    # Class masks are bits of one int; only verify's kernel scans load numpy.
+    calls = []
+    for name, g in (("triangle", TRIANGLE), ("kite", KITE), ("two", TWO_COMPONENTS)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(sg.dumps(g))
+        for cls in sg.OrientationClass:
+            calls.append(["count", "--class", cls.value, str(path), "--out", os.devnull])
+        calls.append(["cw-hist", str(path), "--out", os.devnull])
+    assert _loaded_by_cli_import("numpy", *calls) == "False"
+    verify = ["verify", str(tmp_path / "triangle.json"), "--kmax", "2", "--out", os.devnull]
+    assert _loaded_by_cli_import("numpy", verify) == "True"

@@ -236,8 +236,18 @@ def test_engine_matches_the_predicates(corpus):
             want = [o.signs for o in all_orientations(g) if pred(g, o)]
             assert [o.signs for o in enumerate_class(g, cls)] == want, cls
             assert count_class(g, cls) == len(want), cls
-        tbo = [o for o in all_orientations(g) if is_totally_biwalkable(g, o)]
-        assert tbo_histogram(g) == Counter(len(cw_faces(g, o)) for o in tbo)
+        _assert_cw_counts_match(g)
+
+
+def _assert_cw_counts_match(g):
+    # The cw-face histogram and the unique-cw counts, against cw_faces
+    # over the predicate's totally bi-walkable orientations.
+    tbo = [o for o in all_orientations(g) if is_totally_biwalkable(g, o)]
+    cws = [cw_faces(g, o) for o in tbo]
+    assert tbo_histogram(g) == Counter(len(faces) for faces in cws)
+    assert orientations.unique_cw_counts(g) == [
+        sum(faces == {f} for faces in cws) for f in range(g.num_faces)
+    ]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -249,6 +259,10 @@ def test_random_maps_engine_matches_the_predicates(g):
         pred = orientations._PREDICATES[cls]
         want = [o.signs for o in all_orientations(g) if pred(g, o)]
         assert [o.signs for o in enumerate_class(g, cls)] == want, cls
+    _assert_cw_counts_match(g)
+    if g.num_components > 1:
+        # each component has a cw face in every such orientation
+        assert orientations.unique_cw_counts(g) == [0] * g.num_faces
 
 
 @pytest.mark.parametrize(
@@ -264,9 +278,7 @@ def test_a_flipped_mask_fails_the_cross_check(route, cls, monkeypatch, tmp_path,
     real = getattr(orientations, route)
 
     def flipped(*args):
-        out = real(*args)
-        out[3] = not out[3]
-        return out
+        return real(*args) ^ (1 << 3)
 
     monkeypatch.setattr(orientations, route, flipped)
     with pytest.raises(AssertionError, match=r"on \+--$"):
