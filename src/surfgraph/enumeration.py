@@ -10,53 +10,48 @@ Four families of edge assignments, each defined by a linear condition:
 
 Nowhere-zero tensions and flows mod k are counted in pure Python by a
 DP over fundamental-cycle coordinates, _nz_count.  Every other count mod
-k, and every support or sign histogram, is brute force over assignment
-vectors: it reduces the int64 numpy blocks of one scan, _solutions.
-Local tensions and balanced flows keep that scan on their own matrices,
-so each duality check in verify compares two independent routes.  The
-nowhere-zero integer counts in a box |x(e)| < k come from _box_counts,
-a meet-in-the-middle join of two half-box scans that reads every k up to
-a bound at once.  Arithmetic is exact (residues mod k or bounded
-integers, never floats).  numpy is imported inside the functions that
-use it, so importing the package does not load it.
+k, and every support or sign histogram, reduces the int64 numpy blocks
+of one brute-force scan, _solutions; local tensions and balanced flows
+keep it, so each duality check in verify compares two routes.  Integer
+counts in a box |x(e)| < k come from _box_counts, a meet-in-the-middle
+join that reads every k up to a bound at once.  Arithmetic is exact, and
+numpy is imported inside the functions that use it.
 
-The four polynomials in k come from two subset sums over the 2^E edge
-subsets (Whitney, Tutte), read from the subset census of the map: local
-tension is flow on the dual, balanced flow is tension on the dual.
-Every condition matrix is an incidence matrix, hence totally
-unimodular, so the sums are exact; each result is still checked against
-the DP count on the same map at k = 2 and 3, so a polynomial on more
-than 4 edges loads no numpy.  Integral local tension counts get a
-quasipolynomial fit, one join per period tried; the integral pair
-counts keep the direct scan, so verify compares two independent routes.
+The four polynomials in k are two subset sums (Whitney, Tutte) over the
+subset census of g or g*, exact since every condition matrix is totally
+unimodular, and checked against the DP counts at k = 2 and 3.  The
+reciprocity pairs are one more polynomial per kind, from the components
+of every edge subset and the class of g surgered at each support that
+occurs, read on g's own forbidden subcubes; verify compares it with the
+signed polynomial at -k.  Integral local tension counts get a
+quasipolynomial fit; the integral pair counts keep the direct scan.
 
-Operations with a second independent characterization compute both and
-raise on disagreement, same contract as the orientation predicates.
-
-The condition matrices (read-only), the mod-k counts keyed by
-condition, k and nonzero, the DP's forms and counts, and the subset
-census are kept on the map (RibbonGraph._memo), so verify computes each
-once per map.  Guards run before every lookup; nothing is stored from a
-call that raised.  The pair counters build no surgered map: they read
-the class's forbidden subcubes on g itself.
+A quantity with a second independent characterization is computed both
+ways, and disagreement raises.  The condition matrices (read-only), the
+mod-k counts, the DP's forms and counts, the subset census and components
+and the pair polynomials are kept on the map (RibbonGraph._memo).  Guards
+run before every lookup; nothing is stored from a call that raised.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import sub
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from . import ribbonmap
 from .errors import BadModulus, NoFit, NotBoundaryAcyclic
-from .guards import check_assignment_scan, check_box_join, check_pair_scan, check_subset_poly
+from .guards import check_assignment_scan, check_box_join, check_pair_poly, check_subset_poly
 from .orientations import (
     Orientation,
     OrientationClass,
-    _class_cubes,
     _class_mask,
     _cube,
+    _primitive,
+    _scan_cost,
     _subcube,
+    _support_classes,
     coherent_cocycles,
     count_class,
     is_boundary_acyclic,
@@ -562,67 +557,72 @@ def quasi_integral_flows(g: RibbonGraph, max_period: int = 6) -> QuasiPolynomial
 
 # -- reciprocity pair counters -----------------------------------------------
 # A pair is a solution x and an orientation of g surgered at A = supp(x):
-# AO(g\A), TCO(g/A) abstractly, BAO(g//A) or TBO(g/A).  That class is the
-# sign vectors on the edges off A avoiding the class's forbidden subcubes
-# of g that miss A, so no surgered map is built.
+# AO(g\A), TCO(g/A) abstractly, BAO(g//A) or TBO(g/A).  Its class, cls(A),
+# is read on g's forbidden subcubes (orientations._support_classes), and
+# the class's primitive names the kind's side: tensions (cycle classes) or
+# flows (cut classes) of h = g or g*.  Of those, N_in(B) = k^(c(E-B) - c)
+# tensions or k^(|B| - V + c(B)) flows vanish off B, c(.) the components
+# of h (counted here, not read from the census), so by Moebius inversion
+#     pairs(k) = sum_B N_in(B)(k) sum_{A >= B} (-1)^|A-B| cls(A),
+# one superset transform (Bjorklund, Husfeldt, Kaski and Koivisto, STOC
+# 2007) of cls at the supports that occur.
 
 
-def _avoids(masks: np.ndarray, cubes: np.ndarray) -> np.ndarray:
-    """True at every mask outside all the given subcubes (X, P)."""
-    import numpy as np
-
-    hit = np.zeros(masks.shape, dtype=bool)
-    for x, p in cubes:
-        hit |= (masks & x) == p
-    return ~hit
-
-
-def _pair_total(g: RibbonGraph, k: int, kind: str) -> int:
-    import numpy as np
-
+def _pair_poly(g: RibbonGraph, kind: str) -> list[int]:
     cls = CLASS_OF[kind]
+    h, tension = _primitive(g, cls)
+    e, v, c = h.num_edges, h.num_vertices, h.num_components
+    comps = ribbonmap._subset_components(h)
+    full = (1 << e) - 1
+    bits = [1 << i for i in range(e)]
+    supports = [  # E-A closed for tensions, A bridgeless for flows
+        a
+        for a in range(full + 1)
+        if all(comps[full ^ a | b] < comps[full ^ a] if tension else comps[a ^ b] == comps[a]
+               for b in bits if a & b)
+    ]
+    m = [0] * (full + 1)
+    for a, n in zip(supports, _support_classes(g, cls, supports)):
+        m[a] = n
+    whole = count_class(g, cls)  # the zero vector's support, checked
+    if m[0] != whole:
+        raise AssertionError(f"{kind} pairs: {m[0]} at the empty support, class mask {whole}")
+    for b in bits:  # m[B] <- sum over A >= B of (-1)^|A-B| m[A], one edge at a time
+        for s in range(0, full + 1, 2 * b):
+            m[s : s + b] = map(sub, m[s : s + b], m[s + b : s + 2 * b])
+    coeffs = [0] * (max(v, e) + 1)
+    for b, n in enumerate(m):
+        if n:
+            coeffs[comps[full ^ b] - c if tension else b.bit_count() - v + comps[b]] += n
+    return ipoly_trim(coeffs)
+
+
+def _pairs(g: RibbonGraph, k: int, kind: str) -> int:
     _require_k(k)
-    e = g.num_edges
-    check_assignment_scan(k, e)
-    # The zero vector, always a solution, has empty support: counting its
-    # class first lets the class guard refuse before the 2^E histogram.
-    whole = count_class(g, cls)
-    cubes = np.array(list(_class_cubes(g, cls)), dtype=np.int64).reshape(-1, 2)
-    counts = _support_counts(_CONDITIONS[kind](g), _mod_values(k, False), e, k)
-    supports = np.flatnonzero(counts).tolist()
-    check_pair_scan(sum(1 << (e - a.bit_count()) for a in supports), len(cubes))
-    total = 0
-    for a in supports:
-        off = np.zeros(1, dtype=np.int64)  # the sign masks with no bit in a
-        for bit in (1 << i for i in range(e) if not a >> i & 1):
-            off = np.concatenate([off, off | bit])
-        n = int(_avoids(off, cubes[(cubes[:, 0] & a) == 0]).sum())
-        if a == 0 and n != whole:
-            raise AssertionError(f"{kind} pairs: {n} at the empty support, class mask {whole}")
-        total += int(counts[a]) * n
-    return total
+    check_pair_poly(g.num_edges, _scan_cost(g, CLASS_OF[kind]))
+    return poly_eval(g._memoised(("pairs", kind), lambda: tuple(_pair_poly(g, kind))), k)
 
 
 def reciprocity_pairs_tension(g: RibbonGraph, k: int) -> int:
     """Pairs (tension t, acyclic orientation of g with supp(t) deleted)."""
-    return _pair_total(g, k, "tension")
+    return _pairs(g, k, "tension")
 
 
 def reciprocity_pairs_flow(g: RibbonGraph, k: int) -> int:
     """Pairs (flow f, totally cyclic orientation of g with supp(f) contracted abstractly)."""
-    return _pair_total(g, k, "flow")
+    return _pairs(g, k, "flow")
 
 
 def reciprocity_pairs_local_tension(g: RibbonGraph, k: int) -> int:
     """Pairs (local tension t, boundary acyclic orientation after the
     coloop-aware removal of supp(t))."""
-    return _pair_total(g, k, "local-tension")
+    return _pairs(g, k, "local-tension")
 
 
 def reciprocity_pairs_balanced_flow(g: RibbonGraph, k: int) -> int:
     """Pairs (balanced flow f, totally bi-walkable orientation of g with
     supp(f) contracted as a ribbon graph)."""
-    return _pair_total(g, k, "balanced-flow")
+    return _pairs(g, k, "balanced-flow")
 
 
 def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
@@ -638,8 +638,8 @@ def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
         raise BadModulus(f"k must be a nonnegative integer, got {k!r}")
     width = g.num_edges
     check_assignment_scan(2 * k + 1, width)
-    bao = _class_mask(g, CLASS_OF["local-tension"])
     check_assignment_scan(3, width)  # the 3^E sign-pattern histogram
+    bao = _class_mask(g, CLASS_OF["local-tension"])
     vals = np.arange(-k, k + 1, dtype=np.int64)
     pattern = _signed_pattern_counts(local_tension_matrix(g), vals, width, None)
     total = 0

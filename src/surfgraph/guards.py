@@ -17,8 +17,9 @@ from .errors import TooLarge
 MAX_SCAN_EDGES = 20
 
 # Total assignments evaluated in one polynomial count, total mask tests
-# (masks times patterns and search steps) in one class scan, and total
-# rotation systems in one labelled map scan.
+# (masks times patterns and search steps) in one class scan, total steps
+# of one reciprocity pair polynomial, and total rotation systems in one
+# labelled map scan.
 MAX_ASSIGNMENTS = 10**8
 
 # Edges for the connected census by edge extension.
@@ -59,14 +60,19 @@ def check_class_scan(num_edges: int, per_mask: int) -> None:
     )
 
 
-def check_pair_scan(sign_vectors: int, patterns: int) -> None:
-    """Refuse a reciprocity pair count whose sign vectors off the occurring
-    supports, each listed once and tested once per pattern, are too many."""
-    work = sign_vectors * (1 + patterns)
+def check_pair_poly(num_edges: int, per_support: int) -> None:
+    """Refuse a reciprocity pair polynomial whose whole work, estimated from
+    sizes alone, is too large: each of the 2^E edge subsets takes about 3E
+    steps of subset walks (components, support test, Moebius transform)
+    and, as a possible support, a class count charged per_support steps,
+    the patterns and search steps of one class scan."""
+    check_orientation_scan(num_edges)
+    work = (3 * num_edges + per_support) << num_edges
     _refuse(
         work,
-        f"reciprocity pair count of {sign_vectors} sign vectors off the supports "
-        f"against {patterns} patterns each, about {work} tests,",
+        f"reciprocity pair polynomial over 2^{num_edges} edge subsets, each "
+        f"{3 * num_edges} walk steps and up to {per_support} class-count steps, "
+        f"about {work} steps,",
     )
 
 

@@ -27,9 +27,9 @@ class forbids coherent cycles or coherent cuts, of g or of g*
   BAO    coherent cut sides of g* (face sets of g)  reachability on g*
   TBO    directed cycles of g* (cocycles of g)      Kahn peel on g*
 
-The reciprocity pair counters in `enumeration` read the same subcubes:
-those that miss an edge set A, tested on the masks with no bit in A,
-give the class of g surgered at A.  TCO on at most 5 edges also
+The reciprocity pair counters in `enumeration` read the same subcubes
+(`_support_classes`): those that miss an edge set A give the class of g
+surgered at A, on the sign vectors off A.  TCO on at most 5 edges also
 evaluates its definitional reading (every edge lies on a directed
 cycle) as a third route.  The per-orientation predicates `is_*` compute
 their own characterizations in plain Python (two each for TCO, BAO and
@@ -523,7 +523,7 @@ def _scan_cost(g: RibbonGraph, cls: OrientationClass) -> int:
     """
     h, cycles = _primitive(g, cls)
     v, e = h.num_vertices, h.num_edges
-    if cycles:
+    if cycles:  # the bound is kept on h: every guarded call asks for it
         return 2 * _cycle_bound(h) + v * e
     return sum(2 ** len(comp) - 2 for comp in h.components) + 2 * v * e
 
@@ -532,6 +532,25 @@ def _class_cubes(g: RibbonGraph, cls: OrientationClass) -> Iterator[tuple[int, i
     """The forbidden subcubes of one class."""
     h, cycles = _primitive(g, cls)
     return _both_ways(h) if cycles else _cut_cubes(h)
+
+
+def _support_classes(g: RibbonGraph, cls: OrientationClass, supports: Sequence[int]) -> list[int]:
+    """Per edge set A in supports, the class of g surgered at A: the sign
+    vectors on the edges off A that avoid the forbidden subcubes missing A."""
+    e = g.num_edges
+    cubes: dict[int, int] = {}  # the masks in the subcubes on each edge set X
+    for x, p in _class_cubes(g, cls):
+        cubes[x] = cubes.get(x, 0) | _cube(e, x, p)
+    out = []
+    for a in supports:
+        hit = 0
+        for x, masks in cubes.items():
+            if not x & a:
+                hit |= masks
+        # no subcube counted reads a bit in A, so each vector off A is
+        # counted once per sign pattern on A
+        out.append(((1 << e) - hit.bit_count()) >> a.bit_count())
+    return out
 
 
 def _agree(num_edges: int, a: int, b: int, what: str) -> None:

@@ -76,10 +76,10 @@ class RibbonGraph:
 
     Besides the cached properties below, the counting layers keep their
     per-map results in `_memo` through `_memoised`: class masks,
-    condition matrices, mod-k scans, DP forms and counts, and the subset
-    census.  They die with the map.  Each caller runs its guards before
-    the lookup and stores a value only once its cross-checks passed; the
-    stored values are read-only.
+    condition matrices, mod-k scans, DP forms and counts, the subset
+    census and components, and pair polynomials.  They die with the map.
+    Each caller runs its guards before the lookup and stores a value only
+    once its cross-checks passed; the stored values are read-only.
     """
 
     sigma: tuple[int, ...]
@@ -365,6 +365,32 @@ def _census_walk(h: RibbonGraph) -> tuple[tuple[int, tuple[int, ...], int], ...]
     for (size, labels), n in states.items():
         census[size, tuple(sorted(Counter(labels).values()))] += n
     return tuple((size, comps, n) for (size, comps), n in sorted(census.items()))
+
+
+def _subset_components(h: RibbonGraph) -> tuple[int, ...]:
+    """c(B), the components of (V, B), for every edge subset B of h, edge e
+    at bit E-1-e; walked once per map."""
+    return h._memoised(("subset components",), lambda: _components_walk(h))
+
+
+def _components_walk(h: RibbonGraph) -> tuple[int, ...]:
+    """Skip, then take, each edge in turn, depth first, carrying each
+    vertex's component label: the subsets come out in ascending order."""
+    ends = [(h.edge_tail_vertex(e), h.edge_head_vertex(e)) for e in range(h.num_edges)]
+    out: list[int] = []
+
+    def walk(e: int, labels: tuple[int, ...], n: int) -> None:
+        if e == len(ends):
+            out.append(n)
+            return
+        walk(e + 1, labels, n)
+        a, b = labels[ends[e][0]], labels[ends[e][1]]
+        if a != b:
+            labels, n = tuple(a if x == b else x for x in labels), n - 1
+        walk(e + 1, labels, n)
+
+    walk(0, tuple(range(h.num_vertices)), h.num_vertices)
+    return tuple(out)
 
 
 def _orbit_index(orbits: Sequence[tuple[int, ...]], n: int) -> tuple[int, ...]:

@@ -109,6 +109,17 @@ def test_reciprocity(capsys, files):
     assert doc["pair_count"] == 3 and doc["match"] is True
 
 
+def test_reciprocity_past_the_assignment_guard(capsys, files):
+    # 50^6 assignments on the kite pass 10^8, but the pairs are read off one
+    # polynomial per kind, with no scan at k = 50
+    for kind in ("tension", "flow", "local-tension", "balanced-flow"):
+        code, out, _ = run(
+            capsys, ["reciprocity", "--kind", kind, "--k", "50", files["kite"]]
+        )
+        assert code == 0, kind
+        assert json.loads(out)["match"] is True, kind
+
+
 def test_witness(capsys, files):
     code, out, _ = run(capsys, ["witness", files["triangle"], "++-"])
     assert code == 0

@@ -288,13 +288,16 @@ def test_reciprocity_values():
     assert sg.reciprocity_pairs_flow(TRIANGLE, 2) == 3
 
 
+# (-1)^SIGN_EXP[kind](euler) * P(-k) counts the reciprocity pairs
+SIGN_EXP = {
+    "tension": lambda d: d.v_count - d.c,
+    "flow": lambda d: d.e_count - d.v_count + d.c,
+    "local-tension": lambda d: d.e_count - d.f_count + d.c,
+    "balanced-flow": lambda d: d.f_count - d.c,
+}
+
+
 def test_signed_reciprocity_on_zoo():
-    sign_exp = {
-        "tension": lambda d: d.v_count - d.c,
-        "flow": lambda d: d.e_count - d.v_count + d.c,
-        "local-tension": lambda d: d.e_count - d.f_count + d.c,
-        "balanced-flow": lambda d: d.f_count - d.c,
-    }
     pair_fn = {
         "tension": sg.reciprocity_pairs_tension,
         "flow": sg.reciprocity_pairs_flow,
@@ -305,9 +308,9 @@ def test_signed_reciprocity_on_zoo():
         if g.num_edges > 4:
             continue
         d = g.euler
-        for kind in sign_exp:
+        for kind in SIGN_EXP:
             coeffs = _POLY_FN[kind](g)
-            sign = (-1) ** sign_exp[kind](d)
+            sign = (-1) ** SIGN_EXP[kind](d)
             for k in range(1, 4):
                 assert sign * poly_eval(coeffs, -k) == pair_fn[kind](g, k), (
                     name,
@@ -380,34 +383,44 @@ def test_interpolate_round_trip():
 # -- the assignment scan ------------------------------------------------------------
 
 
-def test_pair_counters_refuse_before_the_support_histogram(monkeypatch):
-    # k^E is 1 at k = 1, but the class count of the empty support is
-    # refused at 21 edges; no 2^21 histogram may be built before that
+def _spy_first_step(monkeypatch) -> list:
+    """Record every call of the pair route's first step, the component
+    count of every edge subset."""
+    from surfgraph import ribbonmap
+
     calls = []
-    real = enumeration._support_counts
+    real = ribbonmap._subset_components
+    monkeypatch.setattr(ribbonmap, "_subset_components", lambda h: calls.append(h) or real(h))
+    return calls
 
-    def spy(*args):
-        calls.append(args[2])
-        return real(*args)
 
-    monkeypatch.setattr(enumeration, "_support_counts", spy)
+def test_pair_counters_refuse_before_the_support_histogram(monkeypatch):
+    # The pair polynomial reads no k^E histogram; a 21-edge bouquet is
+    # refused at any k by its 2^21 sign masks, before the route's first step
+    calls = _spy_first_step(monkeypatch)
     g = _bouquet(21)
     for kind, pairs in enumeration.PAIRS.items():
-        with pytest.raises(TooLarge):
+        with pytest.raises(TooLarge, match=r"2\^21 vectors"):
             pairs(g, 1)
         assert calls == [], kind
 
 
 def test_pair_guard_refuses_before_any_pattern_count(monkeypatch):
-    # Every vector on a 17-loop bouquet is a flow, and it has no cut: at
-    # k = 2 the sign vectors off the 2^17 supports number 3^17, which
-    # passes 10^8 with no pattern to test at all
-    calls = []
-    real = enumeration._avoids
-    monkeypatch.setattr(enumeration, "_avoids", lambda *a: calls.append(a) or real(*a))
-    with pytest.raises(TooLarge, match=f"about {3**17} tests"):
-        enumeration.reciprocity_pairs_flow(_bouquet(17), 2)
+    # The dual of the planar 17-loop bouquet is a tree on 18 vertices: BAO
+    # forbids its 2^18 - 2 cut sides, and reachability takes 2 V E steps.
+    # The guard charges each of the 2^17 edge subsets 3E walk steps and
+    # those class-count steps, and refuses before the route's first step.
+    calls = _spy_first_step(monkeypatch)
+    g = _bouquet(17)
+    work = (3 * 17 + 2**18 - 2 + 2 * 18 * 17) << 17
+    with pytest.raises(TooLarge, match=f"about {work} steps"):
+        enumeration.reciprocity_pairs_local_tension(g, 2)
     assert calls == []
+    # Flows on the same bouquet, once refused for their 3^17 sign vectors
+    # off the supports, are answered: every vector is a flow, and every
+    # loop left is a directed cycle either way, so the pairs are (k + 1)^E
+    assert enumeration.reciprocity_pairs_flow(g, 2) == 3**17
+    assert len(calls) == 1
 
 
 def test_pair_counters_check_the_empty_support_against_the_class_mask(monkeypatch):
@@ -438,6 +451,24 @@ def test_random_maps_verify_and_match_the_surgery_route(g):
         assert [pairs(g, 2)] == surgery_pairs(g, kind, (2,)), kind
 
 
+def _assert_pair_polys_are_the_signed_polys(g):
+    for kind, sign_exp in SIGN_EXP.items():
+        sign = (-1) ** sign_exp(g.euler)
+        signed = [sign * (-1) ** i * c for i, c in enumerate(_POLY_FN[kind](g))]
+        assert enumeration._pair_poly(g, kind) == signed, (kind, g)
+
+
+def test_pair_polynomials_are_the_signed_polynomials(corpus):
+    for g in [*corpus, *PAIR_ZOO]:
+        _assert_pair_polys_are_the_signed_polys(g)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ribbon_maps(max_edges=6))
+def test_random_maps_pair_polynomials_are_the_signed_polynomials(g):
+    _assert_pair_polys_are_the_signed_polys(g)
+
+
 def test_integral_pairs_refuse_before_the_sign_histogram(monkeypatch):
     # at k = 0 the scan is 1^E, but the BAO class scan of a 13-edge
     # bouquet is refused; no 3^13 histogram may be built before that
@@ -451,6 +482,21 @@ def test_integral_pairs_refuse_before_the_sign_histogram(monkeypatch):
     monkeypatch.setattr(enumeration, "_signed_pattern_counts", spy)
     with pytest.raises(TooLarge):
         sg.integral_local_tension_reciprocity_pairs(_bouquet(13), 0)
+    assert calls == []
+
+
+def test_integral_pairs_refuse_before_the_class_scan(monkeypatch):
+    # at k = 0 the value box is 1^E, but the 3^17 sign-pattern histogram of
+    # a 17-edge path is refused; the BAO scan it reads may not run first
+    from surfgraph import orientations
+
+    calls = []
+    real = orientations._scan_class
+    monkeypatch.setattr(orientations, "_scan_class", lambda g, c: calls.append(c) or real(g, c))
+    inner = [(2 * j - 1, 2 * j) for j in range(1, 17)]
+    path = build(34, [(0,), *inner, (33,)], [(2 * i, 2 * i + 1) for i in range(17)])
+    with pytest.raises(TooLarge, match=r"3\^17"):
+        sg.integral_local_tension_reciprocity_pairs(path, 0)
     assert calls == []
 
 
