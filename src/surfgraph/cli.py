@@ -5,6 +5,15 @@ codes: 0 success, 2 parse or validation failure, 3 enumeration guard
 exceeded (lift with SURFGRAPH_GUARD_OVERRIDE=1), 4 a verified identity
 failed in `verify` or `batch`, or an internal cross-check between two
 routes to the same quantity disagreed (one `error:` line on stderr).
+
+A call pays interpreter start-up and imports on every run, against a
+few milliseconds of work for most commands.  So this module imports
+only `ribbonmap` and `errors` at the top, and each command imports the
+modules it runs: `count` loads `orientations` alone, `cw-hist` adds
+`polynomials`, the assignment commands `enumeration`, and the corpus
+commands `generator`.  The parser is built on every call and imports
+none of them; its `--kind` and `--class` choices are literals, which
+the tests pin to `enumeration.KINDS` and `OrientationClass`.
 """
 
 from __future__ import annotations
@@ -14,13 +23,14 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import enumeration as en
-from . import generator, orientations, ribbonmap
+from . import ribbonmap
 from .errors import SurfGraphError, TooLarge
-from .orientations import OrientationClass
-from .polynomials import poly_eval
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 
 def _load_graph(path: str | None) -> ribbonmap.RibbonGraph:
     if path is None or path == "-":
@@ -87,8 +97,10 @@ def cmd_dual(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from . import orientations
+
     g = _load_graph(args.map)
-    cls = OrientationClass(args.cls)
+    cls = orientations.OrientationClass(args.cls)
     n = orientations.count_class(g, cls)
     _emit({"class": cls.value, "count": n}, args.out)
     _say(f"{cls.value}: {n}")
@@ -96,6 +108,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_poly(args) -> int:
+    from . import enumeration as en
+
     g = _load_graph(args.map)
     coeffs = en.POLY[args.kind](g)
     _emit({"kind": args.kind, "coefficients": coeffs}, args.out)
@@ -104,6 +118,8 @@ def cmd_poly(args) -> int:
 
 
 def cmd_integral(args) -> int:
+    from . import enumeration as en
+
     g = _load_graph(args.map)
     if args.kind == "local-tension":
         n = en.count_integral_local_tensions(g, args.k)
@@ -119,6 +135,9 @@ def cmd_integral(args) -> int:
 
 
 def cmd_reciprocity(args) -> int:
+    from . import enumeration as en
+    from .polynomials import poly_eval
+
     g = _load_graph(args.map)
     pairs = en.PAIRS[args.kind](g, args.k)
     coeffs = en.POLY[args.kind](g)
@@ -140,6 +159,9 @@ def cmd_reciprocity(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from . import enumeration as en
+    from . import orientations
+
     g = _load_graph(args.map)
     o = orientations.orientation_from_string(g, args.orientation)
     vec = en.bao_witness_vector(g, o)
@@ -149,6 +171,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_cw_hist(args) -> int:
+    from . import orientations
+
     g = _load_graph(args.map)
     hist = orientations.tbo_histogram(g)
     formula = orientations.tbo_generating_poly_formula(g)
@@ -168,6 +192,8 @@ def cmd_cw_hist(args) -> int:
 
 def _corpus(args) -> list[ribbonmap.RibbonGraph]:
     """The generated maps; their count and generation time go to stderr."""
+    from . import generator
+
     spec = generator.CorpusSpec(
         edges=args.edges,
         genus=args.genus,
@@ -182,6 +208,8 @@ def _corpus(args) -> list[ribbonmap.RibbonGraph]:
 
 
 def cmd_generate(args) -> int:
+    from . import generator
+
     maps = _corpus(args)
     lines = [json.dumps(ribbonmap.to_json_dict(g)) for g in maps]
     if args.out:
@@ -201,6 +229,10 @@ def cmd_generate(args) -> int:
 
 def _verify_graph(g: ribbonmap.RibbonGraph, kmax: int) -> dict:
     """Check every identity on one graph; report both sides of each."""
+    from . import enumeration as en
+    from . import orientations
+    from .polynomials import poly_eval
+
     t0 = time.perf_counter()
     gd = ribbonmap.dual(g)
     d = g.euler
@@ -261,7 +293,7 @@ def _verify_graph(g: ribbonmap.RibbonGraph, kmax: int) -> dict:
     check(
         "|dual tension polynomial at -1| counts totally bi-walkable orientations",
         abs(poly_eval(dual_tension, -1)),
-        orientations.count_class(g, OrientationClass.TBO),
+        orientations.count_class(g, orientations.OrientationClass.TBO),
     )
 
     # The dual of a TBO is acyclic, so each component of g* has a sink, a
@@ -371,6 +403,11 @@ def cmd_batch(args) -> int:
 
 # -- argument parsing ---------------------------------------------------------
 
+# enumeration.KINDS and the OrientationClass values, spelled out so that
+# building the parser imports neither module.
+_KINDS = ("tension", "flow", "local-tension", "balanced-flow")
+_CLASSES = ("ao", "tco", "bao", "tbo")
+
 
 def _positive_int(text: str) -> int:
     try:
@@ -416,12 +453,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("count", cmd_count, help="count an orientation class")
     add_map(p)
-    p.add_argument("--class", dest="cls", required=True,
-                   choices=[c.value for c in OrientationClass])
+    p.add_argument("--class", dest="cls", required=True, choices=_CLASSES)
 
     p = add("poly", cmd_poly, help="recover a counting polynomial")
     add_map(p)
-    p.add_argument("--kind", required=True, choices=en.KINDS)
+    p.add_argument("--kind", required=True, choices=_KINDS)
 
     p = add("integral", cmd_integral, help="count bounded integer assignments")
     add_map(p)
@@ -430,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("reciprocity", cmd_reciprocity, help="pair count vs signed polynomial")
     add_map(p)
-    p.add_argument("--kind", required=True, choices=en.KINDS)
+    p.add_argument("--kind", required=True, choices=_KINDS)
     p.add_argument("--k", type=int, required=True)
 
     p = add("verify", cmd_verify, help="check every identity on one map")

@@ -23,33 +23,36 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import SurfGraphError
 from .guards import check_generator_size, check_rotation_scan
+from .records import Record
 from .ribbonmap import RibbonGraph, build
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(Record):
     """Selection predicate for the generated stream.
 
     planar=True keeps genus 0, planar=False keeps positive genus,
     None ignores the surface either way.
     """
 
-    edges: int
-    genus: int | None = None
-    planar: bool | None = None
-    connected: bool = True
-    dedupe: bool = True
+    _fields = ("edges", "genus", "planar", "connected", "dedupe")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.edges, int) or self.edges < 0:
-            raise SurfGraphError(f"edge count must be a nonnegative integer, got {self.edges!r}")
-        if self.genus is not None and (not isinstance(self.genus, int) or self.genus < 0):
-            raise SurfGraphError(f"genus must be a nonnegative integer or None, got {self.genus!r}")
+    def __init__(
+        self,
+        edges: int,
+        genus: int | None = None,
+        planar: bool | None = None,
+        connected: bool = True,
+        dedupe: bool = True,
+    ):
+        if not isinstance(edges, int) or edges < 0:
+            raise SurfGraphError(f"edge count must be a nonnegative integer, got {edges!r}")
+        if genus is not None and (not isinstance(genus, int) or genus < 0):
+            raise SurfGraphError(f"genus must be a nonnegative integer or None, got {genus!r}")
+        self._set(edges=edges, genus=genus, planar=planar, connected=connected, dedupe=dedupe)
 
 
 def _admit(spec: CorpusSpec, g: RibbonGraph) -> bool:

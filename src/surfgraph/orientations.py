@@ -36,14 +36,14 @@ their own characterizations in plain Python (two each for TCO, BAO and
 TBO) and serve as oracles for the engine.  Whenever two routes are
 computed they are compared, and any disagreement raises; that
 cross-check is part of the contract, not a debugging aid.  A class mask
-that passed it is kept on the map (an int, so read-only), and each
-(map, class) is scanned once; the guards still run on every call.
+that passed it is kept on the map (an int, so read-only), with the cost
+estimate its guard reads, and each (map, class) is scanned and priced
+once; the guards still run on every call.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
 from itertools import product
@@ -54,22 +54,19 @@ from typing import Iterator, Sequence
 from . import ribbonmap
 from .errors import GraphMismatch
 from .guards import check_class_scan, check_orientation_scan
-from .polynomials import ipoly_add, ipoly_mul, ipoly_pow, ipoly_sub, ipoly_trim
+from .records import Record
 from .ribbonmap import RibbonGraph
 
 
-@dataclass(frozen=True)
-class Orientation:
-    graph: RibbonGraph
-    signs: tuple[int, ...]
+class Orientation(Record):
+    _fields = ("graph", "signs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "signs", tuple(int(s) for s in self.signs))
-        if len(self.signs) != self.graph.num_edges:
-            raise GraphMismatch(
-                f"{len(self.signs)} signs for {self.graph.num_edges} edges"
-            )
-        if any(s not in (1, -1) for s in self.signs):
+    def __init__(self, graph: RibbonGraph, signs: tuple[int, ...]):
+        signs = tuple(int(s) for s in signs)
+        self._set(graph=graph, signs=signs)
+        if len(signs) != graph.num_edges:
+            raise GraphMismatch(f"{len(signs)} signs for {graph.num_edges} edges")
+        if any(s not in (1, -1) for s in signs):
             raise GraphMismatch("orientation signs must be +1 or -1")
 
     def reverse(self) -> "Orientation":
@@ -112,11 +109,7 @@ def _check(g: RibbonGraph, o: Orientation) -> None:
 
 
 def _directed_pairs(g: RibbonGraph, signs: Sequence[int]) -> list[tuple[int, int]]:
-    out = []
-    for e, (t, h) in enumerate(g.edge_pairs):
-        u, w = g.vertex_of_dart(t), g.vertex_of_dart(h)
-        out.append((u, w) if signs[e] == 1 else (w, u))
-    return out
+    return [(u, w) if s == 1 else (w, u) for (u, w), s in zip(g._edge_ends, signs)]
 
 
 def is_acyclic(g: RibbonGraph, o: Orientation) -> bool:
@@ -403,10 +396,6 @@ def _set_bits(m: int) -> list[int]:
     return [r for r, c in enumerate(reversed(format(m, "b"))) if c == "1"]
 
 
-def _ends(h: RibbonGraph) -> list[tuple[int, int]]:
-    return [(h.edge_tail_vertex(e), h.edge_head_vertex(e)) for e in range(h.num_edges)]
-
-
 def _both_ways(h: RibbonGraph) -> Iterator[tuple[int, int]]:
     """Each cycle of h is coherent when every edge carries its direction,
     or every edge the opposite one."""
@@ -421,7 +410,7 @@ def _cut_cubes(h: RibbonGraph) -> Iterator[tuple[int, int]]:
     of h; a cut coherent into S is caught by the complement of S.  A union
     of sides across components forbids nothing more: its subcube lies in
     each part's, and its edges miss a set A only when each part's do."""
-    ends = _ends(h)
+    ends = h._edge_ends
     for comp in h.components:
         verts = sorted(comp)
         for bits in range(1, (1 << len(verts)) - 1):
@@ -450,7 +439,7 @@ def _peel(h: RibbonGraph) -> int:
     cycle)."""
     full = _full(h.num_edges)
     alive = [full] * h.num_vertices
-    ends = _ends(h)
+    ends = h._edge_ends
     while True:
         entered = [0] * h.num_vertices
         for (t, w), (keep, rev) in zip(ends, _lanes(h.num_edges)):
@@ -469,7 +458,7 @@ def _reached(h: RibbonGraph, forward: bool) -> list[int]:
     seen = [0] * h.num_vertices
     for comp in h.components:
         seen[min(comp)] = full
-    ends = _ends(h)
+    ends = h._edge_ends
     while True:
         before = list(seen)
         for (t, w), (keep, rev) in zip(ends, _lanes(h.num_edges)):
@@ -497,7 +486,7 @@ def _cycle_bound(h: RibbonGraph) -> int:
     """
     loops = 0
     mult: Counter[tuple[int, int]] = Counter()
-    for t, w in _ends(h):
+    for t, w in h._edge_ends:
         if t == w:
             loops += 1
         else:
@@ -516,14 +505,17 @@ def _primitive(g: RibbonGraph, cls: OrientationClass) -> tuple[RibbonGraph, bool
 
 
 def _scan_cost(g: RibbonGraph, cls: OrientationClass) -> int:
-    """Subcube patterns plus search steps per mask of both routes, from sizes.
+    """Subcube patterns plus search steps per mask of both routes, from
+    sizes; kept on the map, since every guarded call asks for it."""
+    return g._memoised(("scan cost", cls), lambda: _estimate_scan_cost(g, cls))
 
-    Each cycle gives two patterns, each cut side one; a search makes at
-    most V rounds over the E edges, and reachability runs both ways.
-    """
+
+def _estimate_scan_cost(g: RibbonGraph, cls: OrientationClass) -> int:
+    """Each cycle gives two patterns, each cut side one; a search makes at
+    most V rounds over the E edges, and reachability runs both ways."""
     h, cycles = _primitive(g, cls)
     v, e = h.num_vertices, h.num_edges
-    if cycles:  # the bound is kept on h: every guarded call asks for it
+    if cycles:
         return 2 * _cycle_bound(h) + v * e
     return sum(2 ** len(comp) - 2 for comp in h.components) + 2 * v * e
 
@@ -658,6 +650,8 @@ def unique_cw_counts(g: RibbonGraph) -> list[int]:
 
 def tbo_generating_polynomial(g: RibbonGraph) -> list[int]:
     """The histogram as ascending coefficients in q."""
+    from .polynomials import ipoly_trim
+
     hist = tbo_histogram(g)
     out = [0] * (max(hist) + 1 if hist else 1)
     for j, n in hist.items():
@@ -672,6 +666,9 @@ def tbo_generating_poly_formula(g: RibbonGraph) -> list[int]:
     (-1)^(|S| - |V*| + c(S)) and each component C of the spanning subgraph
     (V*, S) contributes a factor 1 - (1-q)^|V(C)|, one term per census key.
     """
+    # Imported here, so that a class count never loads polynomials.
+    from .polynomials import ipoly_add, ipoly_mul, ipoly_pow, ipoly_sub, ipoly_trim
+
     h = g.dual
     check_orientation_scan(h.num_edges)
     n = h.num_vertices

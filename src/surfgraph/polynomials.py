@@ -8,11 +8,11 @@ residue class of the argument mod p, with rational coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import NoFit, NonIntegerCoefficients
+from .records import Record
 
 Coeffs = list[Fraction]
 Num = int | Fraction
@@ -103,8 +103,7 @@ def as_int_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
+class QuasiPolynomial(Record):
     """Period p and one ascending coefficient list per residue class.
 
     evaluate(n) uses constituents[n % period]; Python's % keeps the
@@ -112,11 +111,11 @@ class QuasiPolynomial:
     -k pick the class of -k mod p.
     """
 
-    period: int
-    constituents: tuple[tuple[Fraction, ...], ...]
+    _fields = ("period", "constituents")
 
-    def __post_init__(self):
-        if self.period < 1 or len(self.constituents) != self.period:
+    def __init__(self, period: int, constituents: tuple[tuple[Fraction, ...], ...]):
+        self._set(period=period, constituents=constituents)
+        if period < 1 or len(constituents) != period:
             raise ValueError("need exactly `period` constituents")
 
     def evaluate(self, n: int) -> Fraction:

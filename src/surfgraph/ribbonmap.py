@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -31,19 +30,17 @@ from .errors import (
     UnknownEdge,
     UnknownFace,
 )
+from .records import Record
 
 
-@dataclass(frozen=True)
-class EulerData:
-    v_count: int
-    e_count: int
-    f_count: int
-    c: int
-    g: int
+class EulerData(Record):
+    _fields = ("v_count", "e_count", "f_count", "c", "g")
+
+    def __init__(self, v_count: int, e_count: int, f_count: int, c: int, g: int):
+        self._set(v_count=v_count, e_count=e_count, f_count=f_count, c=c, g=g)
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Record):
     """Closed walk with pairwise-distinct edges in the underlying graph.
 
     Step i traverses edges[i] in directions[i] (+1 means tail to head)
@@ -51,13 +48,15 @@ class Cycle:
     Vertices may repeat, edges may not.
     """
 
-    edges: tuple[int, ...]
-    directions: tuple[int, ...]
-    vertices: tuple[int, ...]
+    _fields = ("edges", "directions", "vertices")
+
+    def __init__(
+        self, edges: tuple[int, ...], directions: tuple[int, ...], vertices: tuple[int, ...]
+    ):
+        self._set(edges=edges, directions=directions, vertices=vertices)
 
 
-@dataclass(frozen=True)
-class Cocycle:
+class Cocycle(Record):
     """A cycle of the dual map, read on the primal.
 
     faces[i] and faces[i+1] (cyclically) are the two sides of edges[i];
@@ -65,34 +64,46 @@ class Cocycle:
     face to its left face, -1 the other way.
     """
 
-    faces: tuple[int, ...]
-    edges: tuple[int, ...]
-    directions: tuple[int, ...]
+    _fields = ("faces", "edges", "directions")
+
+    def __init__(
+        self, faces: tuple[int, ...], edges: tuple[int, ...], directions: tuple[int, ...]
+    ):
+        self._set(faces=faces, edges=edges, directions=directions)
 
 
-@dataclass(frozen=True)
-class RibbonGraph:
+class RibbonGraph(Record):
     """Immutable combinatorial map; all derived data is cached.
 
-    Besides the cached properties below, the counting layers keep their
-    per-map results in `_memo` through `_memoised`: class masks,
-    condition matrices, mod-k scans, DP forms and counts, the subset
-    census and components, and pair polynomials.  They die with the map.
-    Each caller runs its guards before the lookup and stores a value only
-    once its cross-checks passed; the stored values are read-only.
+    Equality, hash and repr read sigma, edge_pairs and isolated; labels
+    ride along.  Besides the cached properties below, the counting
+    layers keep their per-map results in `_memo` through `_memoised`:
+    class masks and their scan costs, condition matrices, mod-k scans,
+    DP forms and counts, the subset census and components, and pair
+    polynomials.
+    They die with the map.  Each caller runs its guards before the
+    lookup and stores a value only once its cross-checks passed; the
+    stored values are read-only.
     """
 
-    sigma: tuple[int, ...]
-    edge_pairs: tuple[tuple[int, int], ...]
-    isolated: int = 0
-    labels: dict | None = field(default=None, compare=False, repr=False)
+    _fields = ("sigma", "edge_pairs", "isolated")
+
+    def __init__(
+        self,
+        sigma: tuple[int, ...],
+        edge_pairs: tuple[tuple[int, int], ...],
+        isolated: int = 0,
+        labels: dict | None = None,
+    ):
+        self._set(sigma=sigma, edge_pairs=edge_pairs, isolated=isolated, labels=labels)
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", tuple(int(d) for d in self.sigma))
-        object.__setattr__(
-            self,
-            "edge_pairs",
-            tuple((int(t), int(h)) for t, h in self.edge_pairs),
+        """Normalize and validate the fields.  Kept apart from __init__ so
+        that perfbench/tracer.py can time every map construction."""
+        self._set(
+            sigma=tuple(int(d) for d in self.sigma),
+            edge_pairs=tuple((int(t), int(h)) for t, h in self.edge_pairs),
         )
         n = len(self.sigma)
         if n % 2 != 0:
@@ -178,6 +189,12 @@ class RibbonGraph:
     def face_of_dart(self, d: int) -> int:
         return self._face_of_dart[d]
 
+    @cached_property
+    def _edge_ends(self) -> tuple[tuple[int, int], ...]:
+        """(tail vertex, head vertex) of every edge."""
+        at = self._vertex_of_dart
+        return tuple((at[t], at[h]) for t, h in self.edge_pairs)
+
     # -- edge geometry ---------------------------------------------------
 
     def check_edge(self, e: int) -> int:
@@ -212,10 +229,7 @@ class RibbonGraph:
 
     @cached_property
     def components(self) -> tuple[frozenset[int], ...]:
-        at = self._vertex_of_dart
-        roots, _ = _spanning_forest(
-            self.num_vertices, [(at[t], at[h]) for t, h in self.edge_pairs]
-        )
+        roots, _ = _spanning_forest(self.num_vertices, self._edge_ends)
         groups: dict[int, set[int]] = {}
         for v, r in enumerate(roots):
             groups.setdefault(r, set()).add(v)
@@ -257,16 +271,12 @@ class RibbonGraph:
 
     @cached_property
     def _face_matrix(self) -> tuple[tuple[int, ...], ...]:
-        rows = []
-        for f in range(self.num_faces):
-            rows.append(
-                tuple(
-                    (1 if self.edge_left_face(e) == f else 0)
-                    - (1 if self.edge_right_face(e) == f else 0)
-                    for e in range(self.num_edges)
-                )
-            )
-        return tuple(rows)
+        at = self._face_of_dart
+        sides = [(at[t], at[h]) for t, h in self.edge_pairs]  # (right, left)
+        return tuple(
+            tuple(int(left == f) - int(right == f) for right, left in sides)
+            for f in range(self.num_faces)
+        )
 
     @cached_property
     def _canonical_code(self) -> bytes:
@@ -351,8 +361,7 @@ def _census_walk(h: RibbonGraph) -> tuple[tuple[int, tuple[int, ...], int], ...]
     label (the least vertex of its component).  Subsets of equal size and
     labels have the same future, so they are counted as one state."""
     states = Counter({(0, tuple(range(h.num_vertices))): 1})
-    for e in range(h.num_edges):
-        t, w = h.edge_tail_vertex(e), h.edge_head_vertex(e)
+    for t, w in h._edge_ends:
         step: Counter[tuple[int, tuple[int, ...]]] = Counter()
         for (size, labels), n in states.items():
             step[size, labels] += n
@@ -376,7 +385,7 @@ def _subset_components(h: RibbonGraph) -> tuple[int, ...]:
 def _components_walk(h: RibbonGraph) -> tuple[int, ...]:
     """Skip, then take, each edge in turn, depth first, carrying each
     vertex's component label: the subsets come out in ascending order."""
-    ends = [(h.edge_tail_vertex(e), h.edge_head_vertex(e)) for e in range(h.num_edges)]
+    ends = h._edge_ends
     out: list[int] = []
 
     def walk(e: int, labels: tuple[int, ...], n: int) -> None:
@@ -527,7 +536,7 @@ def abstract_contract(g: RibbonGraph, edges: Iterable[int]) -> RibbonGraph:
     meaningful, which suffices for every strong-connectivity consumer.
     """
     inner = _edge_set(g, edges)
-    ends = [(g.vertex_of_dart(t), g.vertex_of_dart(h)) for t, h in g.edge_pairs]
+    ends = g._edge_ends
     root_of, _ = _spanning_forest(g.num_vertices, [ends[e] for e in inner])
     roots = sorted(set(root_of))
     cls = {r: i for i, r in enumerate(roots)}
@@ -635,7 +644,7 @@ def _enumerate_cycles(g: RibbonGraph) -> list[Cycle]:
     def grow(start, verts, eds, dirs):
         v = verts[-1]
         for e, d, w in adj[v]:
-            if e in eds_set or g.is_loop_edge(e):
+            if e in eds_set or w == v:  # a loop is a cycle of its own
                 continue
             if w == start and len(eds) >= 1:
                 key = frozenset(eds + [e])
@@ -695,7 +704,7 @@ def fundamental_cycles(g: RibbonGraph) -> list[Cycle]:
 
 
 def _build_fundamental_cycles(g: RibbonGraph) -> list[Cycle]:
-    ends = [(g.edge_tail_vertex(e), g.edge_head_vertex(e)) for e in range(g.num_edges)]
+    ends = g._edge_ends
     _, forest = _spanning_forest(g.num_vertices, ends)
     tree_adj: dict[int, list[tuple[int, int, int]]] = {
         v: [] for v in range(g.num_vertices)
@@ -732,7 +741,7 @@ def _build_fundamental_cycles(g: RibbonGraph) -> list[Cycle]:
 
     out = []
     for e in chords:
-        u, w = g.edge_tail_vertex(e), g.edge_head_vertex(e)
+        u, w = ends[e]
         if u == w:
             out.append(Cycle((e,), (1,), (u,)))
             continue

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -307,3 +308,97 @@ def test_class_counts_and_cw_hist_leave_numpy_unloaded(tmp_path):
     assert _loaded_by_cli_import("numpy", *calls) == "False"
     verify = ["verify", str(tmp_path / "triangle.json"), "--kmax", "2", "--out", os.devnull]
     assert _loaded_by_cli_import("numpy", verify) == "True"
+
+
+def test_class_counts_and_cw_hist_load_only_what_they_run(tmp_path):
+    counts, hists = [], []
+    for name, g in (("triangle", TRIANGLE), ("kite", KITE), ("two", TWO_COMPONENTS)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(sg.dumps(g))
+        for cls in ("ao", "tco", "bao", "tbo"):
+            counts.append(["count", "--class", cls, str(path), "--out", os.devnull])
+        hists.append(["cw-hist", str(path), "--out", os.devnull])
+    # dataclasses would pull in inspect; the records are plain classes
+    for module in ("surfgraph.enumeration", "surfgraph.generator", "dataclasses"):
+        assert _loaded_by_cli_import(module, *counts, *hists) == "False", module
+    # only cw-hist's generating polynomial needs the coefficient helpers
+    for module in ("surfgraph.polynomials", "fractions"):
+        assert _loaded_by_cli_import(module, *counts) == "False", module
+
+
+def test_poly_leaves_the_generator_unloaded(tmp_path):
+    path = tmp_path / "kite.json"
+    path.write_text(sg.dumps(KITE))
+    kinds = sg.enumeration.KINDS
+    calls = [["poly", str(path), "--kind", kind, "--out", os.devnull] for kind in kinds]
+    for module in ("surfgraph.generator", "dataclasses"):
+        assert _loaded_by_cli_import(module, *calls) == "False", module
+
+
+def test_package_import_loads_no_submodule():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, surfgraph\nprint([m for m in sys.modules if m.startswith('surfgraph.')])"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert done.stdout.strip() == "[]", done.stderr
+
+
+PUBLIC_API = [
+    "BadModulus", "BadPairing", "Cocycle", "CorpusSpec", "Cycle", "DuplicateEdge",
+    "EulerData", "GraphMismatch", "InvalidCycle", "NoFit", "NonIntegerCoefficients",
+    "NonPermutation", "NotBoundaryAcyclic", "OddDartCount", "Orientation",
+    "OrientationClass", "QuasiPolynomial", "RibbonGraph", "SurfGraphError", "TooLarge",
+    "UnknownEdge", "UnknownFace", "abstract_contract", "all_orientations",
+    "bao_witness_vector", "boundary", "build", "canonical_code", "check_cycle",
+    "cocycles", "contract", "corpus_stats", "count_balanced_flows", "count_class",
+    "count_flows", "count_integral_flows", "count_integral_local_tensions",
+    "count_local_tensions", "count_nz_balanced_flows", "count_nz_flows",
+    "count_nz_local_tensions", "count_nz_tensions", "count_tensions", "cw_faces",
+    "cycles", "delete", "double_slash", "dual", "dual_orientation", "dumps",
+    "enumerate_class", "enumeration", "errors", "euler_data", "face_matrix",
+    "fit_quasipolynomial", "from_json_dict", "fundamental_cycles", "generate",
+    "generator", "guards", "integral_local_tension_reciprocity_pairs", "interpolate",
+    "is_acyclic", "is_boundary_acyclic", "is_separating", "is_totally_biwalkable",
+    "is_totally_cyclic", "loads", "orientation_from_string", "orientation_to_string",
+    "orientations", "poly_balanced_flow", "poly_eval", "poly_flow", "poly_local_tension",
+    "poly_tension", "polynomials", "quasi_integral_flows", "quasi_integral_local_tensions",
+    "reciprocity_pairs_balanced_flow", "reciprocity_pairs_flow",
+    "reciprocity_pairs_local_tension", "reciprocity_pairs_tension", "ribbonmap",
+    "signed_boundary", "tbo_generating_poly_formula", "tbo_generating_polynomial",
+    "tbo_histogram", "to_json_dict",
+]
+
+MODULES = ["enumeration", "errors", "generator", "guards", "orientations", "polynomials", "ribbonmap"]
+
+
+def test_public_api_is_pinned():
+    assert sg.__all__ == PUBLIC_API
+    star: dict = {}
+    exec("from surfgraph import *", star)
+    listed = dir(sg)
+    for name in PUBLIC_API:
+        value = getattr(sg, name)
+        assert star[name] is value, name
+        assert name in listed, name
+        if name in MODULES:
+            assert value is sys.modules[f"surfgraph.{name}"]
+    assert sg.enumeration.count_class is sg.orientations.count_class is sg.count_class
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sg.no_such_name
+
+
+def _choices(command: str, dest: str) -> list:
+    top = cli._build_parser()
+    (commands,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    (action,) = [a for a in commands.choices[command]._actions if a.dest == dest]
+    return list(action.choices)
+
+
+def test_parser_choices_match_the_library_tables():
+    kinds = list(sg.enumeration.KINDS)
+    assert _choices("poly", "kind") == _choices("reciprocity", "kind") == kinds
+    assert _choices("count", "cls") == [c.value for c in sg.OrientationClass]

@@ -1,10 +1,10 @@
-"""The per-map memo: class masks, condition matrices, mod-k scans, the
-forms and counts of the nowhere-zero DP and the subset census are
-computed once per map, after the guards and the cross-checks, and handed
-out read-only.  The dual of g.dual is g itself, so nothing is computed
-again on an equal copy of g.  The pair counters read g's own forbidden
-subcubes, so verify builds no surgered map and takes no canonical code
-beyond the one naming g in its report."""
+"""The per-map memo: class masks and their scan costs, condition
+matrices, mod-k scans, the forms and counts of the nowhere-zero DP and
+the subset census are computed once per map, after the guards and the
+cross-checks, and handed out read-only.  The dual of g.dual is g itself,
+so nothing is computed again on an equal copy of g.  The pair counters
+read g's own forbidden subcubes, so verify builds no surgered map and
+takes no canonical code beyond the one naming g in its report."""
 
 import pytest
 
@@ -127,6 +127,42 @@ def test_verify_builds_each_form_set_and_dp_count_once(corpus, monkeypatch):
             (k, flow) for k in (1, 2, 3) for flow in (False, True)
         }
         assert {flow for h, flow in forms if h is g} == {False, True}
+
+
+def test_verify_prices_each_class_once_and_guards_every_scan(corpus, monkeypatch):
+    priced, bounds, masks, guarded = [], [], [], []
+    real_cost, real_bound = orientations._scan_cost, orientations._cycle_bound
+    real_mask, real_guard = orientations._class_mask, orientations.check_class_scan
+
+    def cost(g, cls):
+        priced.append((g, cls))
+        return real_cost(g, cls)
+
+    def mask(g, cls):
+        masks.append((g, cls))
+        return real_mask(g, cls)
+
+    def spy(log, real):
+        return lambda *args: log.append(args) or real(*args)
+
+    for module in (orientations, enumeration):
+        monkeypatch.setattr(module, "_scan_cost", cost)
+        monkeypatch.setattr(module, "_class_mask", mask)
+    monkeypatch.setattr(orientations, "_cycle_bound", spy(bounds, real_bound))
+    monkeypatch.setattr(orientations, "check_class_scan", spy(guarded, real_guard))
+    for g in [fresh(h) for h in [*corpus, *ZOO]]:
+        for log in (priced, bounds, masks, guarded):
+            log.clear()
+        cli._verify_graph(g, 3)
+        # the lists hold every map, so no id is reused meanwhile
+        cycle_classes = (OrientationClass.AO, OrientationClass.TBO)
+        once = {(id(h), cls) for h, cls in priced if cls in cycle_classes}
+        assert len(bounds) == len(once) and len(priced) > len(once)
+        assert len(guarded) == len(masks) > len({(id(h), cls) for h, cls in masks})
+        # a second verify reads every price from the memo, but guards again
+        first = len(guarded)
+        cli._verify_graph(g, 3)
+        assert len(bounds) == len(once) and len(guarded) == len(masks) > first
 
 
 def test_memoised_arrays_are_read_only():
