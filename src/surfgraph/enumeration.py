@@ -4,18 +4,24 @@ Four families of edge assignments, each defined by a linear condition:
 
   tension         sums around cycles vanish (fundamental cycle basis)
   flow            conservation at every vertex (signed incidence)
-  local tension   sums around face boundaries vanish (face matrix)
+  local tension   sums around face boundaries vanish (face rows)
   balanced flow   flow whose signed sums across all cocycles vanish
                   (incidence stacked with a cycle basis of the dual)
 
-Nowhere-zero tensions and flows mod k are counted in pure Python by a
-DP over fundamental-cycle coordinates, _nz_count.  Every other count mod
-k, and every support or sign histogram, reduces the int64 numpy blocks
-of one brute-force scan, _solutions; local tensions and balanced flows
-keep it, so each duality check in verify compares two routes.  Integer
-counts in a box |x(e)| < k come from _box_counts, a meet-in-the-middle
-join that reads every k up to a bound at once.  Arithmetic is exact, and
-numpy is imported inside the functions that use it.
+Every count is one frontier DP, _frontier (Sekine, Imai and Tani, ISAAC
+1995), in pure Python: it assigns values to columns in order, keeps the
+partial sums of the forms begun but not finished, and checks each form
+at its last column.  It runs on two kinds of columns:
+
+  fundamental coordinates  tensions and flows form free modules (Tutte
+      1954): the free values are the columns and the determined values
+      the forms.  This counts nowhere-zero tensions and flows mod k,
+      nowhere-zero integer flows in a box |x(e)| < k for every k up to
+      a bound at once (local tensions of g are the flows of g*), and the
+      integral reciprocity pairs.
+  condition rows  the edges are the columns and the rows of a condition
+      the forms, each zero mod k.  This counts everything else mod k, so
+      each duality check in verify compares two routes.
 
 The four polynomials in k are two subset sums (Whitney, Tutte) over the
 subset census of g or g*, exact since every condition matrix is totally
@@ -24,33 +30,33 @@ reciprocity pairs are one more polynomial per kind, from the components
 of every edge subset and the class of g surgered at each support that
 occurs, read on g's own forbidden subcubes; verify compares it with the
 signed polynomial at -k.  Integral local tension counts get a
-quasipolynomial fit; the integral pair counts keep the direct scan.
+quasipolynomial fit.
 
 A quantity with a second independent characterization is computed both
-ways, and disagreement raises.  The condition matrices (read-only), the
-mod-k counts, the DP's forms and counts, the subset census and components
-and the pair polynomials are kept on the map (RibbonGraph._memo).  Guards
-run before every lookup; nothing is stored from a call that raised.
+ways, and disagreement raises.  The condition rows, the DP's forms and
+column plans (tuples), the mod-k counts, the subset census and
+components and the pair polynomials are kept on the map
+(RibbonGraph._memo).  Guards run before every lookup; nothing is stored
+from a call that raised.
 """
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
-from operator import sub
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from bisect import bisect_right
+from itertools import accumulate
+from operator import add, sub
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import ribbonmap
 from .errors import BadModulus, NoFit, NotBoundaryAcyclic
-from .guards import check_assignment_scan, check_box_join, check_pair_poly, check_subset_poly
+from .guards import check_assignment_scan, check_box_dp, check_pair_poly, check_subset_poly
 from .orientations import (
     Orientation,
     OrientationClass,
     _class_mask,
-    _cube,
+    _lanes,
     _primitive,
     _scan_cost,
-    _subcube,
     _support_classes,
     coherent_cocycles,
     count_class,
@@ -68,212 +74,105 @@ from .polynomials import (
 from .ribbonmap import EulerData, RibbonGraph
 
 if TYPE_CHECKING:
-    import numpy as np
+    from fractions import Fraction
 
-_CHUNK = 1 << 18  # assignment rows per numpy block
-
-
-# -- condition matrices ------------------------------------------------------
-#
-# Each matrix is built once per map and handed out read-only.
+# A form: (column, coefficient) pairs, in column order, no zero coefficient.
+Form = tuple[tuple[int, int], ...]
 
 
-def _matrix(g: RibbonGraph, condition: str, build: Callable[[], np.ndarray]) -> np.ndarray:
-    return g._memoised(("matrix", condition), lambda: _read_only(build()))
+# -- the frontier DP ---------------------------------------------------------
 
 
-def _read_only(m: np.ndarray) -> np.ndarray:
-    m.flags.writeable = False
-    return m
+def _plan(width: int, forms: Sequence[Form]) -> tuple:
+    """The frontier DP's schedule over columns 0..width-1 for these forms:
+    the slots of the forms with no columns, then per column the order of
+    the sums once the forms that begin there join them (None if none
+    does) and how many join, the slots of the forms that end there (their
+    sums come first, the sums kept in the order of their last columns),
+    and each sum's coefficient.  Form i has slot width + i."""
+    last = [f[-1][0] if f else -1 for f in forms]
+    opens: list[list[int]] = [[] for _ in range(width)]
+    for i, f in enumerate(forms):
+        if f:
+            opens[f[0][0]].append(i)
+    coeffs = [dict(f) for f in forms]
+    columns = []
+    live: list[int] = []  # the forms behind the sums
+    for j in range(width):
+        order = None
+        if opens[j]:
+            grown = live + opens[j]
+            order = sorted(range(len(grown)), key=lambda s: last[grown[s]])
+            live = [grown[s] for s in order]
+        shut = tuple(width + i for i in live if last[i] == j)
+        columns.append((order, len(opens[j]), shut, [coeffs[i].get(j, 0) for i in live]))
+        live = live[len(shut) :]
+    return tuple(width + i for i, f in enumerate(forms) if not f), tuple(columns)
 
 
-def _cycle_matrix(g: RibbonGraph, cycs) -> np.ndarray:
-    import numpy as np
+def _frontier(
+    plan: tuple,
+    values: tuple[range, ...],
+    accept: range,
+    modulus: int = 0,
+    mark: Callable | None = None,
+    start=None,
+) -> dict:
+    """Assignments of the values to the columns of plan under which every
+    form takes a value in accept (mod modulus, if nonzero), counted by
+    tag.
 
-    m = np.zeros((len(cycs), g.num_edges), dtype=np.int64)
-    for i, c in enumerate(cycs):
-        for e, d in zip(c.edges, c.directions):
-            m[i, e] += d
-    return m
-
-
-def tension_matrix(g: RibbonGraph) -> np.ndarray:
-    return _matrix(g, "tension", lambda: _cycle_matrix(g, g._fundamental_cycles))
-
-
-def _all_cycles_matrix(g: RibbonGraph) -> np.ndarray:
-    return _matrix(g, "all-cycles", lambda: _cycle_matrix(g, g._cycles))
-
-
-def incidence_matrix(g: RibbonGraph) -> np.ndarray:
-    """Vertices x edges; +1 at the head, -1 at the tail, 0 on loops."""
-    import numpy as np
-
-    def build():
-        m = np.zeros((g.num_vertices, g.num_edges), dtype=np.int64)
-        for e in range(g.num_edges):
-            m[g.edge_head_vertex(e), e] += 1
-            m[g.edge_tail_vertex(e), e] -= 1
-        return m
-
-    return _matrix(g, "flow", build)
-
-
-def local_tension_matrix(g: RibbonGraph) -> np.ndarray:
-    import numpy as np
-
-    return _matrix(
-        g,
-        "local-tension",
-        lambda: np.array(g._face_matrix, dtype=np.int64).reshape(g.num_faces, g.num_edges),
-    )
-
-
-def balanced_flow_matrix(g: RibbonGraph) -> np.ndarray:
-    import numpy as np
-
-    # Cocycle sums over a generating set: cycles of the dual share edge ids.
-    return _matrix(
-        g,
-        "balanced-flow",
-        lambda: np.vstack([incidence_matrix(g), _cycle_matrix(g, g.dual._fundamental_cycles)]),
-    )
-
-
-_CONDITIONS = {
-    "tension": tension_matrix,
-    "all-cycles": _all_cycles_matrix,
-    "flow": incidence_matrix,
-    "local-tension": local_tension_matrix,
-    "balanced-flow": balanced_flow_matrix,
-}
-
-
-# -- assignment scans --------------------------------------------------------
-
-
-def _grid(values: np.ndarray, width: int) -> np.ndarray:
-    """All rows of values^width, in lexicographic order."""
-    import numpy as np
-
-    n = len(values)
-    return values[np.indices((n,) * width).reshape(width, n**width).T]
-
-
-def _grid_blocks(values: np.ndarray, width: int) -> Iterator[np.ndarray]:
-    """All rows of values^width, in lexicographic order, in blocks of at
-    most _CHUNK rows: one grid over the last coordinates, built once, under
-    each tuple of the leading ones.  Every block is the same buffer,
-    overwritten by the next one.
+    The state is the partial sums of the forms begun but not finished,
+    and a tag that starts as start: mark(tag, slot, value) gives the tag
+    after column j takes a value (slot j) or a form ends on one (its
+    slot), or None to drop the assignment.  A form is checked at its
+    last column, then leaves the state; a form with no columns is 0.
     """
-    import numpy as np
-
-    n = len(values)
-    low = 0
-    while low < width and n ** (low + 1) <= _CHUNK:
-        low += 1
-    high = width - low
-    block = np.empty((n**low, width), dtype=np.int64)
-    block[:, high:] = _grid(values, low)
-    for head in itertools.product(values.tolist(), repeat=high):
-        block[:, :high] = head
-        yield block
-
-
-def _solutions(
-    matrix: np.ndarray, values: np.ndarray, width: int, modulus: int | None
-) -> Iterator[np.ndarray]:
-    """The rows x of values^width with matrix @ x = 0 (mod modulus, if any),
-    in lexicographic order, in blocks of at most _CHUNK rows.
-    """
-    for block in _grid_blocks(values, width):
-        prod = block @ matrix.T
-        if modulus is not None:
-            prod %= modulus
-        yield block[~prod.any(axis=1)]
-
-
-def _count_solutions(
-    matrix: np.ndarray, values: np.ndarray, width: int, modulus: int | None
-) -> int:
-    return sum(len(rows) for rows in _solutions(matrix, values, width, modulus))
-
-
-def _support_counts(
-    matrix: np.ndarray, values: np.ndarray, width: int, modulus: int | None
-) -> np.ndarray:
-    """counts[mask] = solutions nonzero exactly on mask (edge i at bit width-1-i)."""
-    import numpy as np
-
-    out = np.zeros(1 << width, dtype=np.int64)
-    weights = 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
-    for rows in _solutions(matrix, values, width, modulus):
-        out += np.bincount((rows != 0) @ weights, minlength=1 << width)
+    empty, columns = plan
+    tag = start
+    for slot in empty:
+        if 0 not in accept:
+            return {}
+        if mark is not None:
+            tag = mark(tag, slot, 0)
+            if tag is None:
+                return {}
+    ok = accept.__contains__
+    states = {((), tag): 1}
+    for j, (order, opened, shut, sign) in enumerate(columns):
+        entries = [(sums, tag, n) for (sums, tag), n in states.items()]
+        if order is not None:
+            pad = (0,) * opened
+            entries = [(tuple(map((sums + pad).__getitem__, order)), t, n) for sums, t, n in entries]
+        cut = len(shut)
+        step: dict = {}
+        for span in values:
+            for v in span:
+                delta = [d * v for d in sign]
+                for sums, tag, n in entries:
+                    if modulus:
+                        new = tuple(map(modulus.__rmod__, map(add, sums, delta)))
+                    else:
+                        new = tuple(map(add, sums, delta))
+                    if cut and not all(map(ok, new[:cut])):
+                        continue
+                    if mark is not None:
+                        tag = mark(tag, j, v)
+                        for slot, x in zip(shut, new):
+                            if tag is None:
+                                break
+                            tag = mark(tag, slot, x)
+                        if tag is None:
+                            continue
+                    key = (new[cut:], tag)
+                    step[key] = step.get(key, 0) + n
+        states = step
+        if not states:
+            return {}
+    out: dict = {}
+    for (_, tag), n in states.items():
+        out[tag] = out.get(tag, 0) + n
     return out
-
-
-def _signed_pattern_counts(
-    matrix: np.ndarray, values: np.ndarray, width: int, modulus: int | None
-) -> np.ndarray:
-    """counts[code] = solutions with sign pattern code, base-3 digits sign+1."""
-    import numpy as np
-
-    out = np.zeros(3**width, dtype=np.int64)
-    weights = 3 ** np.arange(width, dtype=np.int64)
-    for rows in _solutions(matrix, values, width, modulus):
-        out += np.bincount((np.sign(rows) + 1) @ weights, minlength=3**width)
-    return out
-
-
-def _box_counts(matrix: np.ndarray, width: int, ks: Sequence[int]) -> list[int]:
-    """counts[i] = nowhere-zero integer rows x with |x(e)| < ks[i] and
-    matrix @ x = 0, for ascending ks >= 1.
-
-    Meet in the middle (Horowitz and Sahni, J. ACM 1974): x solves the
-    system exactly when the sums of its first width // 2 columns equal the
-    negated sums of the rest.  The left half-box, at most the square root
-    of the whole box, is grouped by those sums and by the first ks[b] whose
-    box holds the half-row; the right half-box streams past in blocks of at
-    most _CHUNK rows.  Memory is the left half-box plus one block.
-    """
-    import numpy as np
-
-    ks = np.asarray(ks, dtype=np.int64)
-    nb = len(ks)
-    values = _box_values(int(ks[-1]))
-    half = width // 2
-
-    def first_box(rows: np.ndarray) -> np.ndarray:
-        # b such that the rows lie in the boxes of ks[b:] and no other
-        return np.searchsorted(ks, np.abs(rows).max(axis=1, initial=0), "right")
-
-    left = _grid(values, half)
-    keys, group = np.unique(left @ matrix[:, :half].T, axis=0, return_inverse=True)
-    # cells: occurring (group, b) codes, group-major; below[i]: rows before i
-    cells, sizes = np.unique(group.reshape(-1) * nb + first_box(left), return_counts=True)
-    below = np.concatenate([[0], sizes.cumsum()])
-    slot = np.arange(len(keys))
-    first = np.zeros(nb, dtype=np.int64)  # pairs first counted at ks[b]
-    later = np.zeros(len(cells) + 1, dtype=np.int64)  # right rows, by left cell
-    for block in _grid_blocks(values, width - half):
-        sums = -(block @ matrix[:, half:].T)
-        both, where = np.unique(np.vstack([keys, sums]), axis=0, return_inverse=True)
-        where = where.reshape(-1)
-        found = np.full(len(both), -1)
-        found[where[: len(keys)]] = slot
-        g = found[where[len(keys) :]]
-        hit = g >= 0
-        g, b = g[hit], first_box(block[hit])
-        start = np.searchsorted(cells, g * nb, "left")
-        upto = np.searchsorted(cells, g * nb + b, "right")
-        end = np.searchsorted(cells, g * nb + nb, "left")
-        # left half-rows whose box is no later: the pair starts at ks[b]
-        np.add.at(first, b, below[upto] - below[start])
-        # later left cells of the group, upto..end-1: it starts at theirs
-        later += np.bincount(upto, minlength=len(cells) + 1)
-        later -= np.bincount(end, minlength=len(cells) + 1)
-    np.add.at(first, cells % nb, sizes * later.cumsum()[:-1])
-    return first.cumsum().tolist()
 
 
 def _require_k(k: int) -> None:
@@ -281,33 +180,19 @@ def _require_k(k: int) -> None:
         raise BadModulus(f"k must be a positive integer, got {k!r}")
 
 
-def _mod_values(k: int, nonzero: bool) -> np.ndarray:
-    import numpy as np
-
-    return np.arange(1 if nonzero else 0, k, dtype=np.int64)
-
-
-def _box_values(k: int) -> np.ndarray:
-    import numpy as np
-
-    vals = np.arange(-(k - 1), k, dtype=np.int64)
-    return vals[vals != 0]
-
-
-# -- nowhere-zero tensions and flows over fundamental-cycle coordinates ------
+# -- fundamental coordinates -------------------------------------------------
 #
-# Tensions and flows mod k form free Z_k-modules (Tutte 1954).  A tension
-# is fixed by its values on the spanning forest: each chord carries the
-# signed sum of the forest edges on its fundamental cycle.  A flow is
-# fixed by its values on the chords: each forest edge carries the signed
-# sum of the chords whose cycles use it.  So a nowhere-zero count gives
-# the free values 1..k-1 and asks every determined value, a form in the
-# free ones, to be nonzero; a form with no variables (a loop for
-# tensions, a bridge for flows) is always zero.  The frontier DP below
-# assigns the free values in order (Sekine, Imai and Tani, ISAAC 1995).
+# Tensions and flows form free modules, over Z_k and over Z (Tutte 1954).
+# A tension is fixed by its values on the spanning forest: each chord
+# carries the signed sum of the forest edges on its fundamental cycle.  A
+# flow is fixed by its values on the chords: each forest edge carries the
+# signed sum of the chords whose cycles use it.  So the free values are
+# the DP's columns, and each determined value is a form in them, checked
+# to lie in the value set; a form with no variables (a loop for tensions,
+# a bridge for flows) is always zero.
 
 
-def _forms(h: RibbonGraph, flow: bool) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _forms(h: RibbonGraph, flow: bool) -> tuple[Form, ...]:
     """The determined values as forms in the free ones: one tuple of
     (free index, sign) per determined edge, by free index."""
     cycles = h._fundamental_cycles
@@ -325,39 +210,19 @@ def _forms(h: RibbonGraph, flow: bool) -> tuple[tuple[tuple[int, int], ...], ...
     )
 
 
+def _fundamental_forms(h: RibbonGraph, flow: bool) -> tuple[Form, ...]:
+    return h._memoised(("forms", flow), lambda: _forms(h, flow))
+
+
+def _fundamental_plan(h: RibbonGraph, flow: bool) -> tuple:
+    forms = _fundamental_forms(h, flow)
+    return h._memoised(("plan", flow), lambda: _plan(h.num_edges - len(forms), forms))
+
+
 def _nz_count(h: RibbonGraph, k: int, flow: bool) -> int:
-    """Nowhere-zero flows (flow) or tensions of h mod k, by a DP whose state
-    is the partial sums mod k of the forms begun but not finished.  A form
-    is checked to be nonzero at its last variable, then leaves the state.
-    """
-    forms = h._memoised(("forms", flow), lambda: _forms(h, flow))
-    if not all(forms):
-        return 0
-    free = h.num_edges - len(forms)
-    opens, closes = [[] for _ in range(free)], [[] for _ in range(free)]
-    for i, f in enumerate(forms):
-        opens[f[0][0]].append(i)
-        closes[f[-1][0]].append(i)
-    signs = [dict(f) for f in forms]
-    states = {(): 1}
-    live: list[int] = []  # the forms behind each state position
-    for j in range(free):
-        live += opens[j]
-        sign = [signs[i].get(j, 0) for i in live]
-        shut = [s for s, i in enumerate(live) if i in closes[j]]
-        keep = [s for s, i in enumerate(live) if i not in closes[j]]
-        pad = (0,) * len(opens[j])
-        step: dict[tuple[int, ...], int] = {}
-        for state, n in states.items():
-            state += pad
-            for v in range(1, k):
-                sums = [(x + d * v) % k for x, d in zip(state, sign)]
-                if all(sums[s] for s in shut):
-                    key = tuple(sums[s] for s in keep)
-                    step[key] = step.get(key, 0) + n
-        states = step
-        live = [live[s] for s in keep]
-    return sum(states.values())
+    """Nowhere-zero flows (flow) or tensions of h mod k."""
+    nonzero = range(1, k)
+    return sum(_frontier(_fundamental_plan(h, flow), (nonzero,), nonzero, k).values())
 
 
 def _dp_count(h: RibbonGraph, k: int, flow: bool) -> int:
@@ -367,18 +232,91 @@ def _dp_count(h: RibbonGraph, k: int, flow: bool) -> int:
     return h._memoised(("nz count", flow, k), lambda: _nz_count(h, k, flow))
 
 
+def _box_counts(h: RibbonGraph, ks: Sequence[int]) -> list[int]:
+    """counts[i] = nowhere-zero integer flows x of h with |x(e)| < ks[i],
+    for ascending ks >= 1, from one DP whose tag is the first box that
+    holds every value so far."""
+    kmax = ks[-1]
+
+    def box(b: int, _slot: int, v: int) -> int | None:
+        # the first box holding v is ks[bisect_right(ks, |v|)]; none holds 0
+        return max(b, bisect_right(ks, abs(v))) if v else None
+
+    values = (range(1 - kmax, 0), range(1, kmax))
+    tags = _frontier(_fundamental_plan(h, True), values, range(1 - kmax, kmax), 0, box, 0)
+    return list(accumulate(tags.get(b, 0) for b in range(len(ks))))
+
+
+def _open_sizes(h: RibbonGraph) -> list[list[int]]:
+    """Per column of the flow DP on h, the variables already assigned in
+    each form it finds open."""
+    forms = _fundamental_forms(h, True)
+    return [
+        [sum(c < j for c, _ in f) for f in forms if f and f[0][0] < j <= f[-1][0]]
+        for j in range(h.num_edges - len(forms))
+    ]
+
+
+def _price_box(h: RibbonGraph, kmax: int, boxes: int) -> None:
+    check_box_dp(2 * kmax - 2, boxes, _open_sizes(h))
+
+
+# -- condition rows ----------------------------------------------------------
+
+
+def _form(terms) -> Form:
+    """(column, coefficient) terms summed per column, in column order."""
+    acc: dict[int, int] = {}
+    for col, d in terms:
+        acc[col] = acc.get(col, 0) + d
+    return tuple((col, d) for col, d in sorted(acc.items()) if d)
+
+
+def _cycle_rows(cycles) -> tuple[Form, ...]:
+    return tuple(_form(zip(c.edges, c.directions)) for c in cycles)
+
+
+def _incidence_rows(g: RibbonGraph) -> tuple[Form, ...]:
+    """One row per vertex: +1 at the head, -1 at the tail, 0 on loops."""
+    at: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices)]
+    for e, (tail, head) in enumerate(g._edge_ends):
+        at[head].append((e, 1))
+        at[tail].append((e, -1))
+    return tuple(map(_form, at))
+
+
+_ROWS: dict[str, Callable[[RibbonGraph], tuple[Form, ...]]] = {
+    "tension": lambda g: _cycle_rows(g._fundamental_cycles),
+    "all-cycles": lambda g: _cycle_rows(g._cycles),
+    "flow": _incidence_rows,
+    "local-tension": lambda g: tuple(_form(enumerate(row)) for row in g._face_matrix),
+    # Cocycle sums over a generating set: cycles of the dual share edge ids.
+    "balanced-flow": lambda g: _incidence_rows(g) + _cycle_rows(g.dual._fundamental_cycles),
+}
+
+
+def _rows(g: RibbonGraph, condition: str) -> tuple[Form, ...]:
+    return g._memoised(("rows", condition), lambda: _ROWS[condition](g))
+
+
+def _row_count(g: RibbonGraph, condition: str, k: int, nonzero: bool) -> int:
+    """Assignments of range(nonzero, k) to the edges of g under which every
+    row of the condition is zero mod k."""
+    rows = _rows(g, condition)
+    plan = g._memoised(("row plan", condition), lambda: _plan(g.num_edges, rows))
+    return sum(_frontier(plan, (range(nonzero, k),), range(1), k).values())
+
+
 # -- the four counting families ----------------------------------------------
 
 
 def _count(g: RibbonGraph, k: int, nonzero: bool, condition: str) -> int:
-    """Solutions mod k of one condition on g, scanned once per map."""
+    """Solutions mod k of one condition on g, counted once per map."""
     _require_k(k)
     check_assignment_scan(k, g.num_edges)
     return g._memoised(
         ("count", condition, k, nonzero),
-        lambda: _count_solutions(
-            _CONDITIONS[condition](g), _mod_values(k, nonzero), g.num_edges, k
-        ),
+        lambda: _row_count(g, condition, k, nonzero),
     )
 
 
@@ -448,18 +386,18 @@ def count_balanced_flows(g: RibbonGraph, k: int) -> int:
 
 
 def count_integral_local_tensions(g: RibbonGraph, k: int) -> int:
-    """Nowhere-zero integer local tensions with |t(e)| < k."""
+    """Nowhere-zero integer local tensions with |t(e)| < k: the flows of g*."""
     _require_k(k)
-    check_box_join(2 * k - 2, g.num_edges, _CHUNK)
-    (count,) = _box_counts(local_tension_matrix(g), g.num_edges, [k])
+    _price_box(g.dual, k, 1)
+    (count,) = _box_counts(g.dual, [k])
     return count
 
 
 def count_integral_flows(g: RibbonGraph, k: int) -> int:
     """Nowhere-zero integer flows with |f(e)| < k."""
     _require_k(k)
-    check_box_join(2 * k - 2, g.num_edges, _CHUNK)
-    (count,) = _box_counts(incidence_matrix(g), g.num_edges, [k])
+    _price_box(g, k, 1)
+    (count,) = _box_counts(g, [k])
     return count
 
 
@@ -522,21 +460,18 @@ def poly_balanced_flow(g: RibbonGraph) -> list[int]:
     return _subset_poly(g, "balanced-flow", on_dual=True, flow=False)
 
 
-def _quasi_driver(
-    g: RibbonGraph, matrix: np.ndarray, max_period: int
-) -> QuasiPolynomial:
-    """Fit each period in turn from one join over k = 1..period(E+2)+2.
-
-    Each join is guarded by its own half-boxes before it is built.
-    """
+def _quasi_driver(g: RibbonGraph, h: RibbonGraph, max_period: int) -> QuasiPolynomial:
+    """Fit each period in turn from one box DP on the flows of h over
+    k = 1..period(E+2)+2.  The largest period's DP, which bounds every
+    smaller one's, is priced before the first runs."""
     _require_max_period(max_period)
     degree = g.num_edges
+    kmax = max_period * (degree + 2) + 2
+    _price_box(h, kmax, kmax)
     last: NoFit | None = None
     for period in range(1, max_period + 1):
-        kmax = period * (degree + 2) + 2
-        check_box_join(2 * kmax - 2, degree, _CHUNK)
-        ks = range(1, kmax + 1)
-        samples = dict(zip(ks, _box_counts(matrix, degree, ks)))
+        ks = range(1, period * (degree + 2) + 3)
+        samples = dict(zip(ks, _box_counts(h, ks)))
         try:
             return fit_quasipolynomial(samples, degree, max_period=period)
         except NoFit as exc:
@@ -548,11 +483,11 @@ def quasi_integral_local_tensions(
     g: RibbonGraph, max_period: int = 6
 ) -> QuasiPolynomial:
     """Smallest-period quasipolynomial through the integral local tension counts."""
-    return _quasi_driver(g, local_tension_matrix(g), max_period)
+    return _quasi_driver(g, g.dual, max_period)
 
 
 def quasi_integral_flows(g: RibbonGraph, max_period: int = 6) -> QuasiPolynomial:
-    return _quasi_driver(g, incidence_matrix(g), max_period)
+    return _quasi_driver(g, g, max_period)
 
 
 # -- reciprocity pair counters -----------------------------------------------
@@ -630,24 +565,28 @@ def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
 
     Compatible means the orientation keeps the reference direction where
     t > 0 and reverses it where t < 0; edges with t = 0 are free.  At
-    k = 0 only t = 0 remains and the result is |BAO(g)|.
+    k = 0 only t = 0 remains and the result is |BAO(g)|.  The local
+    tensions are the flows of g*, counted by the box DP with the mask of
+    the BAOs still compatible as its tag.
     """
-    import numpy as np
-
     if not isinstance(k, int) or k < 0:
         raise BadModulus(f"k must be a nonnegative integer, got {k!r}")
     width = g.num_edges
     check_assignment_scan(2 * k + 1, width)
-    check_assignment_scan(3, width)  # the 3^E sign-pattern histogram
+    check_assignment_scan(3, width)  # the tags: up to 3^E sign patterns' masks
     bao = _class_mask(g, CLASS_OF["local-tension"])
-    vals = np.arange(-k, k + 1, dtype=np.int64)
-    pattern = _signed_pattern_counts(local_tension_matrix(g), vals, width, None)
-    total = 0
-    for code in np.flatnonzero(pattern).tolist():
-        signs = [code // 3**e % 3 - 1 for e in range(width)]
-        x, p = _subcube(width, [(e, s) for e, s in enumerate(signs) if s])
-        total += int(pattern[code]) * (bao & _cube(width, x, p)).bit_count()
-    return total
+    h = g.dual
+    chords = [c.edges[0] for c in h._fundamental_cycles]
+    tree = sorted(set(range(width)) - set(chords))  # the edges of forms, in order
+    lanes = _lanes(width)  # per edge: (masks keeping its direction, masks reversing it)
+    slots = [lanes[e] for e in chords + tree]
+
+    def compatible(mask: int, slot: int, v: int) -> int | None:
+        return (mask & slots[slot][v < 0] or None) if v else mask
+
+    box = range(-k, k + 1)
+    tags = _frontier(_fundamental_plan(h, True), (box,), box, 0, compatible, bao)
+    return sum(n * mask.bit_count() for mask, n in tags.items())
 
 
 # -- the four kinds ----------------------------------------------------------
@@ -716,7 +655,7 @@ def bao_witness_vector(g: RibbonGraph, o: Orientation) -> tuple[Fraction, ...]:
     element of the face matrix kernel whose signs reproduce the
     orientation; all three postconditions are asserted.
     """
-    import numpy as np
+    from fractions import Fraction
 
     if not is_boundary_acyclic(g, o):
         raise NotBoundaryAcyclic(
@@ -726,8 +665,7 @@ def bao_witness_vector(g: RibbonGraph, o: Orientation) -> tuple[Fraction, ...]:
     for coc in coherent_cocycles(g, o):
         for e in coc.edges:
             p[e] += o.signs[e]
-    vec = np.array(p, dtype=np.int64)
-    if np.any(local_tension_matrix(g) @ vec != 0):
+    if any(sum(map(int.__mul__, row, p)) for row in g._face_matrix):
         raise AssertionError("witness vector escapes the face matrix kernel")
     if any(x == 0 for x in p):
         raise AssertionError("witness vector has a zero entry")

@@ -10,6 +10,7 @@ knows what they are asking for.
 
 import math
 import os
+from typing import Sequence
 
 from .errors import TooLarge
 
@@ -18,8 +19,8 @@ MAX_SCAN_EDGES = 20
 
 # Total assignments evaluated in one polynomial count, total mask tests
 # (masks times patterns and search steps) in one class scan, total steps
-# of one reciprocity pair polynomial, and total rotation systems in one
-# labelled map scan.
+# of one reciprocity pair polynomial or integral box DP, and total
+# rotation systems in one labelled map scan.
 MAX_ASSIGNMENTS = 10**8
 
 # Edges for the connected census by edge extension.
@@ -91,20 +92,27 @@ def check_assignment_scan(base: int, num_edges: int) -> None:
         _refuse(base**num_edges, f"assignment scan over {base}^{num_edges} vectors")
 
 
-def check_box_join(values: int, num_edges: int, max_left: int) -> None:
-    """Refuse a meet-in-the-middle count over values^E whose join, the left
-    half-box held in memory and the right one streamed past it, reads too
-    many half-rows, or whose left half-box holds more than max_left rows."""
-    low, high = num_edges // 2, num_edges - num_edges // 2
-    left = values**low
-    work = left + values**high
-    what = f"box join of {values}^{low} + {values}^{high} = {work} half-rows"
-    _refuse(work, what)
-    if left > max_left and not _override():
-        raise TooLarge(
-            f"{what} holds {left} left half-rows in memory, more than the {max_left} "
-            f"of one block; set SURFGRAPH_GUARD_OVERRIDE=1 to force"
-        )
+def check_box_dp(values: int, boxes: int, open_sizes: Sequence[Sequence[int]]) -> None:
+    """Refuse an integral box DP whose steps, one per state and value at
+    each column, are too many.
+
+    The states entering column j are at most the values^j assignments
+    before it, and at most the boxes tags times, per form open there with
+    a variables assigned, its a * values + 1 partial sums (open_sizes[j]
+    lists those a).  The DP holds two columns' states at once, so this
+    also bounds its memory.
+    """
+    work = 0
+    for j, sizes in enumerate(open_sizes):
+        sums = boxes
+        for a in sizes:
+            sums *= a * values + 1
+        work += min(values**j, sums) * values
+    _refuse(
+        work,
+        f"integral box DP over {len(open_sizes)} columns of {values} values and "
+        f"{boxes} boxes, about {work} steps,",
+    )
 
 
 def _rooted_maps(m: int) -> int:

@@ -1,21 +1,24 @@
 """Exact polynomial and quasipolynomial arithmetic.
 
 All interpolation runs over fractions.Fraction; nothing here touches
-floating point.  Polynomials are ascending coefficient lists.  A
+floating point.  `fractions` (and with it `decimal`) is imported by the
+functions that build fractions, so the integer helpers load neither.  Polynomials are ascending coefficient lists.  A
 quasipolynomial of period p is p constituent polynomials, one per
 residue class of the argument mod p, with rational coefficients.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import NoFit, NonIntegerCoefficients
 from .records import Record
 
-Coeffs = list[Fraction]
-Num = int | Fraction
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Coeffs = list[Fraction]
+    Num = int | Fraction
 
 
 def poly_eval(coeffs: Sequence[int | Fraction], x: int | Fraction):
@@ -27,6 +30,8 @@ def poly_eval(coeffs: Sequence[int | Fraction], x: int | Fraction):
 
 
 def trim(coeffs: Sequence[int | Fraction]) -> Coeffs:
+    from fractions import Fraction
+
     out = [Fraction(c) for c in coeffs]
     while out and out[-1] == 0:
         out.pop()
@@ -78,6 +83,8 @@ def ipoly_scale(a: Sequence[Num], s: Num) -> list[Num]:
 
 def lagrange(points: Sequence[tuple[int, int | Fraction]]) -> Coeffs:
     """Exact interpolating polynomial through distinct-x points."""
+    from fractions import Fraction
+
     xs = [p[0] for p in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation points must have distinct x")
@@ -119,6 +126,8 @@ class QuasiPolynomial(Record):
             raise ValueError("need exactly `period` constituents")
 
     def evaluate(self, n: int) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(poly_eval(self.constituents[n % self.period], n))
 
     @property
@@ -133,6 +142,8 @@ class QuasiPolynomial(Record):
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "QuasiPolynomial":
+        from fractions import Fraction
+
         return cls(
             period=int(d["period"]),
             constituents=tuple(

@@ -3,27 +3,36 @@
 The maps here are frozen by hand from drawings; tests treat their
 published invariants (Euler data, orientation censuses, polynomials)
 as ground truth, so do not regenerate or reorder them.
+
+The oracles include brute-force numpy scans of the condition matrices,
+which the library's frontier DP must reproduce: every assignment row of
+a value set, in blocks, kept where the matrix kills it.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+from typing import Iterator, Sequence
 
+import numpy as np
 from hypothesis import strategies as st
 
 from surfgraph import (
     OrientationClass,
     RibbonGraph,
     abstract_contract,
+    all_orientations,
     build,
     contract,
     count_class,
+    cycles,
     delete,
     double_slash,
     dual,
-    enumeration,
+    face_matrix,
     from_json_dict,
+    fundamental_cycles,
+    is_boundary_acyclic,
     to_json_dict,
 )
 
@@ -134,6 +143,197 @@ def ribbon_maps(draw, max_edges=4):
     return RibbonGraph(tuple(sigma), pairs, isolated=isolated)
 
 
+# -- condition matrices and brute-force scans ---------------------------------
+
+CHUNK = 1 << 18  # assignment rows per block
+
+
+def _cycle_matrix(g: RibbonGraph, cycs) -> np.ndarray:
+    m = np.zeros((len(cycs), g.num_edges), dtype=np.int64)
+    for i, c in enumerate(cycs):
+        for e, d in zip(c.edges, c.directions):
+            m[i, e] += d
+    return m
+
+
+def tension_matrix(g: RibbonGraph) -> np.ndarray:
+    return _cycle_matrix(g, fundamental_cycles(g))
+
+
+def all_cycles_matrix(g: RibbonGraph) -> np.ndarray:
+    return _cycle_matrix(g, cycles(g))
+
+
+def incidence_matrix(g: RibbonGraph) -> np.ndarray:
+    """Vertices x edges; +1 at the head, -1 at the tail, 0 on loops."""
+    m = np.zeros((g.num_vertices, g.num_edges), dtype=np.int64)
+    for e in range(g.num_edges):
+        m[g.edge_head_vertex(e), e] += 1
+        m[g.edge_tail_vertex(e), e] -= 1
+    return m
+
+
+def local_tension_matrix(g: RibbonGraph) -> np.ndarray:
+    return np.array(face_matrix(g), dtype=np.int64).reshape(g.num_faces, g.num_edges)
+
+
+def balanced_flow_matrix(g: RibbonGraph) -> np.ndarray:
+    # Cocycle sums over a generating set: cycles of the dual share edge ids.
+    return np.vstack([incidence_matrix(g), _cycle_matrix(g, fundamental_cycles(dual(g)))])
+
+
+CONDITIONS = {
+    "tension": tension_matrix,
+    "all-cycles": all_cycles_matrix,
+    "flow": incidence_matrix,
+    "local-tension": local_tension_matrix,
+    "balanced-flow": balanced_flow_matrix,
+}
+
+
+def grid(values: np.ndarray, width: int) -> np.ndarray:
+    """All rows of values^width, in lexicographic order."""
+    n = len(values)
+    return values[np.indices((n,) * width).reshape(width, n**width).T]
+
+
+def grid_blocks(values: np.ndarray, width: int) -> Iterator[np.ndarray]:
+    """All rows of values^width, in lexicographic order, in blocks of at
+    most CHUNK rows: one grid over the last coordinates, built once, under
+    each tuple of the leading ones.  Every block is the same buffer,
+    overwritten by the next one.
+    """
+    n = len(values)
+    low = 0
+    while low < width and n ** (low + 1) <= CHUNK:
+        low += 1
+    high = width - low
+    block = np.empty((n**low, width), dtype=np.int64)
+    block[:, high:] = grid(values, low)
+    for head in itertools.product(values.tolist(), repeat=high):
+        block[:, :high] = head
+        yield block
+
+
+def solutions(
+    matrix: np.ndarray, values: np.ndarray, width: int, modulus: int | None
+) -> Iterator[np.ndarray]:
+    """The rows x of values^width with matrix @ x = 0 (mod modulus, if any),
+    in lexicographic order, in blocks of at most CHUNK rows.
+    """
+    for block in grid_blocks(values, width):
+        prod = block @ matrix.T
+        if modulus is not None:
+            prod %= modulus
+        yield block[~prod.any(axis=1)]
+
+
+def count_solutions(
+    matrix: np.ndarray, values: np.ndarray, width: int, modulus: int | None
+) -> int:
+    return sum(len(rows) for rows in solutions(matrix, values, width, modulus))
+
+
+def support_counts(
+    matrix: np.ndarray, values: np.ndarray, width: int, modulus: int | None
+) -> np.ndarray:
+    """counts[mask] = solutions nonzero exactly on mask (edge i at bit width-1-i)."""
+    out = np.zeros(1 << width, dtype=np.int64)
+    weights = 1 << np.arange(width - 1, -1, -1, dtype=np.int64)
+    for rows in solutions(matrix, values, width, modulus):
+        out += np.bincount((rows != 0) @ weights, minlength=1 << width)
+    return out
+
+
+def signed_pattern_counts(
+    matrix: np.ndarray, values: np.ndarray, width: int, modulus: int | None
+) -> np.ndarray:
+    """counts[code] = solutions with sign pattern code, base-3 digits sign+1."""
+    out = np.zeros(3**width, dtype=np.int64)
+    weights = 3 ** np.arange(width, dtype=np.int64)
+    for rows in solutions(matrix, values, width, modulus):
+        out += np.bincount((np.sign(rows) + 1) @ weights, minlength=3**width)
+    return out
+
+
+def mod_values(k: int, nonzero: bool) -> np.ndarray:
+    return np.arange(1 if nonzero else 0, k, dtype=np.int64)
+
+
+def box_values(k: int) -> np.ndarray:
+    vals = np.arange(-(k - 1), k, dtype=np.int64)
+    return vals[vals != 0]
+
+
+def box_join(matrix: np.ndarray, width: int, ks: Sequence[int]) -> list[int]:
+    """counts[i] = nowhere-zero integer rows x with |x(e)| < ks[i] and
+    matrix @ x = 0, for ascending ks >= 1.
+
+    Meet in the middle (Horowitz and Sahni, J. ACM 1974): x solves the
+    system exactly when the sums of its first width // 2 columns equal the
+    negated sums of the rest.  The left half-box, at most the square root
+    of the whole box, is grouped by those sums and by the first ks[b] whose
+    box holds the half-row; the right half-box streams past in blocks of at
+    most CHUNK rows.  Memory is the left half-box plus one block.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    nb = len(ks)
+    values = box_values(int(ks[-1]))
+    half = width // 2
+
+    def first_box(rows: np.ndarray) -> np.ndarray:
+        # b such that the rows lie in the boxes of ks[b:] and no other
+        return np.searchsorted(ks, np.abs(rows).max(axis=1, initial=0), "right")
+
+    left = grid(values, half)
+    keys, group = np.unique(left @ matrix[:, :half].T, axis=0, return_inverse=True)
+    # cells: occurring (group, b) codes, group-major; below[i]: rows before i
+    cells, sizes = np.unique(group.reshape(-1) * nb + first_box(left), return_counts=True)
+    below = np.concatenate([[0], sizes.cumsum()])
+    slot = np.arange(len(keys))
+    first = np.zeros(nb, dtype=np.int64)  # pairs first counted at ks[b]
+    later = np.zeros(len(cells) + 1, dtype=np.int64)  # right rows, by left cell
+    for block in grid_blocks(values, width - half):
+        sums = -(block @ matrix[:, half:].T)
+        both, where = np.unique(np.vstack([keys, sums]), axis=0, return_inverse=True)
+        where = where.reshape(-1)
+        found = np.full(len(both), -1)
+        found[where[: len(keys)]] = slot
+        g = found[where[len(keys) :]]
+        hit = g >= 0
+        g, b = g[hit], first_box(block[hit])
+        start = np.searchsorted(cells, g * nb, "left")
+        upto = np.searchsorted(cells, g * nb + b, "right")
+        end = np.searchsorted(cells, g * nb + nb, "left")
+        # left half-rows whose box is no later: the pair starts at ks[b]
+        np.add.at(first, b, below[upto] - below[start])
+        # later left cells of the group, upto..end-1: it starts at theirs
+        later += np.bincount(upto, minlength=len(cells) + 1)
+        later -= np.bincount(end, minlength=len(cells) + 1)
+    np.add.at(first, cells % nb, sizes * later.cumsum()[:-1])
+    return first.cumsum().tolist()
+
+
+def integral_pairs(g: RibbonGraph, k: int) -> int:
+    """Integral local tension reciprocity pairs the long way: the integer
+    local tensions with |t| <= k by sign pattern, times the BAOs of g
+    whose signs agree with the pattern where it is nonzero."""
+    width = g.num_edges
+
+    def bits(signs, sign):  # edge e at bit e
+        return sum(1 << e for e, s in enumerate(signs) if s == sign)
+
+    bao = [bits(o.signs, -1) for o in all_orientations(g) if is_boundary_acyclic(g, o)]
+    vals = np.arange(-k, k + 1, dtype=np.int64)
+    pattern = signed_pattern_counts(local_tension_matrix(g), vals, width, None)
+    total = 0
+    for code in np.flatnonzero(pattern).tolist():
+        signs = [code // 3**e % 3 - 1 for e in range(width)]
+        fixed, minus = bits(signs, 1) | bits(signs, -1), bits(signs, -1)
+        total += int(pattern[code]) * sum(r & fixed == minus for r in bao)
+    return total
+
+
 # The surgery and the class of each reciprocity theorem.
 SURGERY = {
     "tension": (delete, OrientationClass.AO),
@@ -146,16 +346,12 @@ SURGERY = {
 def surgery_pairs(g: RibbonGraph, kind: str, ks) -> list[int]:
     """Reciprocity pairs the long way, at each k in ks: the solutions
     with support A, times the class count of g surgered at A."""
-    import numpy as np
-
     surgery, cls = SURGERY[kind]
     e = g.num_edges
     classes: dict[int, int] = {}
     out = []
     for k in ks:
-        counts = enumeration._support_counts(
-            enumeration._CONDITIONS[kind](g), np.arange(k, dtype=np.int64), e, k
-        )
+        counts = support_counts(CONDITIONS[kind](g), np.arange(k, dtype=np.int64), e, k)
         total = 0
         for a in np.flatnonzero(counts).tolist():
             if a not in classes:  # edge i at bit e - 1 - i

@@ -248,15 +248,6 @@ def test_cross_check_failure_exits_4(capsys, files, monkeypatch):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
-def test_blas_pool_defaults_to_one_thread(capsys, files, monkeypatch):
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    assert run(capsys, ["info", files["torus"]])[0] == 0
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
-    assert run(capsys, ["info", files["torus"]])[0] == 0
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
-
-
 def _loaded_by_cli_import(module: str, *calls: list[str]) -> str:
     """Whether module is loaded after importing the CLI and running calls,
     each an argument list that must exit 0, in one fresh interpreter."""
@@ -273,7 +264,7 @@ def _loaded_by_cli_import(module: str, *calls: list[str]) -> str:
 
 
 def test_package_import_leaves_numpy_unloaded():
-    # The BLAS setting above only takes effect if numpy loads after main starts.
+    # numpy serves only the tests' oracles
     assert _loaded_by_cli_import("numpy") == "False"
 
 
@@ -283,8 +274,8 @@ def test_cli_import_leaves_process_pool_unloaded():
 
 
 def test_poly_past_four_edges_leaves_numpy_unloaded(tmp_path):
-    # Past 4 edges the k = 2, 3 checks of every polynomial are DP counts;
-    # only the all-cycles cross-check of tensions on E <= 4 scans in numpy.
+    # The k = 2, 3 checks of every polynomial are DP counts, and so is the
+    # all-cycles cross-check of tensions on E <= 4: no size loads numpy.
     calls = []
     for name, g in (("kite", KITE), ("two", TWO_COMPONENTS), ("triangle", TRIANGLE)):
         path = tmp_path / f"{name}.json"
@@ -293,11 +284,11 @@ def test_poly_past_four_edges_leaves_numpy_unloaded(tmp_path):
         calls.append([["poly", str(path), "--kind", kind, "--out", os.devnull] for kind in kinds])
     assert [KITE.num_edges, TWO_COMPONENTS.num_edges] == [6, 5]
     assert _loaded_by_cli_import("numpy", *calls[0], *calls[1]) == "False"
-    assert _loaded_by_cli_import("numpy", *calls[2]) == "True"
+    assert _loaded_by_cli_import("numpy", *calls[2]) == "False"
 
 
 def test_class_counts_and_cw_hist_leave_numpy_unloaded(tmp_path):
-    # Class masks are bits of one int; only verify's kernel scans load numpy.
+    # Class masks are bits of one int; verify's counts are frontier DPs.
     calls = []
     for name, g in (("triangle", TRIANGLE), ("kite", KITE), ("two", TWO_COMPONENTS)):
         path = tmp_path / f"{name}.json"
@@ -307,7 +298,7 @@ def test_class_counts_and_cw_hist_leave_numpy_unloaded(tmp_path):
         calls.append(["cw-hist", str(path), "--out", os.devnull])
     assert _loaded_by_cli_import("numpy", *calls) == "False"
     verify = ["verify", str(tmp_path / "triangle.json"), "--kmax", "2", "--out", os.devnull]
-    assert _loaded_by_cli_import("numpy", verify) == "True"
+    assert _loaded_by_cli_import("numpy", verify) == "False"
 
 
 def test_class_counts_and_cw_hist_load_only_what_they_run(tmp_path):
@@ -324,6 +315,57 @@ def test_class_counts_and_cw_hist_load_only_what_they_run(tmp_path):
     # only cw-hist's generating polynomial needs the coefficient helpers
     for module in ("surfgraph.polynomials", "fractions"):
         assert _loaded_by_cli_import(module, *counts) == "False", module
+
+
+def test_cw_hist_and_poly_leave_fractions_unloaded(tmp_path):
+    # The integer coefficient helpers and the subset sums build no Fraction
+    path = tmp_path / "kite.json"
+    path.write_text(sg.dumps(KITE))
+    hist = ["cw-hist", str(path), "--out", os.devnull]
+    polys = [["poly", str(path), "--kind", kind, "--out", os.devnull] for kind in sg.enumeration.KINDS]
+    assert KITE.num_edges == 6
+    for module in ("fractions", "decimal"):
+        assert _loaded_by_cli_import(module, hist) == "False", module
+        assert _loaded_by_cli_import(module, *polys) == "False", module
+    # verify loads it only for the quasipolynomial fit, on maps with E <= 4
+    verify = ["verify", str(path), "--kmax", "1", "--out", os.devnull]
+    assert _loaded_by_cli_import("fractions", verify) == "False"
+    tri = tmp_path / "triangle.json"
+    tri.write_text(sg.dumps(TRIANGLE))
+    verify = ["verify", str(tri), "--kmax", "1", "--out", os.devnull]
+    assert _loaded_by_cli_import("fractions", verify) == "True"
+
+
+def test_every_command_runs_without_numpy(tmp_path):
+    # A fresh interpreter where importing numpy fails runs every subcommand
+    kite, tri = tmp_path / "kite.json", tmp_path / "triangle.json"
+    kite.write_text(sg.dumps(KITE))
+    tri.write_text(sg.dumps(TRIANGLE))
+    bao = sg.enumerate_class(TRIANGLE, sg.OrientationClass.BAO)[0]
+    quiet = ["--out", os.devnull]
+    calls = [["info", str(kite)], ["dual", str(kite)], ["cw-hist", str(kite)]]
+    calls += [["count", "--class", cls, str(kite)] for cls in ("ao", "tco", "bao", "tbo")]
+    calls += [["poly", str(tri), "--kind", kind] for kind in sg.enumeration.KINDS]
+    calls += [["integral", str(kite), "--kind", kind, "--k", "3"] for kind in ("local-tension", "flow")]
+    calls += [["reciprocity", str(kite), "--kind", kind, "--k", "2"] for kind in sg.enumeration.KINDS]
+    calls += [
+        ["witness", str(tri), sg.orientation_to_string(bao)],
+        ["verify", str(tri)],
+        ["verify", str(kite), "--kmax", "2"],
+        ["generate", "--edges", "3"],
+        ["batch", "--edges", "3"],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys\nsys.modules['numpy'] = None\nimport surfgraph.cli\n"
+    code += "".join(f"assert surfgraph.cli.main({argv + quiet!r}) == 0, {argv!r}\n" for argv in calls)
+    code += "print(sys.modules['numpy'])"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0 and done.stdout.strip() == "None", done.stderr[-2000:]
 
 
 def test_poly_leaves_the_generator_unloaded(tmp_path):

@@ -25,13 +25,8 @@ from surfgraph import (
     orientation_to_string,
     poly_eval,
 )
-from surfgraph import enumeration
-from surfgraph.enumeration import (
-    balanced_flow_matrix,
-    incidence_matrix,
-    local_tension_matrix,
-    tension_matrix,
-)
+from surfgraph import enumeration, guards
+import mapzoo
 from mapzoo import (
     BRIDGE,
     EDGELESS,
@@ -47,11 +42,23 @@ from mapzoo import (
     TORUS,
     TRIANGLE,
     TWO_COMPONENTS,
+    CONDITIONS,
+    balanced_flow_matrix,
+    box_join,
+    box_values,
+    count_solutions,
     disjoint_union,
     fresh,
+    incidence_matrix,
+    integral_pairs,
+    local_tension_matrix,
+    mod_values,
     proper_colorings,
     ribbon_maps,
+    signed_pattern_counts,
+    support_counts,
     surgery_pairs,
+    tension_matrix,
 )
 
 # ascending coefficients, frozen from closed forms
@@ -350,6 +357,19 @@ def test_witness_rejects_non_bao():
             bao_witness_vector(LOOP, o)
 
 
+def test_a_witness_outside_the_kernel_raises(monkeypatch):
+    # one edge more than the coherent cocycles give breaks both face sums
+    from types import SimpleNamespace
+
+    real = enumeration.coherent_cocycles
+    monkeypatch.setattr(
+        enumeration, "coherent_cocycles", lambda g, o: [*real(g, o), SimpleNamespace(edges=(0,))]
+    )
+    o = sg.orientation_from_string(TRIANGLE, "++-")
+    with pytest.raises(AssertionError, match="escapes the face matrix kernel"):
+        bao_witness_vector(TRIANGLE, o)
+
+
 def test_witness_on_acyclic_triangle():
     o = sg.orientation_from_string(TRIANGLE, "++-")
     vec = bao_witness_vector(TRIANGLE, o)
@@ -361,6 +381,7 @@ def test_witness_on_acyclic_triangle():
 
 
 def test_dual_face_matrix_is_the_incidence_matrix():
+    # the oracle's matrices: local tensions of g* are the flows of g
     for g in SMALL:
         assert (local_tension_matrix(dual(g)) == incidence_matrix(g)).all()
 
@@ -470,16 +491,16 @@ def test_random_maps_pair_polynomials_are_the_signed_polynomials(g):
 
 
 def test_integral_pairs_refuse_before_the_sign_histogram(monkeypatch):
-    # at k = 0 the scan is 1^E, but the BAO class scan of a 13-edge
-    # bouquet is refused; no 3^13 histogram may be built before that
+    # at k = 0 the box is 1^E, but the BAO class scan of a 13-edge
+    # bouquet is refused; no DP over its local tensions may start before that
     calls = []
-    real = enumeration._signed_pattern_counts
+    real = enumeration._frontier
 
     def spy(*args):
-        calls.append(args[2])
+        calls.append(args[0])
         return real(*args)
 
-    monkeypatch.setattr(enumeration, "_signed_pattern_counts", spy)
+    monkeypatch.setattr(enumeration, "_frontier", spy)
     with pytest.raises(TooLarge):
         sg.integral_local_tension_reciprocity_pairs(_bouquet(13), 0)
     assert calls == []
@@ -502,17 +523,16 @@ def test_integral_pairs_refuse_before_the_class_scan(monkeypatch):
 
 @pytest.mark.parametrize("chunk", [None, 1, 7])
 def test_solutions_without_conditions_yield_the_product_in_order(monkeypatch, chunk):
+    # the oracle's scan: every row of the value box, in blocks
     import numpy as np
 
     if chunk is not None:
-        monkeypatch.setattr(enumeration, "_CHUNK", chunk)
-    limit = enumeration._CHUNK
+        monkeypatch.setattr(mapzoo, "CHUNK", chunk)
+    limit = mapzoo.CHUNK
     for values in ([], [0], [1, 2], [0, 1, 2], [-2, -1, 1, 2]):
         vals = np.array(values, dtype=np.int64)
         for width in range(5):
-            blocks = list(
-                enumeration._solutions(np.zeros((0, width), dtype=np.int64), vals, width, 3)
-            )
+            blocks = list(mapzoo.solutions(np.zeros((0, width), dtype=np.int64), vals, width, 3))
             rows = [tuple(r) for b in blocks for r in b.tolist()]
             assert rows == list(itertools.product(values, repeat=width))
             for b in blocks:
@@ -533,32 +553,25 @@ FRONTIER = [
     },
 ]
 
-_MATRIX = {
-    "tension": tension_matrix,
-    "flow": incidence_matrix,
-    "local-tension": local_tension_matrix,
-    "balanced-flow": balanced_flow_matrix,
-}
-
-
 def _scan_results(maps):
+    # the oracle's scans, next to the library counts they check
     import numpy as np
 
     out = []
     for g in maps:
         e = g.num_edges
         for kind in enumeration.KINDS:
-            matrix = _MATRIX[kind](g)
+            matrix = CONDITIONS[kind](g)
             for k in (1, 2, 3):
                 out.append(enumeration.COUNT_NZ[kind](g, k))
                 out.append(enumeration.PAIRS[kind](g, k))
                 vals = np.arange(k, dtype=np.int64)
-                out.append(enumeration._support_counts(matrix, vals, e, k).tolist())
+                out.append(support_counts(matrix, vals, e, k).tolist())
         for k in (1, 2):
             vals = np.arange(-k, k + 1, dtype=np.int64)
-            out.append(
-                enumeration._signed_pattern_counts(local_tension_matrix(g), vals, e, None).tolist()
-            )
+            out.append(signed_pattern_counts(local_tension_matrix(g), vals, e, None).tolist())
+            out.append(box_join(local_tension_matrix(g), e, [k + 1]))
+            out.append(box_join(incidence_matrix(g), e, [k + 1]))
             out.append(sg.count_integral_local_tensions(g, k + 1))
             out.append(sg.count_integral_flows(g, k + 1))
             out.append(sg.integral_local_tension_reciprocity_pairs(g, k))
@@ -570,11 +583,8 @@ def test_chunk_size_does_not_change_any_scan(monkeypatch):
     maps += [from_json_dict(doc) for doc in FRONTIER]
     assert [g.num_edges for g in maps[-2:]] == [6, 7]
     expected = _scan_results(maps)
-    # a block of 1 or 7 rows also caps the left half-box an integral count
-    # may hold, so its guard would refuse these joins
-    monkeypatch.setenv("SURFGRAPH_GUARD_OVERRIDE", "1")
     for chunk in (1, 7):
-        monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+        monkeypatch.setattr(mapzoo, "CHUNK", chunk)
         # fresh maps, or the counts would come from the first pass's memo
         assert _scan_results([fresh(g) for g in maps]) == expected, chunk
 
@@ -593,8 +603,7 @@ def _dp_mismatches(g, ks):
     for h in (g, g.dual):
         for flow, matrix in ((False, tension_matrix(h)), (True, incidence_matrix(h))):
             for k in ks:
-                values = enumeration._mod_values(k, True)
-                scan = enumeration._count_solutions(matrix, values, h.num_edges, k)
+                scan = count_solutions(matrix, mod_values(k, True), h.num_edges, k)
                 dp = enumeration._nz_count(h, k, flow)
                 if dp != scan:
                     out.append((h, k, flow, dp, scan))
@@ -638,7 +647,7 @@ def test_a_wrong_dp_fails_verify(monkeypatch, tmp_path, capsys):
         assert err.startswith("error: internal cross-check failed:") and route in err, err
 
 
-# -- the half-box join --------------------------------------------------------------
+# -- the integral box DP -----------------------------------------------------------
 
 
 def _box_kmax(g):
@@ -650,47 +659,59 @@ def _box_kmax(g):
 
 
 def test_box_counts_match_the_direct_scan(corpus):
+    # local tensions of g are the flows of g*: its face rows are g*'s incidence
     maps = [(g, 8) for g in corpus] + [(g, _box_kmax(g)) for g in ZOO]
     assert [kmax for _, kmax in maps[-6:]] == [6, 8, 8, 8, 3, 2]
     for g, kmax in maps:
         e = g.num_edges
-        for matrix in (local_tension_matrix(g), incidence_matrix(g)):
-            counts = enumeration._box_counts(matrix, e, range(1, kmax + 1))
-            direct = [
-                enumeration._count_solutions(matrix, enumeration._box_values(k), e, None)
-                for k in range(1, kmax + 1)
-            ]
-            assert counts == direct, (g, matrix)
+        for h, matrix in ((g.dual, local_tension_matrix(g)), (g, incidence_matrix(g))):
+            counts = enumeration._box_counts(h, range(1, kmax + 1))
+            direct = [count_solutions(matrix, box_values(k), e, None) for k in range(1, kmax + 1)]
+            assert counts == direct, (g, h is g)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ribbon_maps(max_edges=6))
+def test_random_maps_box_counts_match_the_half_box_join(g):
+    ks = range(1, 6)
+    for h, matrix in ((g.dual, local_tension_matrix(g)), (g, incidence_matrix(g))):
+        assert enumeration._box_counts(h, ks) == box_join(matrix, g.num_edges, ks)
 
 
 def test_box_counts_edge_cases():
-    import numpy as np
-
-    # width 0: the one empty row, for every k
-    assert enumeration._box_counts(np.zeros((2, 0), dtype=np.int64), 0, [1, 2, 3]) == [1, 1, 1]
-    # kmax = 1: no values, so no rows of positive width
-    for width in (1, 2, 3):
-        assert enumeration._box_counts(np.ones((1, width), dtype=np.int64), width, [1]) == [0]
-    # no conditions: the whole box, (2k - 2)^width rows, odd widths included
+    # no columns and no forms: the one empty assignment, for every k
+    assert enumeration._box_counts(EDGELESS, [1, 2, 3]) == [1, 1, 1]
+    # kmax = 1: no values, so nothing on a map with edges
+    for g in (LOOP, TRIANGLE, _bouquet(3)):
+        assert enumeration._box_counts(g, [1]) == [0]
+    # no forms: every chord of a bouquet is free, (2k - 2)^width rows
     for width in range(6):
-        counts = enumeration._box_counts(np.zeros((0, width), dtype=np.int64), width, range(1, 5))
+        counts = enumeration._box_counts(_bouquet(width), range(1, 5))
         assert counts == [(2 * k - 2) ** width for k in range(1, 5)]
-    # one condition x0 + x1 + x2 = 0 over an odd width
-    row = np.ones((1, 3), dtype=np.int64)
-    counts = enumeration._box_counts(row, 3, range(1, 5))
+    # one form: the tree edge of the theta carries the signed sum of two
+    # chords, so its flows are x0 + x1 + x2 = 0 up to signs, an odd width
+    counts = enumeration._box_counts(THETA, range(1, 5))
     assert counts == [
         sum(1 for x in itertools.product(range(-(k - 1), k), repeat=3) if 0 not in x and sum(x) == 0)
         for k in range(1, 5)
     ]
+    # ks need not be consecutive: each count is that of its own box
+    assert enumeration._box_counts(THETA, [2, 5, 6]) == [
+        enumeration._box_counts(THETA, [k])[0] for k in (2, 5, 6)
+    ]
+    # a form with no variables is a bridge: no flow is nowhere zero
+    assert enumeration._box_counts(BRIDGE, range(1, 4)) == [0, 0, 0]
 
 
 def test_box_counts_stream_the_right_half_in_blocks(monkeypatch):
+    # the oracle join's blocks do not change it, and it is the DP's count
     maps = [g for m in range(4) for g in generate(CorpusSpec(edges=m))]
-    matrices = [(f(g), g.num_edges) for g in maps for f in (local_tension_matrix, incidence_matrix)]
-    expected = [enumeration._box_counts(matrix, e, range(1, 7)) for matrix, e in matrices]
+    cases = [(h, f(g), g.num_edges) for g in maps for h, f in ((g.dual, local_tension_matrix), (g, incidence_matrix))]
+    expected = [box_join(matrix, e, range(1, 7)) for _, matrix, e in cases]
+    assert [enumeration._box_counts(h, range(1, 7)) for h, _, _ in cases] == expected
     for chunk in (1, 7):
-        monkeypatch.setattr(enumeration, "_CHUNK", chunk)
-        got = [enumeration._box_counts(matrix, e, range(1, 7)) for matrix, e in matrices]
+        monkeypatch.setattr(mapzoo, "CHUNK", chunk)
+        got = [box_join(matrix, e, range(1, 7)) for _, matrix, e in cases]
         assert got == expected, chunk
 
 
@@ -704,7 +725,7 @@ def test_integral_counts_stay_small_at_large_k():
         (sg.count_integral_flows, THETA, 232, sg.quasi_integral_flows(THETA).evaluate(232)),
     ]
     for count, g, k, expected in cases:
-        # the guard admits these boxes, 9999^2 and 463^3 < 10^8
+        # the guard admits these DPs, of at most 462 + 462^2 steps
         tracemalloc.start()
         try:
             assert count(g, k) == expected
@@ -715,32 +736,64 @@ def test_integral_counts_stay_small_at_large_k():
 
 
 def test_integral_counts_guard_the_join_they_run(monkeypatch):
-    # 7 loops at k = 8: the box holds 15^7 > 10^8 vectors, the join reads
-    # 14^3 + 14^4 half-rows.  Every loop carries any flow; each loop of
-    # this planar bouquet bounds a face alone, so no local tension is
-    # nowhere zero.
+    # 7 loops at k = 8: the box holds 15^7 > 10^8 vectors, but the flows
+    # have no forms, so the DP keeps one state.  Every loop carries any
+    # flow; each loop of this planar bouquet bounds a face alone, so no
+    # local tension is nowhere zero.
     assert sg.count_integral_flows(_bouquet(7), 8) == 14**7
     assert sg.count_integral_local_tensions(_bouquet(7), 8) == 0
 
     joins = []
-    monkeypatch.setattr(enumeration, "_box_counts", lambda *a: joins.append(a))
-    with pytest.raises(TooLarge, match=r"11998\^1 \+ 11998\^2 = 143964002 half-rows exceeds"):
+    real = enumeration._box_counts
+    monkeypatch.setattr(enumeration, "_box_counts", lambda *a: joins.append(a) or real(*a))
+    # The theta's flows: 11998 values of the first chord, then the same for
+    # the second from each of 11998 partial sums of the tree edge's form
+    with pytest.raises(TooLarge, match=r"2 columns of 11998 values and 1 boxes, about 143964002 steps"):
         sg.count_integral_flows(THETA, 6000)
-    path = build(4, [0, 2, 1, 3], [(0, 1), (2, 3)])
-    held = r"holds 399998 left half-rows in memory, more than the 262144 of one block"
-    with pytest.raises(TooLarge, match=held):
-        sg.count_integral_local_tensions(path, 200000)
     assert joins == []
+    # Newly admitted: the local tensions of a two-edge path are the flows of
+    # two loops, no form, so 2 * 399998 steps.  The half-box join refused it
+    # for the 399998 left half-rows it would hold.
+    path = build(4, [0, 2, 1, 3], [(0, 1), (2, 3)])
+    assert sg.count_integral_local_tensions(path, 200000) == 399998**2
+    assert len(joins) == 1
+
+
+def test_box_guard_bounds_the_dp_steps(monkeypatch):
+    # The guard's estimate, from the forms' sizes alone, bounds the steps
+    # of the DP it admits; here the steps that pass the forms ending at
+    # their column, one column mark each.
+    steps, estimates = [], []
+    real = enumeration._frontier
+
+    def counted(plan, values, accept, modulus, mark, start):
+        def spy(tag, slot, v):
+            steps[-1] += slot < len(plan[1])
+            return mark(tag, slot, v)
+
+        steps.append(0)
+        return real(plan, values, accept, modulus, spy, start)
+
+    monkeypatch.setattr(enumeration, "_frontier", counted)
+    monkeypatch.setattr(guards, "_refuse", lambda work, what: estimates.append(work))
+    for g in [*ZOO[:-2], *(from_json_dict(doc) for doc in FRONTIER)]:
+        for h in (g, g.dual):
+            kmax = g.num_edges + 4
+            steps.clear()
+            estimates.clear()
+            enumeration._price_box(h, kmax, kmax)
+            enumeration._box_counts(h, range(1, kmax + 1))
+            assert steps[0] <= estimates[0], (g, h is g)
 
 
 def test_quasi_fit_joins_once_per_period_and_refuses_first(monkeypatch):
     joins, scans = [], []
-    real_join, real_scan = enumeration._box_counts, enumeration._solutions
+    real_join, real_scan = enumeration._box_counts, enumeration._row_count
     real_fit = enumeration.fit_quasipolynomial
 
-    def join(matrix, width, ks):
+    def join(h, ks):
         joins.append(ks[-1])
-        return real_join(matrix, width, ks)
+        return real_join(h, ks)
 
     def scan(*args):
         scans.append(args)
@@ -753,17 +806,108 @@ def test_quasi_fit_joins_once_per_period_and_refuses_first(monkeypatch):
         return real_fit(samples, degree, max_period=max_period)
 
     monkeypatch.setattr(enumeration, "_box_counts", join)
-    monkeypatch.setattr(enumeration, "_solutions", scan)
+    monkeypatch.setattr(enumeration, "_row_count", scan)
     q = sg.quasi_integral_local_tensions(TORUS)
     assert q.period == 1 and joins == [6] and scans == []
     monkeypatch.setattr(enumeration, "fit_quasipolynomial", fit_from_period_3)
     joins.clear()
     q = sg.quasi_integral_flows(TRIANGLE)
     assert joins == [7, 12, 17] and scans == []
-    # 6 edges: the period-2 left half-box, 34^3 rows, is more than a block
-    # of 6000 rows holds, so its join never starts
-    monkeypatch.setattr(enumeration, "_CHUNK", 6000)
+    # The theta's flows fit at period 1, a DP of 12 + 12^2 = 156 steps; a
+    # guard of 1000 steps admits it but not the period-6 DP, which is priced
+    # first, so no DP starts.
+    monkeypatch.setattr(enumeration, "fit_quasipolynomial", real_fit)
+    monkeypatch.setattr(guards, "MAX_ASSIGNMENTS", 1000)
+    guards.check_box_dp(12, 7, enumeration._open_sizes(THETA))
     joins.clear()
-    with pytest.raises(TooLarge, match=r"34\^3 \+ 34\^3 = 78608 half-rows holds 39304"):
-        sg.quasi_integral_local_tensions(KITE)
-    assert joins == [10] and scans == []
+    with pytest.raises(TooLarge, match=r"2 columns of 62 values and 32 boxes, about 3906 steps"):
+        sg.quasi_integral_flows(THETA)
+    assert joins == [] and scans == []
+
+
+def test_quasi_guard_prices_the_largest_period(monkeypatch):
+    joins = []
+    real = enumeration._box_counts
+    monkeypatch.setattr(enumeration, "_box_counts", lambda h, ks: joins.append(ks[-1]) or real(h, ks))
+    e7, e9 = from_json_dict(FRONTIER[1]), from_json_dict(FRONTIER_9)
+    # Newly refused: the 7-edge map's local tensions fit at period 1, which
+    # the join admitted and ran, but the period-6 DP is about 7.5 * 10^8 steps
+    with pytest.raises(TooLarge, match=r"about 748112970 steps"):
+        sg.quasi_integral_local_tensions(e7)
+    assert joins == []
+    # Newly admitted: the 9-edge map's local tensions, refused by the join's
+    # 24^4 left half-rows, are a period-6 DP of about 3.3 * 10^7 steps, and
+    # fit at period 1
+    q = sg.quasi_integral_local_tensions(e9)
+    assert q.period == 1 and joins == [13]
+    assert [q.evaluate(k) for k in (2, 13)] == [
+        sg.count_integral_local_tensions(e9, k) for k in (2, 13)
+    ]
+    # its flows are refused by both, now before the first period
+    joins.clear()
+    with pytest.raises(TooLarge, match=r"about 327293258 steps"):
+        sg.quasi_integral_flows(e9)
+    assert joins == []
+
+
+# The E = 9 map of the seed-1 `frontier` benchmark ladder.
+FRONTIER_9 = {
+    "sigma": [[16, 0, 11, 15], [7, 9, 12, 2], [1, 10, 4, 17], [8, 13, 5, 6], [3, 14]],
+    "edges": [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11], [12, 13], [14, 15], [16, 17]],
+}
+
+
+# -- oracles for the frontier DP on condition rows and for the integral pairs ----
+
+
+def _row_mismatches(g, ks):
+    out = []
+    for condition, matrix in CONDITIONS.items():
+        matrix = matrix(g)
+        for k in ks:
+            for nonzero in (False, True):
+                dp = enumeration._count(g, k, nonzero, condition)
+                scan = count_solutions(matrix, mod_values(k, nonzero), g.num_edges, k)
+                if dp != scan:
+                    out.append((condition, k, nonzero, dp, scan))
+    return out
+
+
+def test_row_counts_equal_the_kernel_scans(corpus):
+    for g in [*corpus, *PAIR_ZOO]:
+        assert _row_mismatches(g, range(1, 5)) == [], g
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ribbon_maps(max_edges=6))
+def test_random_maps_row_counts_equal_the_kernel_scans(g):
+    assert _row_mismatches(g, range(1, 5)) == []
+
+
+def test_rows_are_the_condition_matrices():
+    import numpy as np
+
+    for g in PAIR_ZOO:
+        for condition, matrix in CONDITIONS.items():
+            rows = enumeration._rows(g, condition)
+            dense = np.zeros((len(rows), g.num_edges), dtype=np.int64)
+            for i, row in enumerate(rows):
+                assert list(row) == sorted(row) and all(d for _, d in row)
+                for e, d in row:
+                    dense[i, e] = d
+            assert (dense == matrix(g)).all(), (condition, g)
+
+
+def test_integral_pairs_equal_the_sign_pattern_scan(corpus):
+    # the oracle scans (2k + 1)^E rows: K5 stops at k = 1
+    for g in [*corpus, *PAIR_ZOO]:
+        ks = range(2) if g.num_edges > 6 else range(4)
+        got = [sg.integral_local_tension_reciprocity_pairs(g, k) for k in ks]
+        assert got == [integral_pairs(g, k) for k in ks], g
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ribbon_maps(max_edges=6))
+def test_random_maps_integral_pairs_equal_the_sign_pattern_scan(g):
+    for k in range(4):
+        assert sg.integral_local_tension_reciprocity_pairs(g, k) == integral_pairs(g, k)

@@ -1,5 +1,5 @@
 """The per-map memo: class masks and their scan costs, condition
-matrices, mod-k scans, the forms and counts of the nowhere-zero DP and
+rows, mod-k counts, the forms and counts of the nowhere-zero DP and
 the subset census are computed once per map, after the guards and the
 cross-checks, and handed out read-only.  The dual of g.dual is g itself,
 so nothing is computed again on an equal copy of g.  The pair counters
@@ -22,13 +22,7 @@ from mapzoo import FACE_MATRIX_PRIMAL, ISOLATED, K5, SMALL, TRIANGLE, TWO_COMPON
 
 ZOO = [*SMALL, FACE_MATRIX_PRIMAL, ISOLATED, TWO_COMPONENTS, K5]
 
-_MATRICES = (
-    enumeration.tension_matrix,
-    enumeration._all_cycles_matrix,
-    enumeration.incidence_matrix,
-    enumeration.local_tension_matrix,
-    enumeration.balanced_flow_matrix,
-)
+_CONDITIONS = ("tension", "all-cycles", "flow", "local-tension", "balanced-flow")
 
 
 def _report(g, kmax=3):
@@ -49,21 +43,21 @@ def test_a_second_verify_on_the_same_map_gives_the_same_report(corpus):
 def test_verify_computes_each_quantity_once(corpus, monkeypatch):
     masks, surgeries, scans, codes = [], [], [], []
     real_scan_class = orientations._scan_class
-    real_count = enumeration._count_solutions
+    real_count = enumeration._row_count
 
     def scan_class(g, cls):
         masks.append((g, cls))
         return real_scan_class(g, cls)
 
-    def count(matrix, values, width, modulus):
-        scans.append((matrix, len(values), modulus))
-        return real_count(matrix, values, width, modulus)
+    def count(h, condition, k, nonzero):
+        scans.append(((h, condition), nonzero, k))
+        return real_count(h, condition, k, nonzero)
 
     def spy(log, real):
         return lambda *args: log.append(args) or real(*args)
 
     monkeypatch.setattr(orientations, "_scan_class", scan_class)
-    monkeypatch.setattr(enumeration, "_count_solutions", count)
+    monkeypatch.setattr(enumeration, "_row_count", count)
     for name in ("delete", "contract", "double_slash", "abstract_contract"):
         monkeypatch.setattr(ribbonmap, name, spy(surgeries, getattr(ribbonmap, name)))
     monkeypatch.setattr(ribbonmap, "_code_from", spy(codes, ribbonmap._code_from))
@@ -74,10 +68,10 @@ def test_verify_computes_each_quantity_once(corpus, monkeypatch):
             log.clear()
         cli._verify_graph(g, 3)
         assert surgeries == [] and codes == []
-        # the lists hold every map and matrix, so no id is reused meanwhile
+        # the lists hold every map, so no id is reused meanwhile
         mask_keys = [(id(h), cls) for h, cls in masks]
         assert len(set(mask_keys)) == len(mask_keys)
-        scan_keys = [(id(m), n, k) for m, n, k in scans]
+        scan_keys = [((id(h), c), n, k) for (h, c), n, k in scans]
         assert len(set(scan_keys)) == len(scan_keys)
         # every condition is scanned at each k = 1..3, once
         per_matrix: dict[int, list[int]] = {}
@@ -166,17 +160,19 @@ def test_verify_prices_each_class_once_and_guards_every_scan(corpus, monkeypatch
 
 
 def test_memoised_arrays_are_read_only():
-    # A class mask is an int, immutable: the memo hands out the same one.
+    # A class mask is an int and a row set a tuple of tuples, immutable:
+    # the memo hands out the same one.
     g = fresh(TRIANGLE)
     for cls in OrientationClass:
         mask = orientations._class_mask(g, cls)
         assert isinstance(mask, int)
         assert orientations._class_mask(g, cls) is mask
-    for build in _MATRICES:
-        matrix = build(g)
-        assert build(g) is matrix
-        with pytest.raises(ValueError):
-            matrix[...] = 0
+    for condition in _CONDITIONS:
+        rows = enumeration._rows(g, condition)
+        assert enumeration._rows(g, condition) is rows
+        assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
+        with pytest.raises(TypeError):
+            rows[0] = ()
 
 
 def test_a_failed_cross_check_stores_nothing(monkeypatch):
@@ -192,13 +188,12 @@ def test_a_failed_cross_check_stores_nothing(monkeypatch):
             count_class(g, OrientationClass.AO)
 
     # one route of a two-route count off by one: both calls raise
-    real_count = enumeration._count_solutions
-    all_cycles = enumeration._all_cycles_matrix(g)
+    real_count = enumeration._row_count
 
-    def off_by_one(matrix, *args):
-        return real_count(matrix, *args) + (matrix is all_cycles)
+    def off_by_one(h, condition, *args):
+        return real_count(h, condition, *args) + (condition == "all-cycles")
 
-    monkeypatch.setattr(enumeration, "_count_solutions", off_by_one)
+    monkeypatch.setattr(enumeration, "_row_count", off_by_one)
     for _ in range(2):
         with pytest.raises(AssertionError, match="all-cycles count"):
             enumeration.count_nz_tensions(g, 2)
