@@ -33,9 +33,9 @@ signed polynomial at -k.  Integral local tension counts get a
 quasipolynomial fit.
 
 A quantity with a second independent characterization is computed both
-ways, and disagreement raises.  The condition rows, the DP's forms and
-column plans (tuples), the mod-k counts, the subset census and
-components and the pair polynomials are kept on the map
+ways, and disagreement raises.  The condition rows, the DP's forms
+(tuples), the mod-k counts, the subset census and components and the
+pair polynomials are kept on the map
 (RibbonGraph._memo).  Guards run before every lookup; nothing is stored
 from a call that raised.
 """
@@ -49,7 +49,13 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import ribbonmap
 from .errors import BadModulus, NoFit, NotBoundaryAcyclic
-from .guards import check_assignment_scan, check_box_dp, check_pair_poly, check_subset_poly
+from .guards import (
+    check_assignment_scan,
+    check_box_dp,
+    check_pair_dp,
+    check_pair_poly,
+    check_subset_poly,
+)
 from .orientations import (
     Orientation,
     OrientationClass,
@@ -85,11 +91,13 @@ Form = tuple[tuple[int, int], ...]
 
 def _plan(width: int, forms: Sequence[Form]) -> tuple:
     """The frontier DP's schedule over columns 0..width-1 for these forms:
-    the slots of the forms with no columns, then per column the order of
-    the sums once the forms that begin there join them (None if none
-    does) and how many join, the slots of the forms that end there (their
-    sums come first, the sums kept in the order of their last columns),
-    and each sum's coefficient.  Form i has slot width + i."""
+    the slots of the forms with no columns; per column the order of the
+    sums once the forms that begin there join them (None if none does)
+    and how many join, the slots of the forms that end there (their sums
+    come first, the sums kept in the order of their last columns), and
+    each sum's coefficient; and per column, for the guards, the variables
+    already assigned in each form open as it starts.  Form i has slot
+    width + i."""
     last = [f[-1][0] if f else -1 for f in forms]
     opens: list[list[int]] = [[] for _ in range(width)]
     for i, f in enumerate(forms):
@@ -97,8 +105,10 @@ def _plan(width: int, forms: Sequence[Form]) -> tuple:
             opens[f[0][0]].append(i)
     coeffs = [dict(f) for f in forms]
     columns = []
+    sizes = []
     live: list[int] = []  # the forms behind the sums
     for j in range(width):
+        sizes.append(tuple(sum(c < j for c in coeffs[i]) for i in live))
         order = None
         if opens[j]:
             grown = live + opens[j]
@@ -107,7 +117,7 @@ def _plan(width: int, forms: Sequence[Form]) -> tuple:
         shut = tuple(width + i for i in live if last[i] == j)
         columns.append((order, len(opens[j]), shut, [coeffs[i].get(j, 0) for i in live]))
         live = live[len(shut) :]
-    return tuple(width + i for i, f in enumerate(forms) if not f), tuple(columns)
+    return tuple(width + i for i, f in enumerate(forms) if not f), tuple(columns), tuple(sizes)
 
 
 def _frontier(
@@ -128,7 +138,7 @@ def _frontier(
     slot), or None to drop the assignment.  A form is checked at its
     last column, then leaves the state; a form with no columns is 0.
     """
-    empty, columns = plan
+    empty, columns, _ = plan
     tag = start
     for slot in empty:
         if 0 not in accept:
@@ -216,7 +226,7 @@ def _fundamental_forms(h: RibbonGraph, flow: bool) -> tuple[Form, ...]:
 
 def _fundamental_plan(h: RibbonGraph, flow: bool) -> tuple:
     forms = _fundamental_forms(h, flow)
-    return h._memoised(("plan", flow), lambda: _plan(h.num_edges - len(forms), forms))
+    return _plan(h.num_edges - len(forms), forms)
 
 
 def _nz_count(h: RibbonGraph, k: int, flow: bool) -> int:
@@ -247,18 +257,8 @@ def _box_counts(h: RibbonGraph, ks: Sequence[int]) -> list[int]:
     return list(accumulate(tags.get(b, 0) for b in range(len(ks))))
 
 
-def _open_sizes(h: RibbonGraph) -> list[list[int]]:
-    """Per column of the flow DP on h, the variables already assigned in
-    each form it finds open."""
-    forms = _fundamental_forms(h, True)
-    return [
-        [sum(c < j for c, _ in f) for f in forms if f and f[0][0] < j <= f[-1][0]]
-        for j in range(h.num_edges - len(forms))
-    ]
-
-
 def _price_box(h: RibbonGraph, kmax: int, boxes: int) -> None:
-    check_box_dp(2 * kmax - 2, boxes, _open_sizes(h))
+    check_box_dp(2 * kmax - 2, boxes, _fundamental_plan(h, True)[2])
 
 
 # -- condition rows ----------------------------------------------------------
@@ -302,8 +302,7 @@ def _rows(g: RibbonGraph, condition: str) -> tuple[Form, ...]:
 def _row_count(g: RibbonGraph, condition: str, k: int, nonzero: bool) -> int:
     """Assignments of range(nonzero, k) to the edges of g under which every
     row of the condition is zero mod k."""
-    rows = _rows(g, condition)
-    plan = g._memoised(("row plan", condition), lambda: _plan(g.num_edges, rows))
+    plan = _plan(g.num_edges, _rows(g, condition))
     return sum(_frontier(plan, (range(nonzero, k),), range(1), k).values())
 
 
@@ -572,10 +571,14 @@ def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
     if not isinstance(k, int) or k < 0:
         raise BadModulus(f"k must be a nonnegative integer, got {k!r}")
     width = g.num_edges
-    check_assignment_scan(2 * k + 1, width)
-    check_assignment_scan(3, width)  # the tags: up to 3^E sign patterns' masks
-    bao = _class_mask(g, CLASS_OF["local-tension"])
+    check_assignment_scan(3, width)  # the tags: one mask per sign pattern at most
     h = g.dual
+    plan = _fundamental_plan(h, True)
+    _, columns, sizes = plan
+    # before column j: j free edges and the forms closed at earlier columns
+    closed = accumulate((len(shut) for _, _, shut, _ in columns), initial=0)
+    check_pair_dp(2 * k + 1, width, [j + n for j, n in zip(range(len(columns)), closed)], sizes)
+    bao = _class_mask(g, CLASS_OF["local-tension"])
     chords = [c.edges[0] for c in h._fundamental_cycles]
     tree = sorted(set(range(width)) - set(chords))  # the edges of forms, in order
     lanes = _lanes(width)  # per edge: (masks keeping its direction, masks reversing it)
@@ -585,7 +588,7 @@ def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
         return (mask & slots[slot][v < 0] or None) if v else mask
 
     box = range(-k, k + 1)
-    tags = _frontier(_fundamental_plan(h, True), (box,), box, 0, compatible, bao)
+    tags = _frontier(plan, (box,), box, 0, compatible, bao)
     return sum(n * mask.bit_count() for mask, n in tags.items())
 
 

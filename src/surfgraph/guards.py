@@ -92,26 +92,51 @@ def check_assignment_scan(base: int, num_edges: int) -> None:
         _refuse(base**num_edges, f"assignment scan over {base}^{num_edges} vectors")
 
 
-def check_box_dp(values: int, boxes: int, open_sizes: Sequence[Sequence[int]]) -> None:
-    """Refuse an integral box DP whose steps, one per state and value at
-    each column, are too many.
+def _dp_steps(values: int, tags: Sequence[int], open_sizes: Sequence[Sequence[int]]) -> int:
+    """Steps of a frontier DP, one per state and value at each column.
 
     The states entering column j are at most the values^j assignments
-    before it, and at most the boxes tags times, per form open there with
-    a variables assigned, its a * values + 1 partial sums (open_sizes[j]
-    lists those a).  The DP holds two columns' states at once, so this
-    also bounds its memory.
+    before it, and at most its tags[j] tags times, per form open there
+    with a variables assigned, its a * values + 1 partial sums
+    (open_sizes[j] lists those a).  The DP holds two columns' states at
+    once, so the steps also bound the states it holds.
     """
     work = 0
-    for j, sizes in enumerate(open_sizes):
-        sums = boxes
+    for j, (sums, sizes) in enumerate(zip(tags, open_sizes)):
         for a in sizes:
             sums *= a * values + 1
         work += min(values**j, sums) * values
+    return work
+
+
+def check_box_dp(values: int, boxes: int, open_sizes: Sequence[Sequence[int]]) -> None:
+    """Refuse an integral box DP, tagged with one of boxes boxes, whose
+    steps are too many."""
+    work = _dp_steps(values, [boxes] * len(open_sizes), open_sizes)
     _refuse(
         work,
         f"integral box DP over {len(open_sizes)} columns of {values} values and "
         f"{boxes} boxes, about {work} steps,",
+    )
+
+
+def check_pair_dp(
+    values: int, num_edges: int, assigned: Sequence[int], open_sizes: Sequence[Sequence[int]]
+) -> None:
+    """Refuse an integral pair DP whose steps, each charged the words of
+    its tag, are too many.
+
+    The tag is a mask over the 2^E orientations, fixed by the signs of
+    the assigned[j] edges assigned before column j, so at most
+    3^assigned[j] tags enter it.  A step ANDs, and may keep, a mask of
+    ceil(2^E / 64) words: the charge bounds the masks' time and memory.
+    """
+    words = -(-(1 << num_edges) // 64)
+    work = _dp_steps(values, [3**a for a in assigned], open_sizes) * words
+    _refuse(
+        work,
+        f"integral pair DP over {len(open_sizes)} columns of {values} values and "
+        f"masks of {words} words, about {work} word steps,",
     )
 
 

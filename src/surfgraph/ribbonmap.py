@@ -78,8 +78,8 @@ class RibbonGraph(Record):
     Equality, hash and repr read sigma, edge_pairs and isolated; labels
     ride along.  Besides the cached properties below, the counting
     layers keep their per-map results in `_memo` through `_memoised`:
-    class masks and their scan costs, condition rows, DP forms, column
-    plans and mod-k counts, the subset census and components, and pair
+    class masks and their scan costs, condition rows, DP forms and
+    mod-k counts, the subset census and components, and pair
     polynomials.
     They die with the map.  Each caller runs its guards before the
     lookup and stores a value only once its cross-checks passed; the

@@ -521,6 +521,42 @@ def test_integral_pairs_refuse_before_the_class_scan(monkeypatch):
     assert calls == []
 
 
+def _one_face_bouquet(m):
+    # one vertex and one face, genus m / 2: handles a b a^-1 b^-1 in a row
+    darts = [(4 * i + d, 4 * i + d + 2) for i in range(m // 2) for d in (0, 1)]
+    return build(2 * m, [tuple(range(2 * m))], darts)
+
+
+def test_integral_pairs_price_the_masks_before_any_scan(monkeypatch):
+    from surfgraph import orientations
+
+    dps, scans = [], []
+    real_dp, real_scan = enumeration._frontier, orientations._scan_class
+    monkeypatch.setattr(enumeration, "_frontier", lambda *a: dps.append(a) or real_dp(*a))
+    monkeypatch.setattr(orientations, "_scan_class", lambda g, c: scans.append(c) or real_scan(g, c))
+    # Newly refused: a one-face map has a zero face row, so each sign
+    # pattern of its local tensions keeps its own mask over the 2^E
+    # orientations, all of them BAOs.  The 3^E < 10^8 patterns were
+    # admitted at k = 1, but the last column alone holds 3^(E-1) masks of
+    # 2^E bits, and the DP never starts.
+    for m, words in ((14, 256), (16, 1024)):
+        g = _one_face_bouquet(m)
+        assert (g.num_vertices, g.num_faces) == (1, 1)
+        with pytest.raises(TooLarge, match=rf"{m} columns of 3 values and masks of {words} words"):
+            sg.integral_local_tension_reciprocity_pairs(g, 1)
+    assert dps == [] and scans == []
+    # at 8 edges the DP runs: each edge takes t = 0 with both directions or
+    # one of t = +-1 with one
+    assert sg.integral_local_tension_reciprocity_pairs(_one_face_bouquet(8), 1) == 4**8
+    # Newly admitted: a path at k = 8 was refused for its 17^8 > 10^8
+    # assignments, but the DP keeps at most 3^j masks of 2^8 bits at column j.
+    # Every orientation of a tree is a BAO and each edge takes t = 0 with
+    # both directions or one of 2k nonzero values with one.
+    inner = [(2 * j - 1, 2 * j) for j in range(1, 8)]
+    path = build(16, [(0,), *inner, (15,)], [(2 * i, 2 * i + 1) for i in range(8)])
+    assert sg.integral_local_tension_reciprocity_pairs(path, 8) == 18**8
+
+
 @pytest.mark.parametrize("chunk", [None, 1, 7])
 def test_solutions_without_conditions_yield_the_product_in_order(monkeypatch, chunk):
     # the oracle's scan: every row of the value box, in blocks
@@ -759,12 +795,14 @@ def test_integral_counts_guard_the_join_they_run(monkeypatch):
     assert len(joins) == 1
 
 
-def test_box_guard_bounds_the_dp_steps(monkeypatch):
-    # The guard's estimate, from the forms' sizes alone, bounds the steps
-    # of the DP it admits; here the steps that pass the forms ending at
-    # their column, one column mark each.
+def test_dp_guards_bound_every_step(monkeypatch):
+    # Each guard's estimate, from the plan alone, bounds every step of the
+    # DP it admits: a state entering a column times a value.  Rerun with
+    # every sum accepted, no step is cut at a form's check, so each marks
+    # its column once, and its states hold those of the real DP.
     steps, estimates = [], []
     real = enumeration._frontier
+    anything = range(-(10**6), 10**6)
 
     def counted(plan, values, accept, modulus, mark, start):
         def spy(tag, slot, v):
@@ -772,11 +810,16 @@ def test_box_guard_bounds_the_dp_steps(monkeypatch):
             return mark(tag, slot, v)
 
         steps.append(0)
-        return real(plan, values, accept, modulus, spy, start)
+        real(plan, values, anything, modulus, spy, start)
+        return real(plan, values, accept, modulus, mark, start)
+
+    def refuse(work, what):
+        if what.startswith("integral"):
+            estimates.append(work)
 
     monkeypatch.setattr(enumeration, "_frontier", counted)
-    monkeypatch.setattr(guards, "_refuse", lambda work, what: estimates.append(work))
-    for g in [*ZOO[:-2], *(from_json_dict(doc) for doc in FRONTIER)]:
+    monkeypatch.setattr(guards, "_refuse", refuse)
+    for g in [*ZOO[:-2], *(from_json_dict(doc) for doc in (*FRONTIER, EARLY_CLOSE))]:
         for h in (g, g.dual):
             kmax = g.num_edges + 4
             steps.clear()
@@ -784,6 +827,21 @@ def test_box_guard_bounds_the_dp_steps(monkeypatch):
             enumeration._price_box(h, kmax, kmax)
             enumeration._box_counts(h, range(1, kmax + 1))
             assert steps[0] <= estimates[0], (g, h is g)
+        words = -(-(2**g.num_edges) // 64)
+        for k in range(4):
+            steps.clear()
+            estimates.clear()
+            sg.integral_local_tension_reciprocity_pairs(fresh(g), k)
+            assert steps[0] * words <= estimates[0], (g, k)
+
+
+# A 5-edge map whose dual's flow forms close before the last column: at
+# k = 2 the masks entering a column outnumber the sign patterns of the
+# free values before it, so the pair guard must count the closed forms.
+EARLY_CLOSE = {
+    "sigma": [[0, 4, 2, 6], [1, 5, 8], [3, 7, 9]],
+    "edges": [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9]],
+}
 
 
 def test_quasi_fit_joins_once_per_period_and_refuses_first(monkeypatch):
@@ -818,7 +876,7 @@ def test_quasi_fit_joins_once_per_period_and_refuses_first(monkeypatch):
     # first, so no DP starts.
     monkeypatch.setattr(enumeration, "fit_quasipolynomial", real_fit)
     monkeypatch.setattr(guards, "MAX_ASSIGNMENTS", 1000)
-    guards.check_box_dp(12, 7, enumeration._open_sizes(THETA))
+    enumeration._price_box(THETA, 7, 7)
     joins.clear()
     with pytest.raises(TooLarge, match=r"2 columns of 62 values and 32 boxes, about 3906 steps"):
         sg.quasi_integral_flows(THETA)
