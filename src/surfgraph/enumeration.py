@@ -33,11 +33,12 @@ signed polynomial at -k.  Integral local tension counts get a
 quasipolynomial fit.
 
 A quantity with a second independent characterization is computed both
-ways, and disagreement raises.  The condition rows, the DP's forms
-(tuples), the mod-k counts, the subset census and components and the
-pair polynomials are kept on the map
-(RibbonGraph._memo).  Guards run before every lookup; nothing is stored
-from a call that raised.
+ways, and disagreement raises.  The condition rows, the DP's forms and
+column plans (tuples), the mod-k counts, the subset census and
+components and the pair polynomials are kept on the map
+(RibbonGraph._memo).  Guards run before every lookup, and every DP is
+priced from its own plan (guards.check_dp); nothing is stored from a
+call that raised.
 """
 
 from __future__ import annotations
@@ -49,13 +50,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import ribbonmap
 from .errors import BadModulus, NoFit, NotBoundaryAcyclic
-from .guards import (
-    check_assignment_scan,
-    check_box_dp,
-    check_pair_dp,
-    check_pair_poly,
-    check_subset_poly,
-)
+from .guards import check_dp, check_pair_poly, check_subset_poly
 from .orientations import (
     Orientation,
     OrientationClass,
@@ -95,9 +90,10 @@ def _plan(width: int, forms: Sequence[Form]) -> tuple:
     sums once the forms that begin there join them (None if none does)
     and how many join, the slots of the forms that end there (their sums
     come first, the sums kept in the order of their last columns), and
-    each sum's coefficient; and per column, for the guards, the variables
+    each sum's coefficient; and per column, for the guards, the values
+    assigned before it (columns and closed forms) and the variables
     already assigned in each form open as it starts.  Form i has slot
-    width + i."""
+    width + i.  All of it is tuples, so a plan can be kept on the map."""
     last = [f[-1][0] if f else -1 for f in forms]
     opens: list[list[int]] = [[] for _ in range(width)]
     for i, f in enumerate(forms):
@@ -105,24 +101,26 @@ def _plan(width: int, forms: Sequence[Form]) -> tuple:
             opens[f[0][0]].append(i)
     coeffs = [dict(f) for f in forms]
     columns = []
-    sizes = []
+    guide = []
     live: list[int] = []  # the forms behind the sums
+    closed = 0
     for j in range(width):
-        sizes.append(tuple(sum(c < j for c in coeffs[i]) for i in live))
+        guide.append((j + closed, tuple(sum(c < j for c in coeffs[i]) for i in live)))
         order = None
         if opens[j]:
             grown = live + opens[j]
-            order = sorted(range(len(grown)), key=lambda s: last[grown[s]])
+            order = tuple(sorted(range(len(grown)), key=lambda s: last[grown[s]]))
             live = [grown[s] for s in order]
         shut = tuple(width + i for i in live if last[i] == j)
-        columns.append((order, len(opens[j]), shut, [coeffs[i].get(j, 0) for i in live]))
+        columns.append((order, len(opens[j]), shut, tuple(coeffs[i].get(j, 0) for i in live)))
         live = live[len(shut) :]
-    return tuple(width + i for i, f in enumerate(forms) if not f), tuple(columns), tuple(sizes)
+        closed += len(shut)
+    return tuple(width + i for i, f in enumerate(forms) if not f), tuple(columns), tuple(guide)
 
 
 def _frontier(
     plan: tuple,
-    values: tuple[range, ...],
+    values: Sequence[int],
     accept: range,
     modulus: int = 0,
     mark: Callable | None = None,
@@ -156,26 +154,25 @@ def _frontier(
             entries = [(tuple(map((sums + pad).__getitem__, order)), t, n) for sums, t, n in entries]
         cut = len(shut)
         step: dict = {}
-        for span in values:
-            for v in span:
-                delta = [d * v for d in sign]
-                for sums, tag, n in entries:
-                    if modulus:
-                        new = tuple(map(modulus.__rmod__, map(add, sums, delta)))
-                    else:
-                        new = tuple(map(add, sums, delta))
-                    if cut and not all(map(ok, new[:cut])):
-                        continue
-                    if mark is not None:
-                        tag = mark(tag, j, v)
-                        for slot, x in zip(shut, new):
-                            if tag is None:
-                                break
-                            tag = mark(tag, slot, x)
+        for v in values:
+            delta = [d * v for d in sign]
+            for sums, tag, n in entries:
+                if modulus:
+                    new = tuple(map(modulus.__rmod__, map(add, sums, delta)))
+                else:
+                    new = tuple(map(add, sums, delta))
+                if cut and not all(map(ok, new[:cut])):
+                    continue
+                if mark is not None:
+                    tag = mark(tag, j, v)
+                    for slot, x in zip(shut, new):
                         if tag is None:
-                            continue
-                    key = (new[cut:], tag)
-                    step[key] = step.get(key, 0) + n
+                            break
+                        tag = mark(tag, slot, x)
+                    if tag is None:
+                        continue
+                key = (new[cut:], tag)
+                step[key] = step.get(key, 0) + n
         states = step
         if not states:
             return {}
@@ -226,19 +223,19 @@ def _fundamental_forms(h: RibbonGraph, flow: bool) -> tuple[Form, ...]:
 
 def _fundamental_plan(h: RibbonGraph, flow: bool) -> tuple:
     forms = _fundamental_forms(h, flow)
-    return _plan(h.num_edges - len(forms), forms)
+    return h._memoised(("plan", flow), lambda: _plan(h.num_edges - len(forms), forms))
 
 
 def _nz_count(h: RibbonGraph, k: int, flow: bool) -> int:
     """Nowhere-zero flows (flow) or tensions of h mod k."""
     nonzero = range(1, k)
-    return sum(_frontier(_fundamental_plan(h, flow), (nonzero,), nonzero, k).values())
+    return sum(_frontier(_fundamental_plan(h, flow), nonzero, nonzero, k).values())
 
 
 def _dp_count(h: RibbonGraph, k: int, flow: bool) -> int:
-    """_nz_count behind the assignment guard, once per map, flag and k."""
+    """_nz_count, priced from its plan, once per map, flag and k."""
     _require_k(k)
-    check_assignment_scan(k, h.num_edges)
+    check_dp(_fundamental_plan(h, flow)[2], k - 1, k)
     return h._memoised(("nz count", flow, k), lambda: _nz_count(h, k, flow))
 
 
@@ -252,13 +249,13 @@ def _box_counts(h: RibbonGraph, ks: Sequence[int]) -> list[int]:
         # the first box holding v is ks[bisect_right(ks, |v|)]; none holds 0
         return max(b, bisect_right(ks, abs(v))) if v else None
 
-    values = (range(1 - kmax, 0), range(1, kmax))
+    values = (*range(1 - kmax, 0), *range(1, kmax))
     tags = _frontier(_fundamental_plan(h, True), values, range(1 - kmax, kmax), 0, box, 0)
     return list(accumulate(tags.get(b, 0) for b in range(len(ks))))
 
 
 def _price_box(h: RibbonGraph, kmax: int, boxes: int) -> None:
-    check_box_dp(2 * kmax - 2, boxes, _fundamental_plan(h, True)[2])
+    check_dp(_fundamental_plan(h, True)[2], 2 * kmax - 2, boxes=boxes)
 
 
 # -- condition rows ----------------------------------------------------------
@@ -299,20 +296,24 @@ def _rows(g: RibbonGraph, condition: str) -> tuple[Form, ...]:
     return g._memoised(("rows", condition), lambda: _ROWS[condition](g))
 
 
+def _row_plan(g: RibbonGraph, condition: str) -> tuple:
+    return g._memoised(("plan", condition), lambda: _plan(g.num_edges, _rows(g, condition)))
+
+
 def _row_count(g: RibbonGraph, condition: str, k: int, nonzero: bool) -> int:
     """Assignments of range(nonzero, k) to the edges of g under which every
     row of the condition is zero mod k."""
-    plan = _plan(g.num_edges, _rows(g, condition))
-    return sum(_frontier(plan, (range(nonzero, k),), range(1), k).values())
+    return sum(_frontier(_row_plan(g, condition), range(nonzero, k), range(1), k).values())
 
 
 # -- the four counting families ----------------------------------------------
 
 
 def _count(g: RibbonGraph, k: int, nonzero: bool, condition: str) -> int:
-    """Solutions mod k of one condition on g, counted once per map."""
+    """Solutions mod k of one condition on g, priced from its plan, counted
+    once per map."""
     _require_k(k)
-    check_assignment_scan(k, g.num_edges)
+    check_dp(_row_plan(g, condition)[2], k - nonzero, k)
     return g._memoised(
         ("count", condition, k, nonzero),
         lambda: _row_count(g, condition, k, nonzero),
@@ -571,13 +572,9 @@ def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
     if not isinstance(k, int) or k < 0:
         raise BadModulus(f"k must be a nonnegative integer, got {k!r}")
     width = g.num_edges
-    check_assignment_scan(3, width)  # the tags: one mask per sign pattern at most
     h = g.dual
     plan = _fundamental_plan(h, True)
-    _, columns, sizes = plan
-    # before column j: j free edges and the forms closed at earlier columns
-    closed = accumulate((len(shut) for _, _, shut, _ in columns), initial=0)
-    check_pair_dp(2 * k + 1, width, [j + n for j, n in zip(range(len(columns)), closed)], sizes)
+    check_dp(plan[2], 2 * k + 1, edges=width)
     bao = _class_mask(g, CLASS_OF["local-tension"])
     chords = [c.edges[0] for c in h._fundamental_cycles]
     tree = sorted(set(range(width)) - set(chords))  # the edges of forms, in order
@@ -588,7 +585,7 @@ def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
         return (mask & slots[slot][v < 0] or None) if v else mask
 
     box = range(-k, k + 1)
-    tags = _frontier(plan, (box,), box, 0, compatible, bao)
+    tags = _frontier(plan, box, box, 0, compatible, bao)
     return sum(n * mask.bit_count() for mask, n in tags.items())
 
 

@@ -1,26 +1,28 @@
 """Size guards for the exhaustive algorithms.
 
-Everything in this package enumerates: orientations are scanned as sign
-vectors in {+1,-1}^E, counting polynomials as assignment vectors in
-(Z/k)^E or {-k+1..k-1}^E.  The guards below refuse work whose state
-space is large enough to look like a hang, and they can be lifted with
-the environment variable SURFGRAPH_GUARD_OVERRIDE=1 when the caller
-knows what they are asking for.
+Everything in this package enumerates: orientation classes are scanned
+as sign masks over {+1,-1}^E, polynomials walk the 2^E edge subsets,
+and every count of tensions and flows is a frontier DP, priced in the
+steps (a state entering a column times a value) that its column plan
+allows.  The guards below refuse work whose state space is large enough
+to look like a hang, and they can be lifted with the environment
+variable SURFGRAPH_GUARD_OVERRIDE=1 when the caller knows what they are
+asking for.
 """
 
 import math
 import os
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import TooLarge
 
 # 2^MAX_SCAN_EDGES orientation vectors per scan.
 MAX_SCAN_EDGES = 20
 
-# Total assignments evaluated in one polynomial count, total mask tests
-# (masks times patterns and search steps) in one class scan, total steps
-# of one reciprocity pair polynomial or integral box DP, and total
-# rotation systems in one labelled map scan.
+# Total steps of one frontier DP (word steps for the integral pair DP),
+# total mask tests (masks times patterns and search steps) in one class
+# scan, total steps of one subset or reciprocity pair polynomial, and
+# total rotation systems in one labelled map scan.
 MAX_ASSIGNMENTS = 10**8
 
 # Edges for the connected census by edge extension.
@@ -87,57 +89,49 @@ def check_subset_poly(num_edges: int) -> None:
     )
 
 
-def check_assignment_scan(base: int, num_edges: int) -> None:
-    if base >= 1:
-        _refuse(base**num_edges, f"assignment scan over {base}^{num_edges} vectors")
-
-
-def _dp_steps(values: int, tags: Sequence[int], open_sizes: Sequence[Sequence[int]]) -> int:
+def _dp_steps(guide: Sequence, values: int, modulus: int, tags: Callable[[int], int]) -> int:
     """Steps of a frontier DP, one per state and value at each column.
 
+    guide[j] = (a, sizes): a values are assigned before column j, and
+    sizes lists, per form open there, its variables already assigned.
     The states entering column j are at most the values^j assignments
-    before it, and at most its tags[j] tags times, per form open there
-    with a variables assigned, its a * values + 1 partial sums
-    (open_sizes[j] lists those a).  The DP holds two columns' states at
-    once, so the steps also bound the states it holds.
+    before it, and at most tags(a) tags times, per open form with s
+    variables assigned, its s * values + 1 partial sums, or its modulus
+    residues if fewer.  The DP holds two columns' states at once, so the
+    steps also bound the states it holds.
     """
     work = 0
-    for j, (sums, sizes) in enumerate(zip(tags, open_sizes)):
-        for a in sizes:
-            sums *= a * values + 1
-        work += min(values**j, sums) * values
+    for j, (assigned, sizes) in enumerate(guide):
+        states = tags(assigned)
+        for s in sizes:
+            states *= min(s * values + 1, modulus) if modulus else s * values + 1
+        work += min(values**j, states) * values
     return work
 
 
-def check_box_dp(values: int, boxes: int, open_sizes: Sequence[Sequence[int]]) -> None:
-    """Refuse an integral box DP, tagged with one of boxes boxes, whose
-    steps are too many."""
-    work = _dp_steps(values, [boxes] * len(open_sizes), open_sizes)
-    _refuse(
-        work,
-        f"integral box DP over {len(open_sizes)} columns of {values} values and "
-        f"{boxes} boxes, about {work} steps,",
-    )
+def check_dp(guide: Sequence, values: int, modulus: int = 0, boxes: int = 1, edges: int = 0) -> None:
+    """Refuse a frontier DP, taking values values per column, whose
+    steps, priced from its plan's guide before it starts, are too many.
 
-
-def check_pair_dp(
-    values: int, num_edges: int, assigned: Sequence[int], open_sizes: Sequence[Sequence[int]]
-) -> None:
-    """Refuse an integral pair DP whose steps, each charged the words of
-    its tag, are too many.
-
-    The tag is a mask over the 2^E orientations, fixed by the signs of
-    the assigned[j] edges assigned before column j, so at most
-    3^assigned[j] tags enter it.  A step ANDs, and may keep, a mask of
-    ceil(2^E / 64) words: the charge bounds the masks' time and memory.
+    A count mod modulus keeps no tag.  An integral box DP (modulus 0)
+    keeps one of boxes boxes.  An integral pair DP keeps a mask over the
+    2^edges orientations of its map, fixed by the signs of the a values
+    assigned, so at most 3^a masks; a step ANDs, and may keep, a mask of
+    ceil(2^edges / 64) words, and is charged them: the charge bounds the
+    masks' time and memory.
     """
-    words = -(-(1 << num_edges) // 64)
-    work = _dp_steps(values, [3**a for a in assigned], open_sizes) * words
-    _refuse(
-        work,
-        f"integral pair DP over {len(open_sizes)} columns of {values} values and "
-        f"masks of {words} words, about {work} word steps,",
-    )
+    columns = f"{len(guide)} columns of {values} values"
+    if edges:
+        words = -(-(1 << edges) // 64)
+        work = _dp_steps(guide, values, 0, lambda a: 3**a) * words
+        what = f"integral pair DP over {columns} and masks of {words} words, about {work} word steps,"
+    elif modulus:
+        work = _dp_steps(guide, values, modulus, lambda a: 1)
+        what = f"count mod {modulus} by a frontier DP over {columns}, about {work} steps,"
+    else:
+        work = _dp_steps(guide, values, 0, lambda a: boxes)
+        what = f"integral box DP over {columns} and {boxes} boxes, about {work} steps,"
+    _refuse(work, what)
 
 
 def _rooted_maps(m: int) -> int:

@@ -163,14 +163,29 @@ def test_modulus_validation():
         sg.integral_local_tension_reciprocity_pairs(TRIANGLE, -1)
 
 
-def test_scan_guard():
+def test_scan_guard(monkeypatch):
+    dps = []
+    real = enumeration._frontier
+    monkeypatch.setattr(enumeration, "_frontier", lambda *a: dps.append(a) or real(*a))
+    # The theta's flows mod 10^5: 99999 values of the first chord, then of
+    # the second from each of 99999 sums of the tree edge's form, about
+    # 10^10 steps; no DP starts
+    with pytest.raises(TooLarge, match=r"count mod 100000 by a frontier DP over 2 columns"):
+        sg.count_nz_flows(THETA, 10**5)
+    # Newly refused: the digon's tensions mod 10^4 were admitted at the
+    # bound as 10^8 assignments, but their DP takes 10^4 + 10^8 steps
+    with pytest.raises(TooLarge, match=r"about 100010000 steps"):
+        sg.count_tensions(from_json_dict(DIGON), 10**4)
+    assert dps == []
+    # Newly admitted: 22 loops on one vertex were refused for their 3^22
+    # assignments, but their flows have 22 free columns and no form, so
+    # the DP keeps one state and takes 44 steps
     big = build(
         44,
         [tuple(range(44))],
         [(2 * i, 2 * i + 1) for i in range(22)],
     )
-    with pytest.raises(TooLarge):
-        sg.count_nz_flows(big, 3)
+    assert sg.count_nz_flows(big, 3) == 2**22
 
 
 def _bouquet(m):
@@ -201,8 +216,8 @@ def test_poly_guard_fires_before_any_count(monkeypatch):
     monkeypatch.setattr(ribbonmap, "_spanning_forest", forest)
 
     for fn in _POLY_FN.values():
-        # 17 edges: the k = 3 check is guarded as 3^17 > 10^8 rows, so
-        # neither it nor the 2^17 subset walk starts
+        # 17 edges: the 2^17 subset walk and its k = 2, 3 counts, bounded
+        # together by 3^17 > 10^8 steps, are refused before either starts
         calls.clear()
         forests.clear()
         with pytest.raises(TooLarge):
@@ -507,8 +522,9 @@ def test_integral_pairs_refuse_before_the_sign_histogram(monkeypatch):
 
 
 def test_integral_pairs_refuse_before_the_class_scan(monkeypatch):
-    # at k = 0 the value box is 1^E, but the 3^17 sign-pattern histogram of
-    # a 17-edge path is refused; the BAO scan it reads may not run first
+    # at k = 1 the local tensions of a 17-edge path, the flows of 17 loops,
+    # are 17 free columns of 3 values, each step charged a mask of 2^17
+    # bits: the pair DP is refused, and the BAO scan it reads may not run first
     from surfgraph import orientations
 
     calls = []
@@ -516,9 +532,13 @@ def test_integral_pairs_refuse_before_the_class_scan(monkeypatch):
     monkeypatch.setattr(orientations, "_scan_class", lambda g, c: calls.append(c) or real(g, c))
     inner = [(2 * j - 1, 2 * j) for j in range(1, 17)]
     path = build(34, [(0,), *inner, (33,)], [(2 * i, 2 * i + 1) for i in range(17)])
-    with pytest.raises(TooLarge, match=r"3\^17"):
-        sg.integral_local_tension_reciprocity_pairs(path, 0)
+    with pytest.raises(TooLarge, match=r"17 columns of 3 values and masks of 2048 words"):
+        sg.integral_local_tension_reciprocity_pairs(path, 1)
     assert calls == []
+    # Newly admitted: at k = 0 the path was refused for its 3^17 sign
+    # patterns, but the DP keeps one mask per column; every orientation of
+    # a tree is a BAO
+    assert sg.integral_local_tension_reciprocity_pairs(path, 0) == 2**17
 
 
 def _one_face_bouquet(m):
@@ -795,7 +815,7 @@ def test_integral_counts_guard_the_join_they_run(monkeypatch):
     assert len(joins) == 1
 
 
-def test_dp_guards_bound_every_step(monkeypatch):
+def test_dp_guards_bound_every_step(corpus, monkeypatch):
     # Each guard's estimate, from the plan alone, bounds every step of the
     # DP it admits: a state entering a column times a value.  Rerun with
     # every sum accepted, no step is cut at a form's check, so each marks
@@ -804,21 +824,50 @@ def test_dp_guards_bound_every_step(monkeypatch):
     real = enumeration._frontier
     anything = range(-(10**6), 10**6)
 
-    def counted(plan, values, accept, modulus, mark, start):
+    def counted(plan, values, accept, modulus=0, mark=None, start=None):
         def spy(tag, slot, v):
             steps[-1] += slot < len(plan[1])
-            return mark(tag, slot, v)
+            return mark(tag, slot, v) if mark else 0
 
         steps.append(0)
         real(plan, values, anything, modulus, spy, start)
         return real(plan, values, accept, modulus, mark, start)
 
     def refuse(work, what):
-        if what.startswith("integral"):
+        if " DP over " in what:
             estimates.append(work)
+
+    def priced(count, *args):
+        # (steps, estimate) of each DP the count runs, each priced before it starts
+        steps.clear()
+        estimates.clear()
+        count(*args)
+        assert len(steps) == len(estimates), (count, args)
+        return list(zip(steps, estimates))
 
     monkeypatch.setattr(enumeration, "_frontier", counted)
     monkeypatch.setattr(guards, "_refuse", refuse)
+    # the counts mod k: nowhere-zero tensions and flows on fundamental
+    # coordinates, and every condition's rows, nonzero or not
+    digon = from_json_dict(DIGON)
+    for g in [*corpus, *ZOO[:-1], digon]:
+        h = fresh(g)  # an empty memo, so every DP runs
+        for k in (2, 3):
+            runs = [priced(enumeration._dp_count, h, k, flow) for flow in (False, True)]
+            runs += [
+                priced(enumeration._count, h, k, nonzero, condition)
+                for condition in CONDITIONS
+                for nonzero in (False, True)
+            ]
+            assert len(runs) == 12 and all(len(run) == 1 for run in runs), (g, k)
+            assert all(n <= bound for [(n, bound)] in runs), (g, k, runs)
+    # the digon's zero-allowing tension rows at k = 2 take 2 + 2 * 2 steps,
+    # past the 2^2 assignments
+    assert priced(enumeration._count, fresh(digon), 2, False, "tension") == [(6, 6)]
+    # mod 2 the triangle's one row holds at most 2 sums however many of its
+    # edges are assigned: the estimate is the DP's own 2 + 4 + 4 steps
+    assert priced(enumeration._count, fresh(TRIANGLE), 2, False, "tension") == [(10, 10)]
+    # the integral box and pair DPs
     for g in [*ZOO[:-2], *(from_json_dict(doc) for doc in (*FRONTIER, EARLY_CLOSE))]:
         for h in (g, g.dual):
             kmax = g.num_edges + 4
@@ -829,10 +878,13 @@ def test_dp_guards_bound_every_step(monkeypatch):
             assert steps[0] <= estimates[0], (g, h is g)
         words = -(-(2**g.num_edges) // 64)
         for k in range(4):
-            steps.clear()
-            estimates.clear()
-            sg.integral_local_tension_reciprocity_pairs(fresh(g), k)
-            assert steps[0] * words <= estimates[0], (g, k)
+            [(n, bound)] = priced(sg.integral_local_tension_reciprocity_pairs, fresh(g), k)
+            assert n * words <= bound, (g, k)
+
+
+# The two-edge digon: its zero-allowing tension rows at k = 2 take more DP
+# steps than its k^E assignments.
+DIGON = {"sigma": [[0, 2], [1, 3]], "edges": [[0, 1], [2, 3]]}
 
 
 # A 5-edge map whose dual's flow forms close before the last column: at

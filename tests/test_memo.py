@@ -1,10 +1,11 @@
 """The per-map memo: class masks and their scan costs, condition
-rows, mod-k counts, the forms and counts of the nowhere-zero DP and
-the subset census are computed once per map, after the guards and the
-cross-checks, and handed out read-only.  The dual of g.dual is g itself,
-so nothing is computed again on an equal copy of g.  The pair counters
-read g's own forbidden subcubes, so verify builds no surgered map and
-takes no canonical code beyond the one naming g in its report."""
+rows, mod-k counts, the DP's forms and column plans, the nowhere-zero
+counts and the subset census are computed once per map, after the
+guards and the cross-checks, and handed out read-only.  The dual of
+g.dual is g itself, so nothing is computed again on an equal copy of g.
+The pair counters read g's own forbidden subcubes, so verify builds no
+surgered map and takes no canonical code beyond the one naming g in its
+report."""
 
 import pytest
 
@@ -173,6 +174,12 @@ def test_memoised_arrays_are_read_only():
         assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
         with pytest.raises(TypeError):
             rows[0] = ()
+    # a DP's column plan is tuples all the way down, so it hashes
+    plans = [(enumeration._row_plan, condition) for condition in _CONDITIONS]
+    plans += [(enumeration._fundamental_plan, flow) for flow in (False, True)]
+    for plan_of, arg in plans:
+        plan = plan_of(g, arg)
+        assert plan_of(g, arg) is plan and isinstance(hash(plan), int)
 
 
 def test_a_failed_cross_check_stores_nothing(monkeypatch):
