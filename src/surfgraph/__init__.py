@@ -20,29 +20,18 @@ import sys
 # themselves are public names too.
 _EXPORTS = {
     "enumeration": (
-        "bao_witness_vector",
         "count_balanced_flows",
         "count_flows",
-        "count_integral_flows",
-        "count_integral_local_tensions",
         "count_local_tensions",
         "count_nz_balanced_flows",
         "count_nz_flows",
         "count_nz_local_tensions",
         "count_nz_tensions",
         "count_tensions",
-        "integral_local_tension_reciprocity_pairs",
-        "interpolate",
         "poly_balanced_flow",
         "poly_flow",
         "poly_local_tension",
         "poly_tension",
-        "quasi_integral_flows",
-        "quasi_integral_local_tensions",
-        "reciprocity_pairs_balanced_flow",
-        "reciprocity_pairs_flow",
-        "reciprocity_pairs_local_tension",
-        "reciprocity_pairs_tension",
     ),
     "errors": (
         "BadModulus",
@@ -60,7 +49,7 @@ _EXPORTS = {
         "UnknownEdge",
         "UnknownFace",
     ),
-    "generator": ("CorpusSpec", "corpus_stats", "generate"),
+    "generator": ("CorpusSpec", "canonical_code", "corpus_stats", "generate"),
     "guards": (),
     "orientations": (
         "Orientation",
@@ -80,29 +69,43 @@ _EXPORTS = {
         "tbo_generating_polynomial",
         "tbo_histogram",
     ),
-    "polynomials": ("QuasiPolynomial", "fit_quasipolynomial", "poly_eval"),
+    "polynomials": ("poly_eval",),
+    "reciprocity": (
+        "QuasiPolynomial",
+        "abstract_contract",
+        "bao_witness_vector",
+        "contract",
+        "count_integral_flows",
+        "count_integral_local_tensions",
+        "delete",
+        "double_slash",
+        "fit_quasipolynomial",
+        "integral_local_tension_reciprocity_pairs",
+        "interpolate",
+        "is_separating",
+        "quasi_integral_flows",
+        "quasi_integral_local_tensions",
+        "reciprocity_pairs_balanced_flow",
+        "reciprocity_pairs_flow",
+        "reciprocity_pairs_local_tension",
+        "reciprocity_pairs_tension",
+    ),
     "ribbonmap": (
         "Cocycle",
         "Cycle",
         "EulerData",
         "RibbonGraph",
-        "abstract_contract",
         "boundary",
         "build",
-        "canonical_code",
         "check_cycle",
-        "contract",
         "cocycles",
         "cycles",
-        "delete",
-        "double_slash",
         "dual",
         "dumps",
         "euler_data",
         "face_matrix",
         "from_json_dict",
         "fundamental_cycles",
-        "is_separating",
         "loads",
         "signed_boundary",
         "to_json_dict",

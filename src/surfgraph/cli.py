@@ -9,11 +9,14 @@ routes to the same quantity disagreed (one `error:` line on stderr).
 A call pays interpreter start-up and imports on every run, against a
 few milliseconds of work for most commands.  So this module imports
 only `ribbonmap` and `errors` at the top, and each command imports the
-modules it runs: `count` loads `orientations` alone, `cw-hist` adds
-`polynomials`, the assignment commands `enumeration`, and the corpus
-commands `generator`.  The parser is built on every call and imports
-none of them; its `--kind` and `--class` choices are literals, which
-the tests pin to `enumeration.KINDS` and `OrientationClass`.
+modules it runs: `count` loads `orientations` alone and `cw-hist` adds
+`polynomials`; `poly` loads `enumeration` and `polynomials`, no
+orientation code; `integral`, `reciprocity`, `witness` and `verify` load
+`reciprocity`, which brings `orientations` and `enumeration`; and the
+corpus commands, and `info` and `verify` for the canonical code, load
+`generator`.  The parser is built on every call and imports none of
+them; its `--kind` and `--class` choices are literals, which the tests
+pin to `enumeration.KINDS` and `OrientationClass`.
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ def _say(msg: str) -> None:
 
 
 def _code_hex(g: ribbonmap.RibbonGraph) -> str:
-    return ribbonmap.canonical_code(g).hex()
+    from .generator import canonical_code
+
+    return canonical_code(g).hex()
 
 
 def _json_num(x: Fraction) -> int | str:
@@ -117,13 +122,13 @@ def cmd_poly(args) -> int:
 
 
 def cmd_integral(args) -> int:
-    from . import enumeration as en
+    from . import reciprocity as rc
 
     g = _load_graph(args.map)
     if args.kind == "local-tension":
-        n = en.count_integral_local_tensions(g, args.k)
+        n = rc.count_integral_local_tensions(g, args.k)
     elif args.kind == "flow":
-        n = en.count_integral_flows(g, args.k)
+        n = rc.count_integral_flows(g, args.k)
     else:
         raise SurfGraphError(
             f"integral counts exist for local-tension and flow, not {args.kind}"
@@ -135,12 +140,13 @@ def cmd_integral(args) -> int:
 
 def cmd_reciprocity(args) -> int:
     from . import enumeration as en
+    from . import reciprocity as rc
     from .polynomials import poly_eval
 
     g = _load_graph(args.map)
-    pairs = en.PAIRS[args.kind](g, args.k)
+    pairs = rc.PAIRS[args.kind](g, args.k)
     coeffs = en.POLY[args.kind](g)
-    signed = (-1) ** en.SIGN_EXP[args.kind](g.euler) * poly_eval(coeffs, -args.k)
+    signed = (-1) ** rc.SIGN_EXP[args.kind](g.euler) * poly_eval(coeffs, -args.k)
     verdict = signed == pairs
     _emit(
         {
@@ -158,12 +164,12 @@ def cmd_reciprocity(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    from . import enumeration as en
     from . import orientations
+    from . import reciprocity as rc
 
     g = _load_graph(args.map)
     o = orientations.orientation_from_string(g, args.orientation)
-    vec = en.bao_witness_vector(g, o)
+    vec = rc.bao_witness_vector(g, o)
     _emit({"vector": [str(x) for x in vec]}, args.out)
     _say(f"witness vector: {[str(x) for x in vec]}")
     return 0
@@ -230,6 +236,7 @@ def _verify_graph(g: ribbonmap.RibbonGraph, kmax: int) -> dict:
     """Check every identity on one graph; report both sides of each."""
     from . import enumeration as en
     from . import orientations
+    from . import reciprocity as rc
     from .polynomials import poly_eval
 
     t0 = time.perf_counter()
@@ -260,7 +267,7 @@ def _verify_graph(g: ribbonmap.RibbonGraph, kmax: int) -> dict:
 
     polys = {kind: en.POLY[kind](g) for kind in en.KINDS}
     for kind in en.KINDS:
-        cls = en.CLASS_OF[kind]
+        cls = rc.CLASS_OF[kind]
         check(
             f"|{kind} polynomial at -1| counts {cls.value} orientations",
             abs(poly_eval(polys[kind], -1)),
@@ -268,21 +275,21 @@ def _verify_graph(g: ribbonmap.RibbonGraph, kmax: int) -> dict:
         )
 
     for kind in en.KINDS:
-        sign = (-1) ** en.SIGN_EXP[kind](d)
+        sign = (-1) ** rc.SIGN_EXP[kind](d)
         check(
             f"signed {kind} polynomial at -k counts reciprocity pairs",
             [sign * poly_eval(polys[kind], -k) for k in ks],
-            [en.PAIRS[kind](g, k) for k in ks],
+            [rc.PAIRS[kind](g, k) for k in ks],
             [1, kmax],
         )
 
     if g.num_edges <= 4:
-        quasi = en.quasi_integral_local_tensions(g)
+        quasi = rc.quasi_integral_local_tensions(g)
         check(
             "|integral local-tension quasipolynomial at -k| counts compatible pairs",
             [_json_num(abs(quasi.evaluate(-k))) for k in range(0, kmax + 1)],
             [
-                en.integral_local_tension_reciprocity_pairs(g, k)
+                rc.integral_local_tension_reciprocity_pairs(g, k)
                 for k in range(0, kmax + 1)
             ],
             [0, kmax],
@@ -314,7 +321,7 @@ def _verify_graph(g: ribbonmap.RibbonGraph, kmax: int) -> dict:
     # both class bijections: BAO -> TCO and AO -> TBO.  dual_orientation
     # keeps the sign vector, so the image of a class is its own signs.
     for kind in ("local-tension", "tension"):
-        cls, dual_cls = en.CLASS_OF[kind], en.CLASS_OF[en.DUAL_KIND[kind]]
+        cls, dual_cls = rc.CLASS_OF[kind], rc.CLASS_OF[en.DUAL_KIND[kind]]
         check(
             f"dual orientations of {cls.value} maps are exactly the {dual_cls.value}"
             " maps of the dual",

@@ -1,4 +1,4 @@
-"""Exact counting of tensions and flows, and the reciprocity pair counters.
+"""Exact counting of tensions and flows, and their four polynomials.
 
 Four families of edge assignments, each defined by a linear condition:
 
@@ -18,7 +18,7 @@ at its last column.  It runs on two kinds of columns:
       the forms.  This counts nowhere-zero tensions and flows mod k,
       nowhere-zero integer flows in a box |x(e)| < k for every k up to
       a bound at once (local tensions of g are the flows of g*), and the
-      integral reciprocity pairs.
+      integral reciprocity pairs; `reciprocity` runs those last two.
   condition rows  the edges are the columns and the rows of a condition
       the forms, each zero mod k.  This counts everything else mod k, so
       each duality check in verify compares two routes.
@@ -26,56 +26,28 @@ at its last column.  It runs on two kinds of columns:
 The four polynomials in k are two subset sums (Whitney, Tutte) over the
 subset census of g or g*, exact since every condition matrix is totally
 unimodular, and checked against the DP counts at k = 2 and 3.  The
-reciprocity pairs are one more polynomial per kind, from the components
-of every edge subset and the class of g surgered at each support that
-occurs, read on g's own forbidden subcubes; verify compares it with the
-signed polynomial at -k.  Integral local tension counts get a
-quasipolynomial fit.
+reciprocity side (pair counts, integral counts and their quasipolynomial
+fits, witness vectors) is in `reciprocity`, so this module loads neither
+`orientations` nor `fractions`.
 
 A quantity with a second independent characterization is computed both
 ways, and disagreement raises.  The condition rows, the DP's forms and
-column plans (tuples), the mod-k counts, the subset census and
-components and the pair polynomials are kept on the map
-(RibbonGraph._memo).  Guards run before every lookup, and every DP is
-priced from its own plan (guards.check_dp); nothing is stored from a
-call that raised.
+column plans (tuples), the mod-k counts and the subset census are kept
+on the map (RibbonGraph._memo).  Guards run before every lookup, and
+every DP is priced from its own plan (guards.check_dp); nothing is
+stored from a call that raised.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate
-from operator import add, sub
-from typing import TYPE_CHECKING, Callable, Sequence
+from operator import add
+from typing import Callable, Sequence
 
 from . import ribbonmap
-from .errors import BadModulus, NoFit, NotBoundaryAcyclic
-from .guards import check_dp, check_pair_poly, check_subset_poly
-from .orientations import (
-    Orientation,
-    OrientationClass,
-    _class_mask,
-    _lanes,
-    _primitive,
-    _scan_cost,
-    _support_classes,
-    coherent_cocycles,
-    count_class,
-    is_boundary_acyclic,
-)
-from .polynomials import (
-    QuasiPolynomial,
-    _require_max_period,
-    as_int_coeffs,
-    fit_quasipolynomial,
-    ipoly_trim,
-    lagrange,
-    poly_eval,
-)
-from .ribbonmap import EulerData, RibbonGraph
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .errors import BadModulus
+from .guards import check_dp, check_subset_poly
+from .polynomials import ipoly_trim, poly_eval
+from .ribbonmap import RibbonGraph
 
 # A form: (column, coefficient) pairs, in column order, no zero coefficient.
 Form = tuple[tuple[int, int], ...]
@@ -239,25 +211,6 @@ def _dp_count(h: RibbonGraph, k: int, flow: bool) -> int:
     return h._memoised(("nz count", flow, k), lambda: _nz_count(h, k, flow))
 
 
-def _box_counts(h: RibbonGraph, ks: Sequence[int]) -> list[int]:
-    """counts[i] = nowhere-zero integer flows x of h with |x(e)| < ks[i],
-    for ascending ks >= 1, from one DP whose tag is the first box that
-    holds every value so far."""
-    kmax = ks[-1]
-
-    def box(b: int, _slot: int, v: int) -> int | None:
-        # the first box holding v is ks[bisect_right(ks, |v|)]; none holds 0
-        return max(b, bisect_right(ks, abs(v))) if v else None
-
-    values = (*range(1 - kmax, 0), *range(1, kmax))
-    tags = _frontier(_fundamental_plan(h, True), values, range(1 - kmax, kmax), 0, box, 0)
-    return list(accumulate(tags.get(b, 0) for b in range(len(ks))))
-
-
-def _price_box(h: RibbonGraph, kmax: int, boxes: int) -> None:
-    check_dp(_fundamental_plan(h, True)[2], 2 * kmax - 2, boxes=boxes)
-
-
 # -- condition rows ----------------------------------------------------------
 
 
@@ -382,31 +335,7 @@ def count_balanced_flows(g: RibbonGraph, k: int) -> int:
     return _balanced_flow_count(g, k, False)
 
 
-# -- integral (bounded integer) counts ---------------------------------------
-
-
-def count_integral_local_tensions(g: RibbonGraph, k: int) -> int:
-    """Nowhere-zero integer local tensions with |t(e)| < k: the flows of g*."""
-    _require_k(k)
-    _price_box(g.dual, k, 1)
-    (count,) = _box_counts(g.dual, [k])
-    return count
-
-
-def count_integral_flows(g: RibbonGraph, k: int) -> int:
-    """Nowhere-zero integer flows with |f(e)| < k."""
-    _require_k(k)
-    _price_box(g, k, 1)
-    (count,) = _box_counts(g, [k])
-    return count
-
-
 # -- polynomials by subset expansion -----------------------------------------
-
-
-def interpolate(samples: Sequence[tuple[int, int]]) -> list[int]:
-    """Exact integer-coefficient polynomial through (k, count) samples."""
-    return as_int_coeffs(lagrange([(int(k), int(v)) for k, v in samples]))
 
 
 def _subset_sum(h: RibbonGraph, flow: bool) -> list[int]:
@@ -460,145 +389,16 @@ def poly_balanced_flow(g: RibbonGraph) -> list[int]:
     return _subset_poly(g, "balanced-flow", on_dual=True, flow=False)
 
 
-def _quasi_driver(g: RibbonGraph, h: RibbonGraph, max_period: int) -> QuasiPolynomial:
-    """Fit each period in turn from one box DP on the flows of h over
-    k = 1..period(E+2)+2.  The largest period's DP, which bounds every
-    smaller one's, is priced before the first runs."""
-    _require_max_period(max_period)
-    degree = g.num_edges
-    kmax = max_period * (degree + 2) + 2
-    _price_box(h, kmax, kmax)
-    last: NoFit | None = None
-    for period in range(1, max_period + 1):
-        ks = range(1, period * (degree + 2) + 3)
-        samples = dict(zip(ks, _box_counts(h, ks)))
-        try:
-            return fit_quasipolynomial(samples, degree, max_period=period)
-        except NoFit as exc:
-            last = exc
-    raise NoFit(str(last))
-
-
-def quasi_integral_local_tensions(
-    g: RibbonGraph, max_period: int = 6
-) -> QuasiPolynomial:
-    """Smallest-period quasipolynomial through the integral local tension counts."""
-    return _quasi_driver(g, g.dual, max_period)
-
-
-def quasi_integral_flows(g: RibbonGraph, max_period: int = 6) -> QuasiPolynomial:
-    return _quasi_driver(g, g, max_period)
-
-
-# -- reciprocity pair counters -----------------------------------------------
-# A pair is a solution x and an orientation of g surgered at A = supp(x):
-# AO(g\A), TCO(g/A) abstractly, BAO(g//A) or TBO(g/A).  Its class, cls(A),
-# is read on g's forbidden subcubes (orientations._support_classes), and
-# the class's primitive names the kind's side: tensions (cycle classes) or
-# flows (cut classes) of h = g or g*.  Of those, N_in(B) = k^(c(E-B) - c)
-# tensions or k^(|B| - V + c(B)) flows vanish off B, c(.) the components
-# of h (counted here, not read from the census), so by Moebius inversion
-#     pairs(k) = sum_B N_in(B)(k) sum_{A >= B} (-1)^|A-B| cls(A),
-# one superset transform (Bjorklund, Husfeldt, Kaski and Koivisto, STOC
-# 2007) of cls at the supports that occur.
-
-
-def _pair_poly(g: RibbonGraph, kind: str) -> list[int]:
-    cls = CLASS_OF[kind]
-    h, tension = _primitive(g, cls)
-    e, v, c = h.num_edges, h.num_vertices, h.num_components
-    comps = ribbonmap._subset_components(h)
-    full = (1 << e) - 1
-    bits = [1 << i for i in range(e)]
-    supports = [  # E-A closed for tensions, A bridgeless for flows
-        a
-        for a in range(full + 1)
-        if all(comps[full ^ a | b] < comps[full ^ a] if tension else comps[a ^ b] == comps[a]
-               for b in bits if a & b)
-    ]
-    m = [0] * (full + 1)
-    for a, n in zip(supports, _support_classes(g, cls, supports)):
-        m[a] = n
-    whole = count_class(g, cls)  # the zero vector's support, checked
-    if m[0] != whole:
-        raise AssertionError(f"{kind} pairs: {m[0]} at the empty support, class mask {whole}")
-    for b in bits:  # m[B] <- sum over A >= B of (-1)^|A-B| m[A], one edge at a time
-        for s in range(0, full + 1, 2 * b):
-            m[s : s + b] = map(sub, m[s : s + b], m[s + b : s + 2 * b])
-    coeffs = [0] * (max(v, e) + 1)
-    for b, n in enumerate(m):
-        if n:
-            coeffs[comps[full ^ b] - c if tension else b.bit_count() - v + comps[b]] += n
-    return ipoly_trim(coeffs)
-
-
-def _pairs(g: RibbonGraph, k: int, kind: str) -> int:
-    _require_k(k)
-    check_pair_poly(g.num_edges, _scan_cost(g, CLASS_OF[kind]))
-    return poly_eval(g._memoised(("pairs", kind), lambda: tuple(_pair_poly(g, kind))), k)
-
-
-def reciprocity_pairs_tension(g: RibbonGraph, k: int) -> int:
-    """Pairs (tension t, acyclic orientation of g with supp(t) deleted)."""
-    return _pairs(g, k, "tension")
-
-
-def reciprocity_pairs_flow(g: RibbonGraph, k: int) -> int:
-    """Pairs (flow f, totally cyclic orientation of g with supp(f) contracted abstractly)."""
-    return _pairs(g, k, "flow")
-
-
-def reciprocity_pairs_local_tension(g: RibbonGraph, k: int) -> int:
-    """Pairs (local tension t, boundary acyclic orientation after the
-    coloop-aware removal of supp(t))."""
-    return _pairs(g, k, "local-tension")
-
-
-def reciprocity_pairs_balanced_flow(g: RibbonGraph, k: int) -> int:
-    """Pairs (balanced flow f, totally bi-walkable orientation of g with
-    supp(f) contracted as a ribbon graph)."""
-    return _pairs(g, k, "balanced-flow")
-
-
-def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
-    """Pairs (integer local tension t with |t| <= k, compatible BAO of g).
-
-    Compatible means the orientation keeps the reference direction where
-    t > 0 and reverses it where t < 0; edges with t = 0 are free.  At
-    k = 0 only t = 0 remains and the result is |BAO(g)|.  The local
-    tensions are the flows of g*, counted by the box DP with the mask of
-    the BAOs still compatible as its tag.
-    """
-    if not isinstance(k, int) or k < 0:
-        raise BadModulus(f"k must be a nonnegative integer, got {k!r}")
-    width = g.num_edges
-    h = g.dual
-    plan = _fundamental_plan(h, True)
-    check_dp(plan[2], 2 * k + 1, edges=width)
-    bao = _class_mask(g, CLASS_OF["local-tension"])
-    chords = [c.edges[0] for c in h._fundamental_cycles]
-    tree = sorted(set(range(width)) - set(chords))  # the edges of forms, in order
-    lanes = _lanes(width)  # per edge: (masks keeping its direction, masks reversing it)
-    slots = [lanes[e] for e in chords + tree]
-
-    def compatible(mask: int, slot: int, v: int) -> int | None:
-        return (mask & slots[slot][v < 0] or None) if v else mask
-
-    box = range(-k, k + 1)
-    tags = _frontier(plan, box, box, 0, compatible, bao)
-    return sum(n * mask.bit_count() for mask, n in tags.items())
-
-
 # -- the four kinds ----------------------------------------------------------
 #
 # A kind is a tension or a flow count on the map or on its dual; the
-# tables below are its columns, keyed by kind name.  COUNT_NZ, POLY and
-# PAIRS give its nowhere-zero counter, polynomial and reciprocity pair
-# counter.  |P(-1)| counts the orientations of class CLASS_OF[kind];
-# the count on the dual map equals the count of kind DUAL_KIND[kind] on
-# the map; and (-1)^SIGN_EXP[kind](euler) * P(-k) counts the pairs.
-# Functions are plain dict values, not fields of a record, so wrappers
-# that rebind module attributes (perfbench/tracer.py) reach them here.
+# tables below are its columns, keyed by kind name.  COUNT_NZ and POLY
+# give its nowhere-zero counter and polynomial, and the count on the
+# dual map equals the count of kind DUAL_KIND[kind] on the map.  The
+# reciprocity columns (pair counter, class, sign) are in `reciprocity`,
+# keyed by KINDS.  Functions are plain dict values, not fields of a
+# record, so wrappers that rebind module attributes (perfbench/tracer.py)
+# reach them here.
 
 COUNT_NZ = {
     "tension": count_nz_tensions,
@@ -614,20 +414,6 @@ POLY = {
     "balanced-flow": poly_balanced_flow,
 }
 
-PAIRS = {
-    "tension": reciprocity_pairs_tension,
-    "flow": reciprocity_pairs_flow,
-    "local-tension": reciprocity_pairs_local_tension,
-    "balanced-flow": reciprocity_pairs_balanced_flow,
-}
-
-CLASS_OF = {
-    "tension": OrientationClass.AO,
-    "flow": OrientationClass.TCO,
-    "local-tension": OrientationClass.BAO,
-    "balanced-flow": OrientationClass.TBO,
-}
-
 DUAL_KIND = {
     "tension": "balanced-flow",
     "flow": "local-tension",
@@ -635,40 +421,14 @@ DUAL_KIND = {
     "balanced-flow": "tension",
 }
 
-SIGN_EXP: dict[str, Callable[[EulerData], int]] = {
-    "tension": lambda d: d.v_count - d.c,
-    "flow": lambda d: d.e_count - d.v_count + d.c,
-    "local-tension": lambda d: d.e_count - d.f_count + d.c,
-    "balanced-flow": lambda d: d.f_count - d.c,
-}
-
 KINDS = tuple(POLY)
 
 
-# -- witness vectors ---------------------------------------------------------
+def __getattr__(name: str):
+    # |P(-1)| of each kind counts a class of orientations: count_class is
+    # served from orientations on first use, so no count loads that module.
+    if name == "count_class":
+        from .orientations import count_class
 
-
-def bao_witness_vector(g: RibbonGraph, o: Orientation) -> tuple[Fraction, ...]:
-    """Sum of the sign vectors of all coherently oriented cocycles.
-
-    For a boundary acyclic orientation the result is a nowhere-zero
-    element of the face matrix kernel whose signs reproduce the
-    orientation; all three postconditions are asserted.
-    """
-    from fractions import Fraction
-
-    if not is_boundary_acyclic(g, o):
-        raise NotBoundaryAcyclic(
-            "orientation admits a coherently oriented boundary"
-        )
-    p = [0] * g.num_edges
-    for coc in coherent_cocycles(g, o):
-        for e in coc.edges:
-            p[e] += o.signs[e]
-    if any(sum(map(int.__mul__, row, p)) for row in g._face_matrix):
-        raise AssertionError("witness vector escapes the face matrix kernel")
-    if any(x == 0 for x in p):
-        raise AssertionError("witness vector has a zero entry")
-    if any((x > 0) != (s == 1) for x, s in zip(p, o.signs)):
-        raise AssertionError("witness vector sign mismatch")
-    return tuple(Fraction(x) for x in p)
+        return count_class
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -90,6 +90,57 @@ def _extensions(g: RibbonGraph) -> Iterator[RibbonGraph]:
             yield RibbonGraph(tuple(s), pairs)
 
 
+def canonical_code(g: RibbonGraph) -> bytes:
+    """Relabeling-invariant encoding; equal iff maps are isomorphic.
+
+    Per dart-component: breadth-first relabeling from every start dart,
+    expanding sigma then alpha, keeping the lexicographically least
+    relabeled (sigma, alpha) table.  Component codes are sorted and the
+    isolated vertex count appended.  Kept on the map
+    (RibbonGraph._canonical_code).
+    """
+    return g._canonical_code
+
+
+def _encode(g: RibbonGraph) -> bytes:
+    comp_codes = []
+    remaining = set(range(g.num_darts))
+    while remaining:
+        seed = min(remaining)
+        comp = _dart_component(g, seed)
+        remaining -= comp
+        comp_codes.append(min(_code_from(g, s) for s in sorted(comp)))
+    comp_codes.sort()
+    text = ";".join(",".join(map(str, code)) for code in comp_codes)
+    return f"{text}|{g.isolated}".encode()
+
+
+def _dart_component(g: RibbonGraph, seed: int) -> set[int]:
+    comp = {seed}
+    stack = [seed]
+    while stack:
+        d = stack.pop()
+        for nb in (g.sigma[d], g.alpha[d]):
+            if nb not in comp:
+                comp.add(nb)
+                stack.append(nb)
+    return comp
+
+
+def _code_from(g: RibbonGraph, start: int) -> tuple[int, ...]:
+    idx = {start: 0}
+    order = [start]
+    qi = 0
+    while qi < len(order):
+        d = order[qi]
+        qi += 1
+        for nb in (g.sigma[d], g.alpha[d]):
+            if nb not in idx:
+                idx[nb] = len(order)
+                order.append(nb)
+    return tuple(x for d in order for x in (idx[g.sigma[d]], idx[g.alpha[d]]))
+
+
 def _classes(maps: Iterable[RibbonGraph]) -> dict[bytes, RibbonGraph]:
     """The first map seen of each isomorphism class, keyed by canonical code."""
     seen: dict[bytes, RibbonGraph] = {}

@@ -27,7 +27,7 @@ class forbids coherent cycles or coherent cuts, of g or of g*
   BAO    coherent cut sides of g* (face sets of g)  reachability on g*
   TBO    directed cycles of g* (cocycles of g)      Kahn peel on g*
 
-The reciprocity pair counters in `enumeration` read the same subcubes
+The reciprocity pair counters in `reciprocity` read the same subcubes
 (`_support_classes`): those that miss an edge set A give the class of g
 surgered at A, on the sign vectors off A.  TCO on at most 5 edges also
 evaluates its definitional reading (every edge lies on a directed

@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 
 from .errors import (
     BadPairing,
-    DuplicateEdge,
     InvalidCycle,
     NonPermutation,
     OddDartCount,
@@ -222,8 +221,13 @@ class RibbonGraph(Record):
         return self.edge_right_face(e) == self.edge_left_face(e)
 
     def is_bridge(self, e: int) -> bool:
+        """True when deleting the edge leaves more components: its ends
+        are apart in a spanning forest of the other edges."""
         self.check_edge(e)
-        return delete(self, {e}).num_components > self.num_components
+        ends = self._edge_ends
+        roots, _ = _spanning_forest(self.num_vertices, ends[:e] + ends[e + 1 :])
+        tail, head = ends[e]
+        return roots[tail] != roots[head]
 
     # -- topology ---------------------------------------------------------
 
@@ -280,16 +284,11 @@ class RibbonGraph(Record):
 
     @cached_property
     def _canonical_code(self) -> bytes:
-        comp_codes = []
-        remaining = set(range(self.num_darts))
-        while remaining:
-            seed = min(remaining)
-            comp = _dart_component(self, seed)
-            remaining -= comp
-            comp_codes.append(min(_code_from(self, s) for s in sorted(comp)))
-        comp_codes.sort()
-        text = ";".join(",".join(map(str, code)) for code in comp_codes)
-        return f"{text}|{self.isolated}".encode()
+        """generator.canonical_code, computed in generator, which dedupes
+        the census by it: a call that reads no code loads none of it."""
+        from .generator import _encode
+
+        return _encode(self)
 
     @cached_property
     def _memo(self) -> dict:
@@ -376,32 +375,6 @@ def _census_walk(h: RibbonGraph) -> tuple[tuple[int, tuple[int, ...], int], ...]
     return tuple((size, comps, n) for (size, comps), n in sorted(census.items()))
 
 
-def _subset_components(h: RibbonGraph) -> tuple[int, ...]:
-    """c(B), the components of (V, B), for every edge subset B of h, edge e
-    at bit E-1-e; walked once per map."""
-    return h._memoised(("subset components",), lambda: _components_walk(h))
-
-
-def _components_walk(h: RibbonGraph) -> tuple[int, ...]:
-    """Skip, then take, each edge in turn, depth first, carrying each
-    vertex's component label: the subsets come out in ascending order."""
-    ends = h._edge_ends
-    out: list[int] = []
-
-    def walk(e: int, labels: tuple[int, ...], n: int) -> None:
-        if e == len(ends):
-            out.append(n)
-            return
-        walk(e + 1, labels, n)
-        a, b = labels[ends[e][0]], labels[ends[e][1]]
-        if a != b:
-            labels, n = tuple(a if x == b else x for x in labels), n - 1
-        walk(e + 1, labels, n)
-
-    walk(0, tuple(range(h.num_vertices)), h.num_vertices)
-    return tuple(out)
-
-
 def _orbit_index(orbits: Sequence[tuple[int, ...]], n: int) -> tuple[int, ...]:
     idx = [-1] * n
     for i, orb in enumerate(orbits):
@@ -465,100 +438,6 @@ def euler_data(g: RibbonGraph) -> EulerData:
 
 def dual(g: RibbonGraph) -> RibbonGraph:
     return g.dual
-
-
-def _edge_set(g: RibbonGraph, edges: Iterable[int]) -> frozenset[int]:
-    return frozenset(g.check_edge(e) for e in edges)
-
-
-def delete(g: RibbonGraph, edges: Iterable[int]) -> RibbonGraph:
-    """Remove edges; vertices stay (possibly becoming isolated).
-
-    Remaining darts are renumbered consecutively in their old order, and
-    remaining edges keep their relative order.
-    """
-    doomed = _edge_set(g, edges)
-    if not doomed:
-        return g
-    dead_darts = {d for e in doomed for d in g.edge_pairs[e]}
-    kept = [d for d in range(g.num_darts) if d not in dead_darts]
-    new_id = {d: i for i, d in enumerate(kept)}
-    sigma = []
-    for d in kept:
-        x = g.sigma[d]
-        while x in dead_darts:
-            x = g.sigma[x]
-        sigma.append(new_id[x])
-    pairs = [
-        (new_id[t], new_id[h])
-        for e, (t, h) in enumerate(g.edge_pairs)
-        if e not in doomed
-    ]
-    emptied = sum(1 for orb in _orbits(g.sigma) if all(d in dead_darts for d in orb))
-    return RibbonGraph(tuple(sigma), tuple(pairs), g.isolated + emptied)
-
-
-def contract(g: RibbonGraph, edges: Iterable[int]) -> RibbonGraph:
-    """Ribbon contraction, uniformly as dual-delete-dual."""
-    doomed = _edge_set(g, edges)
-    if not doomed:
-        return g
-    return delete(g.dual, doomed).dual
-
-
-def double_slash(g: RibbonGraph, edges: Iterable[int]) -> RibbonGraph:
-    """Process edges in order: contract coloops, delete everything else.
-
-    Coloop status is decided on the current intermediate graph, not the
-    input graph; an edge is a coloop when it borders one face twice.
-    """
-    order = [g.check_edge(e) for e in edges]
-    if len(set(order)) != len(order):
-        raise DuplicateEdge("repeated edge id in double_slash")
-    cur = g
-    cur_id = {e: e for e in order}
-    for orig in order:
-        c = cur_id.pop(orig)
-        if cur.is_coloop_edge(c):
-            cur = contract(cur, {c})
-        else:
-            cur = delete(cur, {c})
-        cur_id = {o: (i - 1 if i > c else i) for o, i in cur_id.items()}
-    return cur
-
-
-def abstract_contract(g: RibbonGraph, edges: Iterable[int]) -> RibbonGraph:
-    """Contraction of the underlying abstract graph (loops in the set vanish).
-
-    Vertex classes are the components of the spanning subgraph on the given
-    edges; remaining edges are re-rooted on the classes.  The result's
-    rotation system is a canonical placeholder: only the abstract graph is
-    meaningful, which suffices for every strong-connectivity consumer.
-    """
-    inner = _edge_set(g, edges)
-    ends = g._edge_ends
-    root_of, _ = _spanning_forest(g.num_vertices, [ends[e] for e in inner])
-    roots = sorted(set(root_of))
-    cls = {r: i for i, r in enumerate(roots)}
-    kept = [e for e in range(g.num_edges) if e not in inner]
-    darts_at: dict[int, list[int]] = {i: [] for i in range(len(roots))}
-    pairs = []
-    for j, e in enumerate(kept):
-        tail, head = ends[e]
-        u, w = cls[root_of[tail]], cls[root_of[head]]
-        darts_at[u].append(2 * j)
-        darts_at[w].append(2 * j + 1)
-        pairs.append((2 * j, 2 * j + 1))
-    sigma = [0] * (2 * len(kept))
-    isolated = 0
-    for i in range(len(roots)):
-        ds = sorted(darts_at[i])
-        if not ds:
-            isolated += 1
-            continue
-        for a, b in zip(ds, ds[1:] + ds[:1]):
-            sigma[a] = b
-    return RibbonGraph(tuple(sigma), tuple(pairs), isolated)
 
 
 def _face_set(g: RibbonGraph, faces: Iterable[int]) -> frozenset[int]:
@@ -692,12 +571,6 @@ def check_cycle(g: RibbonGraph, cycle: Cycle) -> None:
             raise InvalidCycle(f"step {i} does not connect its endpoints")
 
 
-def is_separating(g: RibbonGraph, cycle: Cycle) -> bool:
-    """True when contracting the cycle splits off a surface component."""
-    check_cycle(g, cycle)
-    return contract(g, set(cycle.edges)).num_components == g.num_components + 1
-
-
 def fundamental_cycles(g: RibbonGraph) -> list[Cycle]:
     """A cycle basis from a spanning forest: one cycle per non-forest edge."""
     return list(g._fundamental_cycles)
@@ -751,43 +624,6 @@ def _build_fundamental_cycles(g: RibbonGraph) -> list[Cycle]:
         verts = (u,) + tuple(s[2] for s in steps)
         out.append(Cycle(edges, dirs, verts))
     return out
-
-
-def canonical_code(g: RibbonGraph) -> bytes:
-    """Relabeling-invariant encoding; equal iff maps are isomorphic.
-
-    Per dart-component: breadth-first relabeling from every start dart,
-    expanding sigma then alpha, keeping the lexicographically least
-    relabeled (sigma, alpha) table.  Component codes are sorted and the
-    isolated vertex count appended.
-    """
-    return g._canonical_code
-
-
-def _dart_component(g: RibbonGraph, seed: int) -> set[int]:
-    comp = {seed}
-    stack = [seed]
-    while stack:
-        d = stack.pop()
-        for nb in (g.sigma[d], g.alpha[d]):
-            if nb not in comp:
-                comp.add(nb)
-                stack.append(nb)
-    return comp
-
-
-def _code_from(g: RibbonGraph, start: int) -> tuple[int, ...]:
-    idx = {start: 0}
-    order = [start]
-    qi = 0
-    while qi < len(order):
-        d = order[qi]
-        qi += 1
-        for nb in (g.sigma[d], g.alpha[d]):
-            if nb not in idx:
-                idx[nb] = len(order)
-                order.append(nb)
-    return tuple(x for d in order for x in (idx[g.sigma[d]], idx[g.alpha[d]]))
 
 
 # -- map file format --------------------------------------------------------

@@ -377,6 +377,27 @@ def test_poly_leaves_the_generator_unloaded(tmp_path):
         assert _loaded_by_cli_import(module, *calls) == "False", module
 
 
+def test_counting_commands_load_no_reciprocity_code(tmp_path):
+    # poly is a subset sum checked by DP counts: no orientation class, pair
+    # count or canonical code; a class count or histogram runs no assignment count
+    polys, counts = [], []
+    for name, g in (("kite", KITE), ("two", TWO_COMPONENTS)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(sg.dumps(g))
+        quiet = ["--out", os.devnull]
+        polys += [["poly", str(path), "--kind", kind, *quiet] for kind in sg.enumeration.KINDS]
+        counts += [["count", "--class", cls, str(path), *quiet] for cls in ("ao", "tco", "bao", "tbo")]
+        counts.append(["cw-hist", str(path), *quiet])
+    assert [KITE.num_edges, TWO_COMPONENTS.num_edges] == [6, 5]
+    for module in ("surfgraph.orientations", "surfgraph.reciprocity", "surfgraph.generator"):
+        assert _loaded_by_cli_import(module, *polys) == "False", module
+    for module in ("surfgraph.reciprocity", "surfgraph.enumeration"):
+        assert _loaded_by_cli_import(module, *counts) == "False", module
+    # the same probe sees verify load the reciprocity side
+    verify = ["verify", str(tmp_path / "kite.json"), "--kmax", "1", "--out", os.devnull]
+    assert _loaded_by_cli_import("surfgraph.reciprocity", verify) == "True"
+
+
 def test_package_import_loads_no_submodule():
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = "import sys, surfgraph\nprint([m for m in sys.modules if m.startswith('surfgraph.')])"
@@ -408,13 +429,15 @@ PUBLIC_API = [
     "is_totally_cyclic", "loads", "orientation_from_string", "orientation_to_string",
     "orientations", "poly_balanced_flow", "poly_eval", "poly_flow", "poly_local_tension",
     "poly_tension", "polynomials", "quasi_integral_flows", "quasi_integral_local_tensions",
-    "reciprocity_pairs_balanced_flow", "reciprocity_pairs_flow",
+    "reciprocity", "reciprocity_pairs_balanced_flow", "reciprocity_pairs_flow",
     "reciprocity_pairs_local_tension", "reciprocity_pairs_tension", "ribbonmap",
     "signed_boundary", "tbo_generating_poly_formula", "tbo_generating_polynomial",
     "tbo_histogram", "to_json_dict",
 ]
 
-MODULES = ["enumeration", "errors", "generator", "guards", "orientations", "polynomials", "ribbonmap"]
+MODULES = [
+    "enumeration", "errors", "generator", "guards", "orientations", "polynomials", "reciprocity", "ribbonmap",
+]
 
 
 def test_public_api_is_pinned():
@@ -431,6 +454,17 @@ def test_public_api_is_pinned():
     assert sg.enumeration.count_class is sg.orientations.count_class is sg.count_class
     with pytest.raises(AttributeError, match="no_such_name"):
         sg.no_such_name
+
+
+def test_every_export_is_served_from_the_module_that_defines_it():
+    for key, names in sg._EXPORTS.items():
+        module = getattr(sg, key)
+        for name in names:
+            value = getattr(sg, name)
+            assert value.__module__ == f"surfgraph.{key}", name
+            scope: dict = {}
+            exec(f"from surfgraph.{key} import {name}", scope)
+            assert scope[name] is value is getattr(module, name), name
 
 
 def _choices(command: str, dest: str) -> list:

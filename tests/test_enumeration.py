@@ -25,7 +25,7 @@ from surfgraph import (
     orientation_to_string,
     poly_eval,
 )
-from surfgraph import enumeration, guards
+from surfgraph import enumeration, guards, reciprocity
 import mapzoo
 from mapzoo import (
     BRIDGE,
@@ -186,6 +186,7 @@ def test_scan_guard(monkeypatch):
         [(2 * i, 2 * i + 1) for i in range(22)],
     )
     assert sg.count_nz_flows(big, 3) == 2**22
+    assert len(dps) == 1
 
 
 def _bouquet(m):
@@ -226,7 +227,7 @@ def test_poly_guard_fires_before_any_count(monkeypatch):
         # 7 edges: the subset sum needs no samples; the scans check k = 2, 3
         calls.clear()
         fn(_bouquet(7))
-        assert calls == [2, 3]
+        assert calls == [2, 3] and forests
 
 
 def test_k5_tension_polynomial_past_the_scan_wall():
@@ -286,13 +287,17 @@ def test_kite_quasipolynomial():
 @pytest.mark.parametrize("bad", [0, -1, 1.0, "2", None])
 def test_max_period_must_be_a_positive_integer(monkeypatch, bad):
     calls = []
-    monkeypatch.setattr(enumeration, "_box_counts", lambda *a: calls.append(a))
+    real = reciprocity._box_counts
+    monkeypatch.setattr(reciprocity, "_box_counts", lambda *a: calls.append(a) or real(*a))
     for fit in (sg.quasi_integral_local_tensions, sg.quasi_integral_flows):
         with pytest.raises(ValueError, match="max_period"):
             fit(TORUS, max_period=bad)
     with pytest.raises(ValueError, match="max_period"):
         sg.fit_quasipolynomial({k: k for k in range(1, 9)}, 1, max_period=bad)
     assert calls == []
+    # the same spy sees the box DP of an admitted fit
+    assert sg.quasi_integral_local_tensions(fresh(TORUS), max_period=1).period == 1
+    assert len(calls) == 1
 
 
 # -- reciprocity ----------------------------------------------------------------
@@ -376,9 +381,9 @@ def test_a_witness_outside_the_kernel_raises(monkeypatch):
     # one edge more than the coherent cocycles give breaks both face sums
     from types import SimpleNamespace
 
-    real = enumeration.coherent_cocycles
+    real = reciprocity.coherent_cocycles
     monkeypatch.setattr(
-        enumeration, "coherent_cocycles", lambda g, o: [*real(g, o), SimpleNamespace(edges=(0,))]
+        reciprocity, "coherent_cocycles", lambda g, o: [*real(g, o), SimpleNamespace(edges=(0,))]
     )
     o = sg.orientation_from_string(TRIANGLE, "++-")
     with pytest.raises(AssertionError, match="escapes the face matrix kernel"):
@@ -422,11 +427,9 @@ def test_interpolate_round_trip():
 def _spy_first_step(monkeypatch) -> list:
     """Record every call of the pair route's first step, the component
     count of every edge subset."""
-    from surfgraph import ribbonmap
-
     calls = []
-    real = ribbonmap._subset_components
-    monkeypatch.setattr(ribbonmap, "_subset_components", lambda h: calls.append(h) or real(h))
+    real = reciprocity._subset_components
+    monkeypatch.setattr(reciprocity, "_subset_components", lambda h: calls.append(h) or real(h))
     return calls
 
 
@@ -435,10 +438,14 @@ def test_pair_counters_refuse_before_the_support_histogram(monkeypatch):
     # refused at any k by its 2^21 sign masks, before the route's first step
     calls = _spy_first_step(monkeypatch)
     g = _bouquet(21)
-    for kind, pairs in enumeration.PAIRS.items():
+    for kind, pairs in reciprocity.PAIRS.items():
         with pytest.raises(TooLarge, match=r"2\^21 vectors"):
             pairs(g, 1)
         assert calls == [], kind
+    # the same spy sees the first step of every admitted pair count
+    for pairs in reciprocity.PAIRS.values():
+        pairs(fresh(TRIANGLE), 1)
+    assert len(calls) == 4
 
 
 def test_pair_guard_refuses_before_any_pattern_count(monkeypatch):
@@ -450,19 +457,19 @@ def test_pair_guard_refuses_before_any_pattern_count(monkeypatch):
     g = _bouquet(17)
     work = (3 * 17 + 2**18 - 2 + 2 * 18 * 17) << 17
     with pytest.raises(TooLarge, match=f"about {work} steps"):
-        enumeration.reciprocity_pairs_local_tension(g, 2)
+        reciprocity.reciprocity_pairs_local_tension(g, 2)
     assert calls == []
     # Flows on the same bouquet, once refused for their 3^17 sign vectors
     # off the supports, are answered: every vector is a flow, and every
     # loop left is a directed cycle either way, so the pairs are (k + 1)^E
-    assert enumeration.reciprocity_pairs_flow(g, 2) == 3**17
+    assert reciprocity.reciprocity_pairs_flow(g, 2) == 3**17
     assert len(calls) == 1
 
 
 def test_pair_counters_check_the_empty_support_against_the_class_mask(monkeypatch):
-    real = enumeration.count_class
-    monkeypatch.setattr(enumeration, "count_class", lambda g, cls: real(g, cls) + 1)
-    for kind, pairs in enumeration.PAIRS.items():
+    real = reciprocity.count_class
+    monkeypatch.setattr(reciprocity, "count_class", lambda g, cls: real(g, cls) + 1)
+    for kind, pairs in reciprocity.PAIRS.items():
         with pytest.raises(AssertionError, match="at the empty support"):
             pairs(fresh(TRIANGLE), 2)
 
@@ -473,7 +480,7 @@ PAIR_ZOO = [*SMALL, FACE_MATRIX_PRIMAL, ISOLATED, TWO_COMPONENTS, K5]
 
 def test_pair_counts_equal_the_surgery_route(corpus):
     for g in [*corpus, *PAIR_ZOO]:
-        for kind, pairs in enumeration.PAIRS.items():
+        for kind, pairs in reciprocity.PAIRS.items():
             want = surgery_pairs(g, kind, (1, 2, 3))
             assert [pairs(g, k) for k in (1, 2, 3)] == want, (kind, g)
 
@@ -483,7 +490,7 @@ def test_pair_counts_equal_the_surgery_route(corpus):
 def test_random_maps_verify_and_match_the_surgery_route(g):
     report = cli._verify_graph(g, 2)
     assert report["all_pass"], [row for row in report["identities"] if not row["pass"]]
-    for kind, pairs in enumeration.PAIRS.items():
+    for kind, pairs in reciprocity.PAIRS.items():
         assert [pairs(g, 2)] == surgery_pairs(g, kind, (2,)), kind
 
 
@@ -491,7 +498,7 @@ def _assert_pair_polys_are_the_signed_polys(g):
     for kind, sign_exp in SIGN_EXP.items():
         sign = (-1) ** sign_exp(g.euler)
         signed = [sign * (-1) ** i * c for i, c in enumerate(_POLY_FN[kind](g))]
-        assert enumeration._pair_poly(g, kind) == signed, (kind, g)
+        assert reciprocity._pair_poly(g, kind) == signed, (kind, g)
 
 
 def test_pair_polynomials_are_the_signed_polynomials(corpus):
@@ -509,16 +516,21 @@ def test_integral_pairs_refuse_before_the_sign_histogram(monkeypatch):
     # at k = 0 the box is 1^E, but the BAO class scan of a 13-edge
     # bouquet is refused; no DP over its local tensions may start before that
     calls = []
-    real = enumeration._frontier
+    real = reciprocity._frontier
 
     def spy(*args):
         calls.append(args[0])
         return real(*args)
 
-    monkeypatch.setattr(enumeration, "_frontier", spy)
+    monkeypatch.setattr(reciprocity, "_frontier", spy)
     with pytest.raises(TooLarge):
         sg.integral_local_tension_reciprocity_pairs(_bouquet(13), 0)
     assert calls == []
+    # the same spy sees the DP of an admitted count: every orientation of
+    # a two-edge path is a BAO
+    path = build(4, [0, 2, 1, 3], [(0, 1), (2, 3)])
+    assert sg.integral_local_tension_reciprocity_pairs(path, 0) == 2**2
+    assert len(calls) == 1
 
 
 def test_integral_pairs_refuse_before_the_class_scan(monkeypatch):
@@ -539,6 +551,7 @@ def test_integral_pairs_refuse_before_the_class_scan(monkeypatch):
     # patterns, but the DP keeps one mask per column; every orientation of
     # a tree is a BAO
     assert sg.integral_local_tension_reciprocity_pairs(path, 0) == 2**17
+    assert calls == [OrientationClass.BAO]
 
 
 def _one_face_bouquet(m):
@@ -551,8 +564,8 @@ def test_integral_pairs_price_the_masks_before_any_scan(monkeypatch):
     from surfgraph import orientations
 
     dps, scans = [], []
-    real_dp, real_scan = enumeration._frontier, orientations._scan_class
-    monkeypatch.setattr(enumeration, "_frontier", lambda *a: dps.append(a) or real_dp(*a))
+    real_dp, real_scan = reciprocity._frontier, orientations._scan_class
+    monkeypatch.setattr(reciprocity, "_frontier", lambda *a: dps.append(a) or real_dp(*a))
     monkeypatch.setattr(orientations, "_scan_class", lambda g, c: scans.append(c) or real_scan(g, c))
     # Newly refused: a one-face map has a zero face row, so each sign
     # pattern of its local tensions keeps its own mask over the 2^E
@@ -568,6 +581,7 @@ def test_integral_pairs_price_the_masks_before_any_scan(monkeypatch):
     # at 8 edges the DP runs: each edge takes t = 0 with both directions or
     # one of t = +-1 with one
     assert sg.integral_local_tension_reciprocity_pairs(_one_face_bouquet(8), 1) == 4**8
+    assert len(dps) == 1 and scans == [OrientationClass.BAO]
     # Newly admitted: a path at k = 8 was refused for its 17^8 > 10^8
     # assignments, but the DP keeps at most 3^j masks of 2^8 bits at column j.
     # Every orientation of a tree is a BAO and each edge takes t = 0 with
@@ -620,7 +634,7 @@ def _scan_results(maps):
             matrix = CONDITIONS[kind](g)
             for k in (1, 2, 3):
                 out.append(enumeration.COUNT_NZ[kind](g, k))
-                out.append(enumeration.PAIRS[kind](g, k))
+                out.append(reciprocity.PAIRS[kind](g, k))
                 vals = np.arange(k, dtype=np.int64)
                 out.append(support_counts(matrix, vals, e, k).tolist())
         for k in (1, 2):
@@ -721,7 +735,7 @@ def test_box_counts_match_the_direct_scan(corpus):
     for g, kmax in maps:
         e = g.num_edges
         for h, matrix in ((g.dual, local_tension_matrix(g)), (g, incidence_matrix(g))):
-            counts = enumeration._box_counts(h, range(1, kmax + 1))
+            counts = reciprocity._box_counts(h, range(1, kmax + 1))
             direct = [count_solutions(matrix, box_values(k), e, None) for k in range(1, kmax + 1)]
             assert counts == direct, (g, h is g)
 
@@ -731,32 +745,32 @@ def test_box_counts_match_the_direct_scan(corpus):
 def test_random_maps_box_counts_match_the_half_box_join(g):
     ks = range(1, 6)
     for h, matrix in ((g.dual, local_tension_matrix(g)), (g, incidence_matrix(g))):
-        assert enumeration._box_counts(h, ks) == box_join(matrix, g.num_edges, ks)
+        assert reciprocity._box_counts(h, ks) == box_join(matrix, g.num_edges, ks)
 
 
 def test_box_counts_edge_cases():
     # no columns and no forms: the one empty assignment, for every k
-    assert enumeration._box_counts(EDGELESS, [1, 2, 3]) == [1, 1, 1]
+    assert reciprocity._box_counts(EDGELESS, [1, 2, 3]) == [1, 1, 1]
     # kmax = 1: no values, so nothing on a map with edges
     for g in (LOOP, TRIANGLE, _bouquet(3)):
-        assert enumeration._box_counts(g, [1]) == [0]
+        assert reciprocity._box_counts(g, [1]) == [0]
     # no forms: every chord of a bouquet is free, (2k - 2)^width rows
     for width in range(6):
-        counts = enumeration._box_counts(_bouquet(width), range(1, 5))
+        counts = reciprocity._box_counts(_bouquet(width), range(1, 5))
         assert counts == [(2 * k - 2) ** width for k in range(1, 5)]
     # one form: the tree edge of the theta carries the signed sum of two
     # chords, so its flows are x0 + x1 + x2 = 0 up to signs, an odd width
-    counts = enumeration._box_counts(THETA, range(1, 5))
+    counts = reciprocity._box_counts(THETA, range(1, 5))
     assert counts == [
         sum(1 for x in itertools.product(range(-(k - 1), k), repeat=3) if 0 not in x and sum(x) == 0)
         for k in range(1, 5)
     ]
     # ks need not be consecutive: each count is that of its own box
-    assert enumeration._box_counts(THETA, [2, 5, 6]) == [
-        enumeration._box_counts(THETA, [k])[0] for k in (2, 5, 6)
+    assert reciprocity._box_counts(THETA, [2, 5, 6]) == [
+        reciprocity._box_counts(THETA, [k])[0] for k in (2, 5, 6)
     ]
     # a form with no variables is a bridge: no flow is nowhere zero
-    assert enumeration._box_counts(BRIDGE, range(1, 4)) == [0, 0, 0]
+    assert reciprocity._box_counts(BRIDGE, range(1, 4)) == [0, 0, 0]
 
 
 def test_box_counts_stream_the_right_half_in_blocks(monkeypatch):
@@ -764,7 +778,7 @@ def test_box_counts_stream_the_right_half_in_blocks(monkeypatch):
     maps = [g for m in range(4) for g in generate(CorpusSpec(edges=m))]
     cases = [(h, f(g), g.num_edges) for g in maps for h, f in ((g.dual, local_tension_matrix), (g, incidence_matrix))]
     expected = [box_join(matrix, e, range(1, 7)) for _, matrix, e in cases]
-    assert [enumeration._box_counts(h, range(1, 7)) for h, _, _ in cases] == expected
+    assert [reciprocity._box_counts(h, range(1, 7)) for h, _, _ in cases] == expected
     for chunk in (1, 7):
         monkeypatch.setattr(mapzoo, "CHUNK", chunk)
         got = [box_join(matrix, e, range(1, 7)) for _, matrix, e in cases]
@@ -800,8 +814,8 @@ def test_integral_counts_guard_the_join_they_run(monkeypatch):
     assert sg.count_integral_local_tensions(_bouquet(7), 8) == 0
 
     joins = []
-    real = enumeration._box_counts
-    monkeypatch.setattr(enumeration, "_box_counts", lambda *a: joins.append(a) or real(*a))
+    real = reciprocity._box_counts
+    monkeypatch.setattr(reciprocity, "_box_counts", lambda *a: joins.append(a) or real(*a))
     # The theta's flows: 11998 values of the first chord, then the same for
     # the second from each of 11998 partial sums of the tree edge's form
     with pytest.raises(TooLarge, match=r"2 columns of 11998 values and 1 boxes, about 143964002 steps"):
@@ -845,7 +859,8 @@ def test_dp_guards_bound_every_step(corpus, monkeypatch):
         assert len(steps) == len(estimates), (count, args)
         return list(zip(steps, estimates))
 
-    monkeypatch.setattr(enumeration, "_frontier", counted)
+    for module in (enumeration, reciprocity):
+        monkeypatch.setattr(module, "_frontier", counted)
     monkeypatch.setattr(guards, "_refuse", refuse)
     # the counts mod k: nowhere-zero tensions and flows on fundamental
     # coordinates, and every condition's rows, nonzero or not
@@ -873,8 +888,8 @@ def test_dp_guards_bound_every_step(corpus, monkeypatch):
             kmax = g.num_edges + 4
             steps.clear()
             estimates.clear()
-            enumeration._price_box(h, kmax, kmax)
-            enumeration._box_counts(h, range(1, kmax + 1))
+            reciprocity._price_box(h, kmax, kmax)
+            reciprocity._box_counts(h, range(1, kmax + 1))
             assert steps[0] <= estimates[0], (g, h is g)
         words = -(-(2**g.num_edges) // 64)
         for k in range(4):
@@ -898,8 +913,8 @@ EARLY_CLOSE = {
 
 def test_quasi_fit_joins_once_per_period_and_refuses_first(monkeypatch):
     joins, scans = [], []
-    real_join, real_scan = enumeration._box_counts, enumeration._row_count
-    real_fit = enumeration.fit_quasipolynomial
+    real_join, real_scan = reciprocity._box_counts, enumeration._row_count
+    real_fit = reciprocity.fit_quasipolynomial
 
     def join(h, ks):
         joins.append(ks[-1])
@@ -915,30 +930,33 @@ def test_quasi_fit_joins_once_per_period_and_refuses_first(monkeypatch):
             raise sg.NoFit(f"forced miss at period {max_period}")
         return real_fit(samples, degree, max_period=max_period)
 
-    monkeypatch.setattr(enumeration, "_box_counts", join)
+    monkeypatch.setattr(reciprocity, "_box_counts", join)
     monkeypatch.setattr(enumeration, "_row_count", scan)
     q = sg.quasi_integral_local_tensions(TORUS)
     assert q.period == 1 and joins == [6] and scans == []
-    monkeypatch.setattr(enumeration, "fit_quasipolynomial", fit_from_period_3)
+    monkeypatch.setattr(reciprocity, "fit_quasipolynomial", fit_from_period_3)
     joins.clear()
     q = sg.quasi_integral_flows(TRIANGLE)
     assert joins == [7, 12, 17] and scans == []
     # The theta's flows fit at period 1, a DP of 12 + 12^2 = 156 steps; a
     # guard of 1000 steps admits it but not the period-6 DP, which is priced
     # first, so no DP starts.
-    monkeypatch.setattr(enumeration, "fit_quasipolynomial", real_fit)
+    monkeypatch.setattr(reciprocity, "fit_quasipolynomial", real_fit)
     monkeypatch.setattr(guards, "MAX_ASSIGNMENTS", 1000)
-    enumeration._price_box(THETA, 7, 7)
+    reciprocity._price_box(THETA, 7, 7)
     joins.clear()
     with pytest.raises(TooLarge, match=r"2 columns of 62 values and 32 boxes, about 3906 steps"):
         sg.quasi_integral_flows(THETA)
     assert joins == [] and scans == []
+    # the same row-count spy sees an admitted count mod k
+    sg.count_flows(fresh(THETA), 2)
+    assert len(scans) == 1
 
 
 def test_quasi_guard_prices_the_largest_period(monkeypatch):
     joins = []
-    real = enumeration._box_counts
-    monkeypatch.setattr(enumeration, "_box_counts", lambda h, ks: joins.append(ks[-1]) or real(h, ks))
+    real = reciprocity._box_counts
+    monkeypatch.setattr(reciprocity, "_box_counts", lambda h, ks: joins.append(ks[-1]) or real(h, ks))
     e7, e9 = from_json_dict(FRONTIER[1]), from_json_dict(FRONTIER_9)
     # Newly refused: the 7-edge map's local tensions fit at period 1, which
     # the join admitted and ran, but the period-6 DP is about 7.5 * 10^8 steps

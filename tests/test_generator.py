@@ -15,7 +15,7 @@ from surfgraph import (
     generate,
 )
 from surfgraph.guards import _rooted_maps
-from surfgraph.ribbonmap import _code_from
+from surfgraph.generator import _code_from
 
 # connected maps up to isomorphism by edge count, checked against an
 # independent hand count for m <= 2, the labelled scan for m <= 4 and

@@ -15,8 +15,10 @@ from surfgraph import (
     cli,
     count_class,
     enumeration,
+    generator,
     guards,
     orientations,
+    reciprocity,
     ribbonmap,
 )
 from mapzoo import FACE_MATRIX_PRIMAL, ISOLATED, K5, SMALL, TRIANGLE, TWO_COMPONENTS, fresh
@@ -60,8 +62,8 @@ def test_verify_computes_each_quantity_once(corpus, monkeypatch):
     monkeypatch.setattr(orientations, "_scan_class", scan_class)
     monkeypatch.setattr(enumeration, "_row_count", count)
     for name in ("delete", "contract", "double_slash", "abstract_contract"):
-        monkeypatch.setattr(ribbonmap, name, spy(surgeries, getattr(ribbonmap, name)))
-    monkeypatch.setattr(ribbonmap, "_code_from", spy(codes, ribbonmap._code_from))
+        monkeypatch.setattr(reciprocity, name, spy(surgeries, getattr(reciprocity, name)))
+    monkeypatch.setattr(generator, "_code_from", spy(codes, generator._code_from))
 
     for g in [fresh(h) for h in corpus]:
         g._canonical_code  # the report names g by its code
@@ -80,6 +82,12 @@ def test_verify_computes_each_quantity_once(corpus, monkeypatch):
             per_matrix.setdefault(key[0], []).append(key[2])
         assert all(sorted(ks) == [1, 2, 3] for ks in per_matrix.values())
         assert {cls for h, cls in masks if h is g} == set(OrientationClass)
+    # the same spies see a surgery, and the one it calls, and a code
+    for log in (surgeries, codes):
+        log.clear()
+    reciprocity.double_slash(TRIANGLE, [0])
+    fresh(TRIANGLE)._canonical_code
+    assert len(surgeries) == 2 and codes
 
 
 def test_verify_builds_each_form_set_and_dp_count_once(corpus, monkeypatch):
@@ -140,7 +148,7 @@ def test_verify_prices_each_class_once_and_guards_every_scan(corpus, monkeypatch
     def spy(log, real):
         return lambda *args: log.append(args) or real(*args)
 
-    for module in (orientations, enumeration):
+    for module in (orientations, reciprocity):
         monkeypatch.setattr(module, "_scan_cost", cost)
         monkeypatch.setattr(module, "_class_mask", mask)
     monkeypatch.setattr(orientations, "_cycle_bound", spy(bounds, real_bound))
@@ -215,8 +223,8 @@ def test_a_result_computed_under_the_override_is_still_refused_without_it(monkey
         lambda: orientations.tbo_histogram(g),
         lambda: enumeration.count_nz_tensions(g, 3),
         lambda: enumeration.count_nz_balanced_flows(g, 3),
-        lambda: enumeration.reciprocity_pairs_flow(g, 3),
-        lambda: enumeration.integral_local_tension_reciprocity_pairs(g, 1),
+        lambda: reciprocity.reciprocity_pairs_flow(g, 3),
+        lambda: reciprocity.integral_local_tension_reciprocity_pairs(g, 1),
     ]
     monkeypatch.setenv("SURFGRAPH_GUARD_OVERRIDE", "1")
     for call in calls:

@@ -33,7 +33,7 @@ from surfgraph import (
     tbo_histogram,
     to_json_dict,
 )
-from surfgraph import cli, enumeration, orientations
+from surfgraph import cli, enumeration, orientations, reciprocity
 from mapzoo import (
     FACE_MATRIX_PRIMAL,
     ISOLATED,
@@ -332,4 +332,4 @@ def test_class_counts_past_the_census():
     for g in (K5, PETERSEN):
         for kind in enumeration.KINDS:
             value = abs(poly_eval(enumeration.POLY[kind](g), -1))
-            assert count_class(g, enumeration.CLASS_OF[kind]) == value, kind
+            assert count_class(g, reciprocity.CLASS_OF[kind]) == value, kind

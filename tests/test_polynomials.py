@@ -6,16 +6,8 @@ import pytest
 
 from surfgraph import NoFit, QuasiPolynomial, fit_quasipolynomial, poly_eval
 from surfgraph.errors import NonIntegerCoefficients
-from surfgraph.polynomials import (
-    as_int_coeffs,
-    ipoly_add,
-    ipoly_mul,
-    ipoly_pow,
-    ipoly_sub,
-    ipoly_trim,
-    lagrange,
-    trim,
-)
+from surfgraph.polynomials import ipoly_add, ipoly_mul, ipoly_pow, ipoly_sub, ipoly_trim
+from surfgraph.reciprocity import as_int_coeffs, lagrange, trim
 
 
 def test_poly_eval_is_exact():

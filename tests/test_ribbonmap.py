@@ -309,6 +309,12 @@ def test_delete_nothing_is_identity():
         assert delete(g, set()) == g
 
 
+def test_a_bridge_is_an_edge_whose_deletion_adds_a_component(corpus):
+    for g in [*corpus, *NAMED.values()]:
+        for e in range(g.num_edges):
+            assert g.is_bridge(e) == (delete(g, {e}).num_components > g.num_components), (g, e)
+
+
 def test_delete_all_edges_keeps_vertices_as_isolated():
     for g in SMALL:
         h = delete(g, range(g.num_edges))
