@@ -93,10 +93,10 @@ def _extensions(g: RibbonGraph) -> Iterator[RibbonGraph]:
 def canonical_code(g: RibbonGraph) -> bytes:
     """Relabeling-invariant encoding; equal iff maps are isomorphic.
 
-    Per dart-component: breadth-first relabeling from every start dart,
-    expanding sigma then alpha, keeping the lexicographically least
-    relabeled (sigma, alpha) table.  Component codes are sorted and the
-    isolated vertex count appended.  Kept on the map
+    Per dart-component: the lexicographically least relabeled
+    (sigma, alpha) table over breadth-first relabelings from every start
+    dart, expanding sigma then alpha (`_least_code`).  Component codes
+    are sorted and the isolated vertex count appended.  Kept on the map
     (RibbonGraph._canonical_code).
     """
     return g._canonical_code
@@ -109,7 +109,7 @@ def _encode(g: RibbonGraph) -> bytes:
         seed = min(remaining)
         comp = _dart_component(g, seed)
         remaining -= comp
-        comp_codes.append(min(_code_from(g, s) for s in sorted(comp)))
+        comp_codes.append(_least_code(g, comp))
     comp_codes.sort()
     text = ";".join(",".join(map(str, code)) for code in comp_codes)
     return f"{text}|{g.isolated}".encode()
@@ -127,18 +127,44 @@ def _dart_component(g: RibbonGraph, seed: int) -> set[int]:
     return comp
 
 
-def _code_from(g: RibbonGraph, start: int) -> tuple[int, ...]:
-    idx = {start: 0}
-    order = [start]
-    qi = 0
-    while qi < len(order):
-        d = order[qi]
-        qi += 1
-        for nb in (g.sigma[d], g.alpha[d]):
-            if nb not in idx:
-                idx[nb] = len(order)
-                order.append(nb)
-    return tuple(x for d in order for x in (idx[g.sigma[d]], idx[g.alpha[d]]))
+def _least_code(g: RibbonGraph, comp: Iterable[int]) -> tuple[int, ...]:
+    """The least breadth-first relabeled (sigma, alpha) table of one dart
+    component over its start darts.
+
+    Each start emits its table pair by pair as the search pops darts and
+    is abandoned at the first pair above the best table so far; once a
+    pair falls below it, the start runs to the end and becomes the best.
+    All tables of a component have the same length, so this is the
+    lexicographic minimum (a pruned form of McKay's least-code search).
+    """
+    sigma, alpha = g.sigma, g.alpha
+    best: list[int] = []
+    for start in comp:
+        idx = [-1] * len(sigma)
+        idx[start] = 0
+        order = [start]
+        code: list[int] = []
+        tied = bool(best)
+        for d in order:  # order grows as the search labels new darts
+            s, a = sigma[d], alpha[d]
+            if idx[s] < 0:
+                idx[s] = len(order)
+                order.append(s)
+            if idx[a] < 0:
+                idx[a] = len(order)
+                order.append(a)
+            i, j = idx[s], idx[a]
+            if tied:
+                n = len(code)
+                b = best[n], best[n + 1]
+                if (i, j) > b:
+                    break
+                tied = (i, j) == b
+            code += (i, j)
+        else:
+            if not tied:  # below the best, or the first start
+                best = code
+    return tuple(best)
 
 
 def _classes(maps: Iterable[RibbonGraph]) -> dict[bytes, RibbonGraph]:

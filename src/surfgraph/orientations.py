@@ -29,16 +29,18 @@ class forbids coherent cycles or coherent cuts, of g or of g*
 
 The reciprocity pair counters in `reciprocity` read the same subcubes
 (`_support_classes`): those that miss an edge set A give the class of g
-surgered at A, on the sign vectors off A.  TCO on at most 5 edges also
-evaluates its definitional reading (every edge lies on a directed
-cycle) as a third route.  The per-orientation predicates `is_*` compute
-their own characterizations in plain Python (two each for TCO, BAO and
-TBO) and serve as oracles for the engine.  Whenever two routes are
+surgered at A, on the sign vectors off A.  A cut scan on at most 5 edges
+also evaluates the definitional reading of TCO on its primitive (every
+edge lies on a directed cycle) as a third route.  The per-orientation
+predicates `is_*` compute their own characterizations in plain Python
+(two each for TCO, BAO and TBO) and serve as oracles for the engine.  Whenever two routes are
 computed they are compared, and any disagreement raises; that
 cross-check is part of the contract, not a debugging aid.  A class mask
-that passed it is kept on the map (an int, so read-only), with the cost
-estimate its guard reads, and each (map, class) is scanned and priced
-once; the guards still run on every call.
+that passed it is kept on its primitive (an int, so read-only), under
+"cycles" or "cuts": BAO(g) is TCO(g*) and TBO(g) is AO(g*), so the four
+classes of g and the four of g* are four scans.  The cost estimate its
+guard reads is kept on the map, once per (map, class); the guards still
+run on every call.
 """
 
 from __future__ import annotations
@@ -557,11 +559,14 @@ def _agree(num_edges: int, a: int, b: int, what: str) -> None:
 
 def _class_mask(g: RibbonGraph, cls: OrientationClass) -> int:
     """The sign masks of the orientations in cls, as the set bits of one
-    int.  Guarded on every call, scanned once per map."""
+    int.  Guarded on every call, scanned once per primitive: the mask is
+    kept on h = g or g* under "cycles" or "cuts", so BAO(g) and TCO(g*),
+    or TBO(g) and AO(g*), are one scan."""
     e = g.num_edges
     check_orientation_scan(e)
     check_class_scan(e, _scan_cost(g, cls))
-    return g._memoised(("class", cls), lambda: _scan_class(g, cls))
+    h, cycles = _primitive(g, cls)
+    return h._memoised(("class", "cycles" if cycles else "cuts"), lambda: _scan_class(g, cls))
 
 
 def _scan_class(g: RibbonGraph, cls: OrientationClass) -> int:
@@ -570,11 +575,12 @@ def _scan_class(g: RibbonGraph, cls: OrientationClass) -> int:
     cubes = _avoids(e, _class_cubes(g, cls))
     search = _peel(h) if cycles else _strongly_connected(h)
     _agree(e, cubes, search, f"{cls.value}: forbidden subcubes and graph search")
-    if cls is OrientationClass.TCO and e <= 5:
+    if not cycles and e <= 5:  # TCO of h, whichever class asked
         walks = sum(
-            1 << r for r in range(1 << e) if _every_edge_on_directed_cycle(g, _mask_signs(e, r))
+            1 << r for r in range(1 << e) if _every_edge_on_directed_cycle(h, _mask_signs(e, r))
         )
-        _agree(e, cubes, walks, "tco: forbidden subcubes and directed cycles through every edge")
+        what = f"{cls.value}: forbidden subcubes and directed cycles through every edge"
+        _agree(e, cubes, walks, what)
     return cubes
 
 

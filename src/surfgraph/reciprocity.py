@@ -12,10 +12,14 @@ fitted by a quasipolynomial whose value at -k counts the integral pairs
 with the BAOs.  A witness vector shows each BAO as the signs of a local
 tension.
 
-Interpolation runs over fractions.Fraction, imported by the functions
-that build fractions.  A quasipolynomial of period p is p constituent
-polynomials, one per residue class of the argument mod p, with rational
-coefficients.  verify and the `reciprocity`, `integral` and `witness`
+`lagrange` interpolates over fractions.Fraction, imported by the
+functions that build fractions.  The quasipolynomial fits do not: each
+candidate constituent is an integer polynomial N and one denominator L,
+with N / L the interpolant, and its held-out samples y at x are checked
+as N(x) == L y in integers.  A quasipolynomial of period p is p
+constituent polynomials, one per residue class of the argument mod p,
+with rational coefficients, built as Fractions once the period is
+certified.  verify and the `reciprocity`, `integral` and `witness`
 commands load this module; the counts and polynomials load none of it.
 """
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate
+from math import lcm, prod
 from operator import sub
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -344,6 +349,28 @@ class QuasiPolynomial(Record):
         )
 
 
+def _scaled_interpolant(points: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """(N, L) with N / L the polynomial through the distinct-x points, N
+    integer coefficients and L > 0 the least common multiple of the
+    Lagrange denominators w_i = prod_{j != i} (x_i - x_j):
+        N = sum_i y_i (L / w_i) prod_{j != i} (x - x_j),
+    each product one synthetic division of prod_j (x - x_j) by x - x_i."""
+    xs = [x for x, _ in points]
+    full = [1]
+    for x in xs:
+        full = ipoly_mul(full, [-x, 1])
+    weights = [prod(xi - xj for xj in xs if xj != xi) for xi in xs]
+    den = lcm(*weights)
+    num = [0] * len(xs)
+    for (xi, yi), w in zip(points, weights):
+        scale = yi * (den // w)
+        carry = 0
+        for i in range(len(xs), 0, -1):
+            carry = full[i] + carry * xi
+            num[i - 1] += scale * carry
+    return num, den
+
+
 def _require_max_period(max_period: int) -> None:
     if not isinstance(max_period, int) or max_period < 1:
         raise ValueError(f"max_period must be an integer >= 1, got {max_period!r}")
@@ -359,7 +386,9 @@ def fit_quasipolynomial(
     For each candidate period, every residue class must supply at least
     max_degree + 2 points: max_degree + 1 to interpolate and at least
     one held out to verify.  Classes that verify exactly for every
-    held-out point certify the period.
+    held-out point certify the period.  The keys may be spaced unevenly.
+    Fits and checks run in integers (`_scaled_interpolant`); the
+    Fractions are built once, for the certified period.
     """
     _require_max_period(max_period)
     ks = sorted(samples)
@@ -371,17 +400,22 @@ def fit_quasipolynomial(
         if any(len(v) < max_degree + 2 for v in classes.values()):
             starving = True
             continue
-        consts: list[tuple[Fraction, ...]] = []
-        good = True
+        fits = []
         for r in range(p):
             pts = [(k, samples[k]) for k in classes[r]]
-            coeffs = lagrange(pts[: max_degree + 1])
-            if any(poly_eval(coeffs, k) != v for k, v in pts[max_degree + 1 :]):
-                good = False
+            num, den = _scaled_interpolant(pts[: max_degree + 1])
+            if any(poly_eval(num, k) != den * v for k, v in pts[max_degree + 1 :]):
                 break
-            consts.append(tuple(trim(coeffs)))
-        if good:
-            return QuasiPolynomial(period=p, constituents=tuple(consts))
+            fits.append((num, den))
+        else:
+            from fractions import Fraction
+
+            return QuasiPolynomial(
+                period=p,
+                constituents=tuple(
+                    tuple(Fraction(c, den) for c in ipoly_trim(num)) for num, den in fits
+                ),
+            )
     if starving:
         raise NoFit(
             f"not enough samples to certify any period <= {max_period} "

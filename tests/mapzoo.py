@@ -143,6 +143,23 @@ def ribbon_maps(draw, max_edges=4):
     return RibbonGraph(tuple(sigma), pairs, isolated=isolated)
 
 
+def code_from(g: RibbonGraph, start: int) -> tuple[int, ...]:
+    """The full breadth-first relabeled (sigma, alpha) table from one start
+    dart, expanding sigma then alpha: the canonical code's oracle, with
+    no pruning."""
+    idx = {start: 0}
+    order = [start]
+    qi = 0
+    while qi < len(order):
+        d = order[qi]
+        qi += 1
+        for nb in (g.sigma[d], g.alpha[d]):
+            if nb not in idx:
+                idx[nb] = len(order)
+                order.append(nb)
+    return tuple(x for d in order for x in (idx[g.sigma[d]], idx[g.alpha[d]]))
+
+
 # -- condition matrices and brute-force scans ---------------------------------
 
 CHUNK = 1 << 18  # assignment rows per block

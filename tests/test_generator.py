@@ -15,7 +15,9 @@ from surfgraph import (
     generate,
 )
 from surfgraph.guards import _rooted_maps
-from surfgraph.generator import _code_from
+from surfgraph.generator import _dart_component, _extensions
+
+from mapzoo import ISOLATED, SMALL, TRIANGLE, TWO_COMPONENTS, code_from, disjoint_union, fresh
 
 # connected maps up to isomorphism by edge count, checked against an
 # independent hand count for m <= 2, the labelled scan for m <= 4 and
@@ -73,11 +75,33 @@ def test_rooted_map_count(census):
     for m, expect in ROOTED_MAPS.items():
         rooted = 0
         for g in census[m]:
-            codes = [_code_from(g, d) for d in range(2 * m)]
+            codes = [code_from(g, d) for d in range(2 * m)]
             aut = codes.count(min(codes))
             assert (2 * m) % aut == 0
             rooted += 2 * m // aut
         assert rooted == expect == _rooted_maps(m)
+
+
+def _full_search_code(g):
+    """canonical_code by the unpruned search: every start dart's whole
+    relabeled table, the least kept per dart component (the components
+    as `_encode` splits them)."""
+    comp_codes, remaining = [], set(range(g.num_darts))
+    while remaining:
+        comp = _dart_component(g, min(remaining))
+        remaining -= comp
+        comp_codes.append(min(code_from(g, s) for s in comp))
+    text = ";".join(",".join(map(str, code)) for code in sorted(comp_codes))
+    return f"{text}|{g.isolated}".encode()
+
+
+def test_pruned_code_search_equals_the_full_search(census):
+    # every candidate the census extends to, m <= 4, duplicates included
+    candidates = [h for m in range(1, 4) for g in census[m] for h in _extensions(g)]
+    assert len(candidates) > len({canonical_code(h) for h in candidates})
+    both = disjoint_union(TRIANGLE, fresh(TRIANGLE))
+    for g in [*census[1], *candidates, *SMALL, ISOLATED, TWO_COMPONENTS, both]:
+        assert canonical_code(fresh(g)) == _full_search_code(g), g
 
 
 def test_two_edge_stratification():

@@ -63,7 +63,7 @@ def test_verify_computes_each_quantity_once(corpus, monkeypatch):
     monkeypatch.setattr(enumeration, "_row_count", count)
     for name in ("delete", "contract", "double_slash", "abstract_contract"):
         monkeypatch.setattr(reciprocity, name, spy(surgeries, getattr(reciprocity, name)))
-    monkeypatch.setattr(generator, "_code_from", spy(codes, generator._code_from))
+    monkeypatch.setattr(generator, "_least_code", spy(codes, generator._least_code))
 
     for g in [fresh(h) for h in corpus]:
         g._canonical_code  # the report names g by its code
@@ -88,6 +88,22 @@ def test_verify_computes_each_quantity_once(corpus, monkeypatch):
     reciprocity.double_slash(TRIANGLE, [0])
     fresh(TRIANGLE)._canonical_code
     assert len(surgeries) == 2 and codes
+
+
+def test_verify_scans_each_primitive_once(corpus, monkeypatch):
+    # BAO(g) is TCO(g*) and TBO(g) is AO(g*): the six (map, class) masks
+    # verify reads are the cycles and the cuts of g and of g*, four scans
+    scans = []
+    real = orientations._scan_class
+    monkeypatch.setattr(
+        orientations, "_scan_class", lambda g, cls: scans.append((g, cls)) or real(g, cls)
+    )
+    for g in [fresh(h) for h in corpus]:
+        scans.clear()
+        cli._verify_graph(g, 3)
+        assert len(scans) == 4
+        read = {(id(h), cycles) for h, cycles in (orientations._primitive(*s) for s in scans)}
+        assert read == {(id(h), cycles) for h in (g, g.dual) for cycles in (False, True)}
 
 
 def test_verify_builds_each_form_set_and_dp_count_once(corpus, monkeypatch):

@@ -4,10 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from surfgraph import NoFit, QuasiPolynomial, fit_quasipolynomial, poly_eval
+from surfgraph import (
+    NoFit,
+    QuasiPolynomial,
+    fit_quasipolynomial,
+    poly_eval,
+    quasi_integral_flows,
+    quasi_integral_local_tensions,
+    reciprocity,
+)
 from surfgraph.errors import NonIntegerCoefficients
 from surfgraph.polynomials import ipoly_add, ipoly_mul, ipoly_pow, ipoly_sub, ipoly_trim
 from surfgraph.reciprocity import as_int_coeffs, lagrange, trim
+from mapzoo import FACE_MATRIX_PRIMAL, ISOLATED, KITE, SMALL, TWO_COMPONENTS, fresh
 
 
 def test_poly_eval_is_exact():
@@ -87,3 +96,83 @@ def test_fit_fails_on_non_quasipolynomial_data():
     samples = {k: 2**k for k in range(1, 13)}
     with pytest.raises(NoFit):
         fit_quasipolynomial(samples, max_degree=2, max_period=2)
+
+
+def _lagrange_fit(samples, max_degree, max_period):
+    """The smallest certified period by Fraction interpolation, or None:
+    the oracle for the integer fit."""
+    ks = sorted(samples)
+    for p in range(1, max_period + 1):
+        classes = [[k for k in ks if k % p == r] for r in range(p)]
+        if any(len(c) < max_degree + 2 for c in classes):
+            continue
+        consts = []
+        for c in classes:
+            coeffs = lagrange([(k, samples[k]) for k in c[: max_degree + 1]])
+            if any(poly_eval(coeffs, k) != samples[k] for k in c[max_degree + 1 :]):
+                break
+            consts.append(tuple(trim(coeffs)))
+        else:
+            return QuasiPolynomial(p, tuple(consts))
+    return None
+
+
+def _assert_fits_agree(samples, max_degree, max_period):
+    """The integer fit and the oracle agree; the fit, or None for NoFit."""
+    want = _lagrange_fit(samples, max_degree, max_period)
+    if want is None:
+        with pytest.raises(NoFit):
+            fit_quasipolynomial(samples, max_degree, max_period=max_period)
+        return None
+    got = fit_quasipolynomial(samples, max_degree, max_period=max_period)
+    assert got == want and got.to_json_dict() == want.to_json_dict()
+    assert all(type(c) is Fraction for cs in got.constituents for c in cs)
+    return got
+
+
+def test_integer_fit_equals_the_lagrange_fit_on_the_census(corpus, monkeypatch):
+    calls = []
+    real = reciprocity.fit_quasipolynomial
+    monkeypatch.setattr(
+        reciprocity, "fit_quasipolynomial", lambda *a, **kw: calls.append((a, kw)) or real(*a, **kw)
+    )
+    for g in [*corpus, *SMALL, FACE_MATRIX_PRIMAL, ISOLATED, TWO_COMPONENTS]:
+        for quasi in (quasi_integral_local_tensions, quasi_integral_flows):
+            quasi(fresh(g))
+    assert len(calls) >= 2 * len(corpus)
+    for (samples, degree), kw in calls:
+        _assert_fits_agree(samples, degree, kw["max_period"])
+
+
+def test_integer_fit_equals_the_lagrange_fit_on_uneven_keys():
+    # Integer-valued quasipolynomials with fractional coefficients: C(k, 2),
+    # the sum of the first k squares, floor(k / 2).  A check that reads the
+    # held-out values as evenly spaced rejects their fits: k at the keys
+    # 1, 2, 4 has second difference 1.
+    half, sixth = Fraction(1, 2), Fraction(1, 6)
+    choose2, squares = (0, -half, half), (0, sixth, half, 2 * sixth)
+    quasis = [
+        [(0, 1)],
+        [choose2],
+        [squares, (-5, 7)],
+        [(2,), choose2, squares],
+        [(0, half), (-half, half)],
+    ]
+    key_sets = [
+        [1, 2, 4, 7, 11, 16, 22, 29, 37, 46, 56, 67],
+        [-9, -4, -3, 0, 1, 2, 3, 5, 8, 13, 14, 17, 20, 21, 25, 30, 31, 35, 40, 44, 45, 49, 51, 52],
+        [k * k for k in range(1, 20)],  # no square is 2 mod 3
+    ]
+    periods = []
+    for consts in quasis:
+        for keys in key_sets:
+            samples = {k: int(poly_eval(consts[k % len(consts)], k)) for k in keys}
+            for degree in range(4):
+                q = _assert_fits_agree(samples, degree, 3)
+                periods.append(q and q.period)
+                wrong = {**samples, keys[-1]: samples[keys[-1]] + 1}
+                _assert_fits_agree(wrong, degree, 3)
+    assert {1, 2, 3, None} <= set(periods)
+    # the keys are uneven, yet k itself is fitted at period 1
+    q = fit_quasipolynomial({k: k for k in key_sets[0]}, 1, max_period=1)
+    assert q.constituents == ((0, 1),)
