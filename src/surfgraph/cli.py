@@ -22,6 +22,7 @@ pin to `enumeration.KINDS` and `OrientationClass`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -367,22 +368,20 @@ def cmd_verify(args) -> int:
     return 0 if report["all_pass"] else 4
 
 
-def _batch_worker(payload: tuple[dict, int]) -> dict:
-    map_dict, kmax = payload
-    return _verify_graph(ribbonmap.from_json_dict(map_dict), kmax)
-
-
 def cmd_batch(args) -> int:
-    payloads = [(ribbonmap.to_json_dict(g), args.kmax) for g in _corpus(args)]
+    maps = _corpus(args)
+    verify = functools.partial(_verify_graph, kmax=args.kmax)
     if args.jobs > 1:
         # Imported here: the pool pulls in multiprocessing, which no other
-        # command needs.
+        # command needs.  It pickles the maps themselves.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_batch_worker, payloads))
+            reports = list(pool.map(verify, maps))
     else:
-        reports = [_batch_worker(p) for p in payloads]
+        # Popped in order, so each map and all it cached die once verified.
+        maps.reverse()
+        reports = [verify(maps.pop()) for _ in range(len(maps))]
     reports.sort(key=lambda r: r["graph"])
     failures = [
         {"graph": r["graph"], "identity": i["identity"], "lhs": i["lhs"], "rhs": i["rhs"]}

@@ -246,21 +246,12 @@ def is_boundary_acyclic(g: RibbonGraph, o: Orientation) -> bool:
 
 
 def _no_coherent_boundary(g: RibbonGraph, signs: Sequence[int]) -> bool:
-    sides = [
-        (g.edge_right_face(e), g.edge_left_face(e)) for e in range(g.num_edges)
-    ]
     active = [f for f in range(g.num_faces) if g.faces[f]]
     check_orientation_scan(len(active))
     for bits in range(1, 1 << len(active)):
         chosen = {active[i] for i in range(len(active)) if bits >> i & 1}
-        pos = neg = False
-        for e, (r, l) in enumerate(sides):
-            val = ((1 if l in chosen else 0) - (1 if r in chosen else 0)) * signs[e]
-            if val > 0:
-                pos = True
-            elif val < 0:
-                neg = True
-        if pos != neg:
+        # coherent: every nonzero entry has the same sign
+        if len(set(ribbonmap.signed_boundary(g, chosen, signs)) - {0}) == 1:
             return False
     return True
 
@@ -278,26 +269,20 @@ def is_totally_biwalkable(g: RibbonGraph, o: Orientation) -> bool:
     return a
 
 
+def _coherent(coc: ribbonmap.Cocycle, signs: Sequence[int]) -> bool:
+    """Every edge of the cocycle crosses it the same way under signs."""
+    first = coc.directions[0] * signs[coc.edges[0]]
+    return all(d * signs[e] == first for e, d in zip(coc.edges, coc.directions))
+
+
 def _no_coherent_cocycle(g: RibbonGraph, signs: Sequence[int]) -> bool:
-    for coc in g._cocycles:
-        first = coc.directions[0] * signs[coc.edges[0]]
-        if all(
-            coc.directions[i] * signs[coc.edges[i]] == first
-            for i in range(1, len(coc.edges))
-        ):
-            return False
-    return True
+    return not any(_coherent(coc, signs) for coc in g._cocycles)
 
 
 def coherent_cocycles(g: RibbonGraph, o: Orientation) -> list[ribbonmap.Cocycle]:
     """The cocycles whose edges all cross in the direction given by o."""
     _check(g, o)
-    out = []
-    for coc in g._cocycles:
-        vals = {coc.directions[i] * o.signs[coc.edges[i]] for i in range(len(coc.edges))}
-        if len(vals) == 1:
-            out.append(coc)
-    return out
+    return [coc for coc in g._cocycles if _coherent(coc, o.signs)]
 
 
 def dual_orientation(g: RibbonGraph, o: Orientation) -> Orientation:

@@ -2,8 +2,8 @@
 
 Polynomials are ascending coefficient lists.  The helpers below are
 exact for int and Fraction entries alike; nothing here touches floating
-point or imports `fractions`.  Interpolation and quasipolynomials, which
-build fractions, are in `reciprocity`.
+point or imports `fractions`.  Interpolation and the quasipolynomials,
+whose coefficients are fractions, are in `reciprocity`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ def poly_eval(coeffs: Sequence[int | Fraction], x: int | Fraction):
 
 
 # Coefficient-list helpers, exact for int and Fraction entries alike:
-# generating functions use them on ints, interpolation on fractions.
+# generating functions and interpolation use them on ints, the
+# quasipolynomials' constituents on fractions.
 
 
 def ipoly_trim(a: Sequence[int]) -> list[int]:

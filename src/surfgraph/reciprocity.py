@@ -12,14 +12,15 @@ fitted by a quasipolynomial whose value at -k counts the integral pairs
 with the BAOs.  A witness vector shows each BAO as the signs of a local
 tension.
 
-`lagrange` interpolates over fractions.Fraction, imported by the
-functions that build fractions.  The quasipolynomial fits do not: each
-candidate constituent is an integer polynomial N and one denominator L,
-with N / L the interpolant, and its held-out samples y at x are checked
-as N(x) == L y in integers.  A quasipolynomial of period p is p
+Interpolation runs in integers: the polynomial through the points is
+an integer polynomial N over one denominator L (`_scaled_interpolant`).
+`interpolate` divides N by L and refuses a remainder; the
+quasipolynomial fits check each candidate constituent's held-out
+samples y at x as N(x) == L y.  A quasipolynomial of period p is p
 constituent polynomials, one per residue class of the argument mod p,
-with rational coefficients, built as Fractions once the period is
-certified.  verify and the `reciprocity`, `integral` and `witness`
+with rational coefficients, built as fractions.Fraction once the period
+is certified; only the functions that build Fractions import
+`fractions`.  verify and the `reciprocity`, `integral` and `witness`
 commands load this module; the counts and polynomials load none of it.
 """
 
@@ -46,15 +47,12 @@ from .orientations import (
     count_class,
     is_boundary_acyclic,
 )
-from .polynomials import ipoly_add, ipoly_mul, ipoly_trim, poly_eval
+from .polynomials import ipoly_mul, ipoly_trim, poly_eval
 from .records import Record
 from .ribbonmap import Cycle, EulerData, RibbonGraph, _orbits, _spanning_forest, check_cycle
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-    Coeffs = list[Fraction]
-    Num = int | Fraction
 
 
 # -- reciprocity pair counters -----------------------------------------------
@@ -260,53 +258,6 @@ def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
 # -- exact interpolation and quasipolynomials --------------------------------
 
 
-def trim(coeffs: Sequence[int | Fraction]) -> Coeffs:
-    from fractions import Fraction
-
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out or [Fraction(0)]
-
-
-def ipoly_scale(a: Sequence[Num], s: Num) -> list[Num]:
-    return [s * x for x in a]
-
-
-def lagrange(points: Sequence[tuple[int, int | Fraction]]) -> Coeffs:
-    """Exact interpolating polynomial through distinct-x points."""
-    from fractions import Fraction
-
-    xs = [p[0] for p in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation points must have distinct x")
-    result: list[Num] = [0]
-    for i, (xi, yi) in enumerate(points):
-        basis: list[Num] = [1]
-        denom = 1
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = ipoly_mul(basis, [-xj, 1])  # times (x - xj)
-            denom *= xi - xj
-        result = ipoly_add(result, ipoly_scale(basis, Fraction(yi) / denom))
-    return trim(result)
-
-
-def as_int_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise NonIntegerCoefficients(f"coefficient {c} is not an integer")
-        out.append(int(c))
-    return out
-
-
-def interpolate(samples: Sequence[tuple[int, int]]) -> list[int]:
-    """Exact integer-coefficient polynomial through (k, count) samples."""
-    return as_int_coeffs(lagrange([(int(k), int(v)) for k, v in samples]))
-
-
 class QuasiPolynomial(Record):
     """Period p and one ascending coefficient list per residue class.
 
@@ -329,7 +280,7 @@ class QuasiPolynomial(Record):
 
     @property
     def degree(self) -> int:
-        return max(len(trim(c)) - 1 for c in self.constituents)
+        return max(len(ipoly_trim(c)) - 1 for c in self.constituents)
 
     def to_json_dict(self) -> dict:
         return {
@@ -369,6 +320,20 @@ def _scaled_interpolant(points: Sequence[tuple[int, int]]) -> tuple[list[int], i
             carry = full[i] + carry * xi
             num[i - 1] += scale * carry
     return num, den
+
+
+def interpolate(samples: Sequence[tuple[int, int]]) -> list[int]:
+    """Exact integer-coefficient polynomial through (k, count) samples."""
+    points = [(int(k), int(v)) for k, v in samples]
+    if len({x for x, _ in points}) != len(points):
+        raise ValueError("interpolation points must have distinct x")
+    num, den = _scaled_interpolant(points)
+    for c in num:
+        if c % den:
+            from fractions import Fraction
+
+            raise NonIntegerCoefficients(f"coefficient {Fraction(c, den)} is not an integer")
+    return ipoly_trim([c // den for c in num])
 
 
 def _require_max_period(max_period: int) -> None:

@@ -221,13 +221,10 @@ class RibbonGraph(Record):
         return self.edge_right_face(e) == self.edge_left_face(e)
 
     def is_bridge(self, e: int) -> bool:
-        """True when deleting the edge leaves more components: its ends
-        are apart in a spanning forest of the other edges."""
+        """True when deleting the edge leaves more components: no
+        fundamental cycle uses it."""
         self.check_edge(e)
-        ends = self._edge_ends
-        roots, _ = _spanning_forest(self.num_vertices, ends[:e] + ends[e + 1 :])
-        tail, head = ends[e]
-        return roots[tail] != roots[head]
+        return not any(e in c.edges for c in self._fundamental_cycles)
 
     # -- topology ---------------------------------------------------------
 
@@ -449,14 +446,9 @@ def _face_set(g: RibbonGraph, faces: Iterable[int]) -> frozenset[int]:
 
 
 def boundary(g: RibbonGraph, faces: Iterable[int]) -> frozenset[int]:
-    """Edges with two distinct sides, exactly one of which is in the set."""
-    fs = _face_set(g, faces)
-    out = set()
-    for e in range(g.num_edges):
-        r, l = g.edge_right_face(e), g.edge_left_face(e)
-        if r != l and (r in fs) != (l in fs):
-            out.add(e)
-    return frozenset(out)
+    """Edges with two distinct sides, exactly one of which is in the set:
+    the support of the signed boundary."""
+    return frozenset(e for e, x in enumerate(signed_boundary(g, faces)) if x)
 
 
 def signed_boundary(
@@ -471,14 +463,10 @@ def signed_boundary(
     with the given orientation (reference orientation when signs is None).
     """
     fs = _face_set(g, faces)
-    out = []
-    for e in range(g.num_edges):
-        r, l = g.edge_right_face(e), g.edge_left_face(e)
-        val = (1 if l in fs else 0) - (1 if r in fs else 0)
-        if signs is not None:
-            val *= signs[e]
-        out.append(val)
-    return tuple(out)
+    at = g._face_of_dart
+    if signs is None:
+        signs = (1,) * g.num_edges
+    return tuple(((at[h] in fs) - (at[t] in fs)) * s for (t, h), s in zip(g.edge_pairs, signs))
 
 
 def face_matrix(g: RibbonGraph) -> tuple[tuple[int, ...], ...]:

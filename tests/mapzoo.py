@@ -6,12 +6,16 @@ as ground truth, so do not regenerate or reorder them.
 
 The oracles include brute-force numpy scans of the condition matrices,
 which the library's frontier DP must reproduce: every assignment row of
-a value set, in blocks, kept where the matrix kills it.
+a value set, in blocks, kept where the matrix kills it.  `code_from`
+relabels a map from one start dart with no pruning, for the canonical
+code.  `lagrange` interpolates over Fractions, for the library's
+integer interpolation and quasipolynomial fits.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -35,6 +39,8 @@ from surfgraph import (
     is_boundary_acyclic,
     to_json_dict,
 )
+from surfgraph.errors import NonIntegerCoefficients
+from surfgraph.polynomials import ipoly_add, ipoly_mul
 
 # One vertex, no edges: sphere with a single face.
 EDGELESS = build(0, [], [], isolated_vertices=1)
@@ -158,6 +164,46 @@ def code_from(g: RibbonGraph, start: int) -> tuple[int, ...]:
                 idx[nb] = len(order)
                 order.append(nb)
     return tuple(x for d in order for x in (idx[g.sigma[d]], idx[g.alpha[d]]))
+
+
+# -- exact interpolation over fractions -----------------------------------------
+
+
+def trim(coeffs: Sequence[int | Fraction]) -> list[Fraction]:
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out or [Fraction(0)]
+
+
+def lagrange(points: Sequence[tuple[int, int | Fraction]]) -> list[Fraction]:
+    """Exact interpolating polynomial through distinct-x points, summed
+    over Fractions basis polynomial by basis polynomial: the oracle for
+    the library's integer interpolation."""
+    xs = [p[0] for p in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation points must have distinct x")
+    result: list[int | Fraction] = [0]
+    for i, (xi, yi) in enumerate(points):
+        basis: list[int | Fraction] = [1]
+        denom = 1
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            basis = ipoly_mul(basis, [-xj, 1])  # times (x - xj)
+            denom *= xi - xj
+        scale = Fraction(yi) / denom
+        result = ipoly_add(result, [scale * b for b in basis])
+    return trim(result)
+
+
+def as_int_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
+    out = []
+    for c in coeffs:
+        if c.denominator != 1:
+            raise NonIntegerCoefficients(f"coefficient {c} is not an integer")
+        out.append(int(c))
+    return out
 
 
 # -- condition matrices and brute-force scans ---------------------------------

@@ -184,6 +184,44 @@ def test_batch_worker_count_does_not_change_output(capsys):
     assert d1 == d2
 
 
+def test_batch_over_labelled_maps_matches_verify_on_each(capsys, tmp_path):
+    # Without dedupe two maps can share a canonical code, so the summary
+    # also rests on the reports' stable sort by code.
+    for m in (1, 2):
+        summaries = []
+        for jobs in ("1", "2"):
+            argv = ["batch", "--no-dedupe", "--edges", str(m), "--kmax", "2", "--jobs", jobs]
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            summaries.append(json.loads(out))
+            summaries[-1].pop("elapsed_s")
+        assert summaries[0] == summaries[1]
+        _, out, _ = run(capsys, ["generate", "--no-dedupe", "--edges", str(m)])
+        reports = []
+        for i, line in enumerate(out.splitlines()):
+            path = tmp_path / f"m{m}-{i}.json"
+            path.write_text(line)
+            code, report, _ = run(capsys, ["verify", "--kmax", "2", str(path)])
+            assert code == 0
+            reports.append(json.loads(report))
+        if m == 2:
+            assert len({r["graph"] for r in reports}) < len(reports)
+        reports.sort(key=lambda r: r["graph"])
+        assert summaries[0] == {
+            "edges": m,
+            "kmax": 2,
+            "graphs": len(reports),
+            "identities_checked": sum(len(r["identities"]) for r in reports),
+            "failures": [
+                {"graph": r["graph"], "identity": i["identity"], "lhs": i["lhs"], "rhs": i["rhs"]}
+                for r in reports
+                for i in r["identities"]
+                if not i["pass"]
+            ],
+            "all_pass": all(r["all_pass"] for r in reports),
+        }
+
+
 def test_generate_ndjson(capsys):
     code, out, err = run(capsys, ["generate", "--edges", "2"])
     assert code == 0

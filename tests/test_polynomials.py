@@ -1,5 +1,6 @@
 """Exact interpolation and quasipolynomial fitting."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from surfgraph import (
     NoFit,
     QuasiPolynomial,
     fit_quasipolynomial,
+    interpolate,
     poly_eval,
     quasi_integral_flows,
     quasi_integral_local_tensions,
@@ -15,8 +17,17 @@ from surfgraph import (
 )
 from surfgraph.errors import NonIntegerCoefficients
 from surfgraph.polynomials import ipoly_add, ipoly_mul, ipoly_pow, ipoly_sub, ipoly_trim
-from surfgraph.reciprocity import as_int_coeffs, lagrange, trim
-from mapzoo import FACE_MATRIX_PRIMAL, ISOLATED, KITE, SMALL, TWO_COMPONENTS, fresh
+from mapzoo import (
+    FACE_MATRIX_PRIMAL,
+    ISOLATED,
+    KITE,
+    SMALL,
+    TWO_COMPONENTS,
+    as_int_coeffs,
+    fresh,
+    lagrange,
+    trim,
+)
 
 
 def test_poly_eval_is_exact():
@@ -42,6 +53,52 @@ def test_as_int_coeffs():
     assert as_int_coeffs([Fraction(2), Fraction(-3)]) == [2, -3]
     with pytest.raises(NonIntegerCoefficients):
         as_int_coeffs([Fraction(1, 2)])
+
+
+def _uneven_keys(rng, n):
+    """n distinct keys with uneven gaps, 0 and a negative key among them,
+    in no particular order."""
+    keys = {0, rng.randint(-40, -1)}
+    while len(keys) < n:
+        keys.add(rng.randint(-40, 40))
+    keys = list(keys)
+    rng.shuffle(keys)
+    return keys
+
+
+def test_interpolate_equals_the_fraction_oracle():
+    rng = random.Random(5)
+    refused = 0
+    for _ in range(300):
+        degree = rng.randint(0, 6)
+        coeffs = [rng.randint(-9, 9) for _ in range(degree + 1)]
+        keys = _uneven_keys(rng, max(2, degree + 1 + rng.randint(0, 2)))
+        samples = [(k, poly_eval(coeffs, k)) for k in keys]
+        assert interpolate(samples) == as_int_coeffs(lagrange(samples)) == ipoly_trim(coeffs)
+        # one value off by one: the fit is rational, and mostly not integral
+        i = rng.randrange(len(samples))
+        samples[i] = (samples[i][0], samples[i][1] + 1)
+        try:
+            want = as_int_coeffs(lagrange(samples))
+        except NonIntegerCoefficients as exc:
+            refused += 1
+            with pytest.raises(NonIntegerCoefficients) as got:
+                interpolate(samples)
+            assert str(got.value) == str(exc)
+        else:
+            assert interpolate(samples) == want
+    assert refused > 200
+
+
+def test_interpolate_rejects_repeated_keys():
+    for samples in ([(1, 2), (1, 2)], [(1, 2), (1, 3)], [(0, 0), (-3, 9), (5, 1), (-3, 9)]):
+        with pytest.raises(ValueError, match="distinct x"):
+            interpolate(samples)
+
+
+def test_interpolate_of_nothing_is_zero():
+    assert interpolate([]) == [0]
+    assert interpolate([(k, 0) for k in (-7, 0, 2, 3, 11)]) == [0]
 
 
 def test_integer_poly_helpers():

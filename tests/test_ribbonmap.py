@@ -48,6 +48,7 @@ from mapzoo import (
     KITE_ANCHOR_SIGNED,
     LOOP,
     NAMED,
+    PETERSEN,
     SMALL,
     THETA,
     TORUS,
@@ -199,6 +200,20 @@ def test_signed_boundary_is_a_row_sum():
                     sum(mat[f][e] for f in faces) for e in range(g.num_edges)
                 )
                 assert signed_boundary(g, set(faces)) == expected
+
+
+def test_boundary_is_its_definition(corpus):
+    # every face subset of every census map with at most three edges and
+    # of the zoo maps: the edges with two distinct sides, exactly one of
+    # which is in the set
+    census = [g for g in corpus if g.num_edges <= 3]
+    zoo = [*SMALL, FACE_MATRIX_PRIMAL, ISOLATED, TWO_COMPONENTS, K5, PETERSEN]
+    for g in census + zoo:
+        sides = [(g.edge_right_face(e), g.edge_left_face(e)) for e in range(g.num_edges)]
+        for r in range(g.num_faces + 1):
+            for faces in itertools.combinations(range(g.num_faces), r):
+                want = {e for e, (a, b) in enumerate(sides) if a != b and (a in faces) != (b in faces)}
+                assert boundary(g, faces) == want, (g, faces)
 
 
 def test_boundary_rejects_unknown_face():
