@@ -311,15 +311,9 @@ def all_orientations(g: RibbonGraph) -> Iterator[Orientation]:
         yield Orientation(g, signs)
 
 
-def enumerate_class(
-    g: RibbonGraph, cls: OrientationClass
-) -> list[Orientation]:
-    return [Orientation(g, signs) for signs in class_signs(g, cls)]
-
-
-def class_signs(g: RibbonGraph, cls: OrientationClass) -> list[tuple[int, ...]]:
-    """The sign vectors of enumerate_class, without building Orientations."""
-    return [_mask_signs(g.num_edges, r) for r in _set_bits(_class_mask(g, cls))]
+def enumerate_class(g: RibbonGraph, cls: OrientationClass) -> list[Orientation]:
+    e = g.num_edges
+    return [Orientation(g, _mask_signs(e, r)) for r in _set_bits(_class_mask(g, cls))]
 
 
 def count_class(g: RibbonGraph, cls: OrientationClass) -> int:
@@ -601,10 +595,11 @@ def _cw_cubes(g: RibbonGraph) -> Iterator[tuple[int, int]]:
         yield _subcube(g.num_edges, [need[d] for d in orbit])
 
 
-def _tbo_cw(g: RibbonGraph) -> list[int]:
-    """Per face, the totally bi-walkable masks where it is cw."""
-    tbo = _class_mask(g, OrientationClass.TBO)
-    return [_cube(g.num_edges, x, p) & tbo for x, p in _cw_cubes(g)]
+def _tbo_cw(g: RibbonGraph) -> tuple[int, ...]:
+    """Per face, the totally bi-walkable masks where it is cw; kept on the
+    map, behind the guards of the TBO mask."""
+    e, tbo = g.num_edges, _class_mask(g, OrientationClass.TBO)
+    return g._memoised(("tbo cw",), lambda: tuple(_cube(e, x, p) & tbo for x, p in _cw_cubes(g)))
 
 
 def tbo_histogram(g: RibbonGraph) -> dict[int, int]:

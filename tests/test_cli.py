@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import surfgraph as sg
-from surfgraph import build, cli, dual
+from surfgraph import OrientationClass, build, cli, count_class, dual
 from mapzoo import (
     BRIDGE,
     ISOLATED,
@@ -161,6 +162,46 @@ def test_verify_passes_on_disconnected_maps(capsys, tmp_path):
     assert code == 0 and json.loads(out)["all_pass"]
 
 
+_BIJECTIONS = {
+    "dual orientations of bao maps are exactly the tco maps of the dual": ("bao", "tco"),
+    "dual orientations of ao maps are exactly the tbo maps of the dual": ("ao", "tbo"),
+}
+
+
+def test_class_bijection_rows_print_each_class_size(corpus):
+    for g in [*(h for h in corpus if h.num_edges <= 3), KITE, TORUS, ISOLATED, TWO_COMPONENTS]:
+        rows = [r for r in cli._verify_graph(g, 2)["identities"] if r["identity"] in _BIJECTIONS]
+        assert [r["identity"] for r in rows] == list(_BIJECTIONS)
+        for r in rows:
+            cls, dual_cls = map(OrientationClass, _BIJECTIONS[r["identity"]])
+            assert type(r["lhs"]) is int and r["lhs"] == count_class(g, cls)
+            assert type(r["rhs"]) is int and r["rhs"] == count_class(dual(g), dual_cls)
+            assert r["pass"]
+
+
+def test_class_bijection_row_fails_on_unequal_masks(capsys, files, monkeypatch):
+    # The row compares the masks, not their sizes: swap one orientation of
+    # TCO(g*) for another, and that row alone fails, with equal sizes.
+    from surfgraph import orientations
+
+    real = orientations._class_mask
+    triangle_dual = dual(TRIANGLE)
+
+    def mask(h, cls):
+        m = real(h, cls)
+        if cls is OrientationClass.TCO and h == triangle_dual:
+            return m ^ (m & -m) ^ (~m & (m + 1))  # lowest member out, lowest non-member in
+        return m
+
+    monkeypatch.setattr(orientations, "_class_mask", mask)
+    code, out, err = run(capsys, ["verify", files["triangle"], "--kmax", "2"])
+    assert code == 4
+    failed = [r for r in json.loads(out)["identities"] if not r["pass"]]
+    assert [r["identity"] for r in failed] == list(_BIJECTIONS)[:1]
+    assert failed[0]["lhs"] == failed[0]["rhs"] == count_class(triangle_dual, OrientationClass.TCO)
+    assert "FAIL dual orientations of bao maps" in err
+
+
 def test_verify_is_deterministic(capsys, files):
     _, out1, _ = run(capsys, ["verify", files["triangle"], "--kmax", "2"])
     _, out2, _ = run(capsys, ["verify", files["triangle"], "--kmax", "2"])
@@ -186,7 +227,7 @@ def test_batch_worker_count_does_not_change_output(capsys):
 
 def test_batch_over_labelled_maps_matches_verify_on_each(capsys, tmp_path):
     # Without dedupe two maps can share a canonical code, so the summary
-    # also rests on the reports' stable sort by code.
+    # also rests on the failures' stable sort by code.
     for m in (1, 2):
         summaries = []
         for jobs in ("1", "2"):
@@ -220,6 +261,51 @@ def test_batch_over_labelled_maps_matches_verify_on_each(capsys, tmp_path):
             ],
             "all_pass": all(r["all_pass"] for r in reports),
         }
+
+
+def test_batch_keeps_no_finished_report(capsys, monkeypatch):
+    # Each report is folded into the summary and dropped before the next
+    # map is verified, so a batch does not grow with its census.
+    class Report(dict):
+        pass
+
+    made, alive = [], []
+
+    def verify(g, kmax):
+        alive.append(sum(ref() is not None for ref in made))
+        row = {"identity": "x", "k_range": None, "lhs": 1, "rhs": 1, "pass": True}
+        report = Report(graph=cli._code_hex(g), identities=[row], all_pass=True, elapsed_s=0.0)
+        made.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(cli, "_verify_graph", verify)
+    code, out, _ = run(capsys, ["batch", "--edges", "3", "--jobs", "1"])
+    assert code == 0 and json.loads(out)["identities_checked"] == 20
+    assert alive == [0] * 20
+
+
+def test_batch_failures_are_stably_sorted_by_graph(capsys, monkeypatch):
+    # Labelled maps share codes: failures sort by code, ties in corpus order.
+    codes = []
+
+    def verify(g, kmax):
+        codes.append(cli._code_hex(g))
+        rows = [
+            {"identity": f"row {j}", "k_range": None, "lhs": len(codes), "rhs": j, "pass": False}
+            for j in (0, 1)
+        ]
+        return {"graph": codes[-1], "identities": rows, "all_pass": False, "elapsed_s": 0.0}
+
+    monkeypatch.setattr(cli, "_verify_graph", verify)
+    code, out, err = run(capsys, ["batch", "--no-dedupe", "--edges", "2", "--jobs", "1"])
+    assert code == 4 and f"{2 * len(codes)} failures" in err
+    assert len(set(codes)) < len(codes) and codes != sorted(codes)
+    in_order = [
+        {"graph": c, "identity": f"row {j}", "lhs": n, "rhs": j}
+        for n, c in enumerate(codes, 1)
+        for j in (0, 1)
+    ]
+    assert json.loads(out)["failures"] == sorted(in_order, key=lambda f: f["graph"])
 
 
 def test_generate_ndjson(capsys):

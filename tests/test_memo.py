@@ -1,11 +1,11 @@
-"""The per-map memo: class masks and their scan costs, condition
-rows, mod-k counts, the DP's forms and column plans, the nowhere-zero
-counts and the subset census are computed once per map, after the
-guards and the cross-checks, and handed out read-only.  The dual of
-g.dual is g itself, so nothing is computed again on an equal copy of g.
-The pair counters read g's own forbidden subcubes, so verify builds no
-surgered map and takes no canonical code beyond the one naming g in its
-report."""
+"""The per-map memo: class masks and their scan costs, the TBO masks
+per cw face, condition rows, mod-k counts, the DP's forms and column
+plans, the nowhere-zero counts and the subset census are computed once
+per map, after the guards and the cross-checks, and handed out
+read-only.  The dual of g.dual is g itself, so nothing is computed again
+on an equal copy of g.  The pair counters read g's own forbidden
+subcubes, so verify builds no surgered map and takes no canonical code
+beyond the one naming g in its report."""
 
 import pytest
 
@@ -104,6 +104,19 @@ def test_verify_scans_each_primitive_once(corpus, monkeypatch):
         assert len(scans) == 4
         read = {(id(h), cycles) for h, cycles in (orientations._primitive(*s) for s in scans)}
         assert read == {(id(h), cycles) for h in (g, g.dual) for cycles in (False, True)}
+
+
+def test_verify_builds_the_cw_face_masks_once(corpus, monkeypatch):
+    # unique_cw_counts and the cw histogram read one tuple kept on g
+    builds = []
+    real = orientations._cw_cubes
+    monkeypatch.setattr(orientations, "_cw_cubes", lambda g: builds.append(g) or real(g))
+    for g in [fresh(h) for h in corpus]:
+        builds.clear()
+        cli._verify_graph(g, 3)
+        assert len(builds) == 1 and builds[0] is g
+        cw = orientations._tbo_cw(g)
+        assert isinstance(cw, tuple) and orientations._tbo_cw(g) is cw and len(builds) == 1
 
 
 def test_verify_builds_each_form_set_and_dp_count_once(corpus, monkeypatch):
@@ -237,6 +250,7 @@ def test_a_result_computed_under_the_override_is_still_refused_without_it(monkey
     calls = [
         lambda: count_class(g, OrientationClass.AO),
         lambda: orientations.tbo_histogram(g),
+        lambda: orientations.unique_cw_counts(g),
         lambda: enumeration.count_nz_tensions(g, 3),
         lambda: enumeration.count_nz_balanced_flows(g, 3),
         lambda: reciprocity.reciprocity_pairs_flow(g, 3),
