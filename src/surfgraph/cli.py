@@ -129,12 +129,8 @@ def cmd_integral(args) -> int:
     g = _load_graph(args.map)
     if args.kind == "local-tension":
         n = rc.count_integral_local_tensions(g, args.k)
-    elif args.kind == "flow":
+    else:  # the parser admits local-tension and flow only
         n = rc.count_integral_flows(g, args.k)
-    else:
-        raise SurfGraphError(
-            f"integral counts exist for local-tension and flow, not {args.kind}"
-        )
     _emit({"kind": args.kind, "k": args.k, "count": n}, args.out)
     _say(f"integral {args.kind} count at k={args.k}: {n}")
     return 0
@@ -375,6 +371,11 @@ def cmd_verify(args) -> int:
 
 def cmd_batch(args) -> int:
     maps = _corpus(args)
+    if not maps:  # a summary of no maps would pass vacuously
+        raise SurfGraphError(
+            f"no map with {args.edges} edges passes the filters genus={args.genus}, "
+            f"planar={args.planar}; nothing to verify"
+        )
     # Popped in order, so each map and all it cached die once verified.
     maps.reverse()
     drained = (maps.pop() for _ in range(len(maps)))

@@ -11,8 +11,11 @@ after some old dart or makes b a vertex of its own: (2m-2)(2m-1)
 candidates per parent.  Cutting b in right after a is left out: it is
 the mirror of cutting b in right after x, which the loop reaches first.
 
-The labelled scan over all (2m)! rotations stays for labelled maps
-(dedupe=False) and for censuses that keep disconnected maps.
+Candidates are rotation tuples sigma over the fixed pairing, since the
+canonical code reads only sigma and alpha (alpha[d] = d ^ 1), and a
+RibbonGraph is built only for each class yielded.  The labelled scan
+over all (2m)! rotations stays for labelled maps (dedupe=False) and for
+censuses that keep disconnected maps.
 
 Maps with isolated vertices are not generated (any number could be
 added to any map); the one exception is m = 0, which yields the single
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import SurfGraphError
 from .guards import check_generator_size, check_rotation_scan
@@ -68,26 +71,18 @@ def _admit(spec: CorpusSpec, g: RibbonGraph) -> bool:
     return True
 
 
-def _labelled(m: int) -> Iterator[RibbonGraph]:
-    """Every rotation system on 2m darts, in lexicographic order."""
-    pairs = tuple((2 * i, 2 * i + 1) for i in range(m))
-    for sigma in itertools.permutations(range(2 * m)):
-        yield RibbonGraph(sigma, pairs)
-
-
-def _extensions(g: RibbonGraph) -> Iterator[RibbonGraph]:
-    """Every map made by adding one edge (a, b) to g, a and b new darts."""
-    n = g.num_darts
+def _extensions(sigma: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every rotation made by adding one edge (a, b) to sigma, a and b new darts."""
+    n = len(sigma)
     a, b = n, n + 1
-    pairs = g.edge_pairs + ((a, b),)
     for x in range(n):
-        sigma = [*g.sigma, a, b]
-        sigma[x], sigma[a] = a, sigma[x]
-        yield RibbonGraph(tuple(sigma), pairs)  # b a vertex of its own
+        s = [*sigma, a, b]
+        s[x], s[a] = a, s[x]
+        yield tuple(s)  # b a vertex of its own
         for y in range(n):  # y = a would mirror y = x
-            s = sigma.copy()
-            s[y], s[b] = b, sigma[y]
-            yield RibbonGraph(tuple(s), pairs)
+            t = s.copy()
+            t[y], t[b] = b, s[y]
+            yield tuple(t)
 
 
 def canonical_code(g: RibbonGraph) -> bytes:
@@ -96,53 +91,44 @@ def canonical_code(g: RibbonGraph) -> bytes:
     Per dart-component: the lexicographically least relabeled
     (sigma, alpha) table over breadth-first relabelings from every start
     dart, expanding sigma then alpha (`_least_code`).  Component codes
-    are sorted and the isolated vertex count appended.  Kept on the map
-    (RibbonGraph._canonical_code).
+    are sorted and the isolated vertex count appended.  Kept in the
+    map's memo.
     """
-    return g._canonical_code
+    return g._memoised(("canonical code",), lambda: _encode(g.sigma, g.alpha, g.isolated))
 
 
-def _encode(g: RibbonGraph) -> bytes:
+def _encode(sigma: Sequence[int], alpha: Sequence[int], isolated: int) -> bytes:
     comp_codes = []
-    remaining = set(range(g.num_darts))
+    remaining = set(range(len(sigma)))
     while remaining:
-        seed = min(remaining)
-        comp = _dart_component(g, seed)
-        remaining -= comp
-        comp_codes.append(_least_code(g, comp))
+        code, comp = _least_code(sigma, alpha, min(remaining))
+        remaining.difference_update(comp)
+        comp_codes.append(code)
     comp_codes.sort()
     text = ";".join(",".join(map(str, code)) for code in comp_codes)
-    return f"{text}|{g.isolated}".encode()
+    return f"{text}|{isolated}".encode()
 
 
-def _dart_component(g: RibbonGraph, seed: int) -> set[int]:
-    comp = {seed}
-    stack = [seed]
-    while stack:
-        d = stack.pop()
-        for nb in (g.sigma[d], g.alpha[d]):
-            if nb not in comp:
-                comp.add(nb)
-                stack.append(nb)
-    return comp
+def _least_code(
+    sigma: Sequence[int], alpha: Sequence[int], seed: int
+) -> tuple[tuple[int, ...], list[int]]:
+    """The least breadth-first relabeled (sigma, alpha) table of the dart
+    component of seed over its start darts, and the darts of that component.
 
-
-def _least_code(g: RibbonGraph, comp: Iterable[int]) -> tuple[int, ...]:
-    """The least breadth-first relabeled (sigma, alpha) table of one dart
-    component over its start darts.
-
-    Each start emits its table pair by pair as the search pops darts and
-    is abandoned at the first pair above the best table so far; once a
-    pair falls below it, the start runs to the end and becomes the best.
-    All tables of a component have the same length, so this is the
+    The search from seed runs first and to the end, so it labels the whole
+    component, and its labelling order gives the other starts.  Each of
+    them emits its table pair by pair as the search pops darts and is
+    abandoned at the first pair above the best table so far; once a pair
+    falls below it, the start runs to the end and becomes the best.  All
+    tables of a component have the same length, so this is the
     lexicographic minimum (a pruned form of McKay's least-code search).
     """
-    sigma, alpha = g.sigma, g.alpha
     best: list[int] = []
-    for start in comp:
+    comp = [seed]
+    for start in comp:  # the search from seed appends the rest of comp
         idx = [-1] * len(sigma)
         idx[start] = 0
-        order = [start]
+        order = [start] if best else comp
         code: list[int] = []
         tied = bool(best)
         for d in order:  # order grows as the search labels new darts
@@ -164,22 +150,25 @@ def _least_code(g: RibbonGraph, comp: Iterable[int]) -> tuple[int, ...]:
         else:
             if not tied:  # below the best, or the first start
                 best = code
-    return tuple(best)
+    return tuple(best), comp
 
 
-def _classes(maps: Iterable[RibbonGraph]) -> dict[bytes, RibbonGraph]:
-    """The first map seen of each isomorphism class, keyed by canonical code."""
-    seen: dict[bytes, RibbonGraph] = {}
-    for g in maps:
-        seen.setdefault(g._canonical_code, g)
+def _classes(rotations: Iterable[tuple[int, ...]], m: int) -> dict[bytes, tuple[int, ...]]:
+    """The first rotation seen of each isomorphism class of maps with the
+    pairing (0 1)(2 3)... on 2m darts, keyed by canonical code."""
+    alpha = tuple(d ^ 1 for d in range(2 * m))
+    seen: dict[bytes, tuple[int, ...]] = {}
+    for sigma in rotations:
+        seen.setdefault(_encode(sigma, alpha, 0), sigma)
     return seen
 
 
-def _census(m: int) -> dict[bytes, RibbonGraph]:
-    """Connected maps with m >= 1 edges, one per class, keyed by canonical code."""
-    level = _classes([RibbonGraph((1, 0), ((0, 1),)), RibbonGraph((0, 1), ((0, 1),))])
-    for _ in range(m - 1):
-        level = _classes(h for code in sorted(level) for h in _extensions(level[code]))
+def _census(m: int) -> dict[bytes, tuple[int, ...]]:
+    """Rotations of the connected maps with m >= 1 edges, one per class,
+    keyed by canonical code."""
+    level = _classes([(1, 0), (0, 1)], 1)
+    for j in range(2, m + 1):
+        level = _classes((s for code in sorted(level) for s in _extensions(level[code])), j)
     return level
 
 
@@ -189,19 +178,22 @@ def generate(spec: CorpusSpec) -> Iterator[RibbonGraph]:
     With dedupe the order is by canonical code, and the connected census
     grows by edge extension; without it, rotation permutations are
     scanned lexicographically and every labeled map is yielded as
-    encountered.
+    encountered.  A map is built only for each rotation yielded.
     """
+    m = spec.edges
     if spec.dedupe and spec.connected:
-        check_generator_size(spec.edges)
+        check_generator_size(m)
     else:
-        check_rotation_scan(spec.edges)
-    if spec.edges == 0:
+        check_rotation_scan(m)
+    pairs = tuple((2 * i, 2 * i + 1) for i in range(m))
+    if m == 0:
         maps: Iterable[RibbonGraph] = [build(0, [], [], isolated_vertices=1)]
     elif not spec.dedupe:
-        maps = _labelled(spec.edges)
+        maps = (RibbonGraph(s, pairs) for s in itertools.permutations(range(2 * m)))
     else:
-        classes = _census(spec.edges) if spec.connected else _classes(_labelled(spec.edges))
-        maps = (classes[code] for code in sorted(classes))
+        classes = _census(m) if spec.connected else _classes(itertools.permutations(range(2 * m)), m)
+        # popped as built, so the dict shrinks while the maps are consumed
+        maps = (RibbonGraph(classes.pop(code), pairs) for code in sorted(classes))
     for g in maps:
         if _admit(spec, g):
             yield g

@@ -63,6 +63,12 @@ def check_class_scan(num_edges: int, per_mask: int) -> None:
     )
 
 
+def check_cycle_search(bound: int) -> None:
+    """Refuse a listing of simple cycles whose count, bounded from sizes
+    alone (`orientations._cycle_bound`), is too large."""
+    _refuse(bound, f"simple cycle search over up to {bound} cycles")
+
+
 def check_pair_poly(num_edges: int, per_support: int) -> None:
     """Refuse a reciprocity pair polynomial whose whole work, estimated from
     sizes alone, is too large: each of the 2^E edge subsets takes about 3E

@@ -55,7 +55,7 @@ from typing import Iterator, Sequence
 
 from . import ribbonmap
 from .errors import GraphMismatch
-from .guards import check_class_scan, check_orientation_scan
+from .guards import check_class_scan, check_cycle_search, check_orientation_scan
 from .records import Record
 from .ribbonmap import RibbonGraph
 
@@ -275,14 +275,20 @@ def _coherent(coc: ribbonmap.Cocycle, signs: Sequence[int]) -> bool:
     return all(d * signs[e] == first for e, d in zip(coc.edges, coc.directions))
 
 
+def _cocycles(g: RibbonGraph) -> tuple[ribbonmap.Cocycle, ...]:
+    """The cocycles of g (cycles of g*), their search priced on every call."""
+    check_cycle_search(_cycle_bound(g.dual))
+    return g._cocycles
+
+
 def _no_coherent_cocycle(g: RibbonGraph, signs: Sequence[int]) -> bool:
-    return not any(_coherent(coc, signs) for coc in g._cocycles)
+    return not any(_coherent(coc, signs) for coc in _cocycles(g))
 
 
 def coherent_cocycles(g: RibbonGraph, o: Orientation) -> list[ribbonmap.Cocycle]:
     """The cocycles whose edges all cross in the direction given by o."""
     _check(g, o)
-    return [coc for coc in g._cocycles if _coherent(coc, o.signs)]
+    return [coc for coc in _cocycles(g) if _coherent(coc, o.signs)]
 
 
 def dual_orientation(g: RibbonGraph, o: Orientation) -> Orientation:

@@ -34,11 +34,12 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .enumeration import KINDS, _frontier, _fundamental_plan, _require_k
 from .errors import BadModulus, DuplicateEdge, NoFit, NonIntegerCoefficients, NotBoundaryAcyclic
-from .guards import check_dp, check_pair_poly
+from .guards import check_cycle_search, check_dp, check_pair_poly
 from .orientations import (
     Orientation,
     OrientationClass,
     _class_mask,
+    _cycle_bound,
     _lanes,
     _primitive,
     _scan_cost,
@@ -431,6 +432,7 @@ def bao_witness_vector(g: RibbonGraph, o: Orientation) -> tuple[Fraction, ...]:
     """
     from fractions import Fraction
 
+    check_cycle_search(_cycle_bound(g.dual))  # before the face-set scan
     if not is_boundary_acyclic(g, o):
         raise NotBoundaryAcyclic(
             "orientation admits a coherently oriented boundary"

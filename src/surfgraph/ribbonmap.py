@@ -77,9 +77,9 @@ class RibbonGraph(Record):
     Equality, hash and repr read sigma, edge_pairs and isolated; labels
     ride along.  Besides the cached properties below, the counting
     layers keep their per-map results in `_memo` through `_memoised`:
-    class masks, their scan costs and the TBO masks per cw face,
-    condition rows, DP forms, column plans and mod-k counts, the subset
-    census and components, and pair polynomials.
+    the canonical code, class masks, their scan costs and the TBO masks
+    per cw face, condition rows, DP forms, column plans and mod-k counts,
+    the subset census and components, and pair polynomials.
     They die with the map.  Each caller runs its guards before the
     lookup and stores a value only once its cross-checks passed; the
     stored values are read-only.
@@ -278,14 +278,6 @@ class RibbonGraph(Record):
             tuple(int(left == f) - int(right == f) for right, left in sides)
             for f in range(self.num_faces)
         )
-
-    @cached_property
-    def _canonical_code(self) -> bytes:
-        """generator.canonical_code, computed in generator, which dedupes
-        the census by it: a call that reads no code loads none of it."""
-        from .generator import _encode
-
-        return _encode(self)
 
     @cached_property
     def _memo(self) -> dict:

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -49,13 +50,16 @@ def files(tmp_path):
     return paths
 
 
-def test_info(capsys, files):
+def test_info(capsys, files, monkeypatch):
     code, out, err = run(capsys, ["info", files["torus"]])
     assert code == 0
     doc = json.loads(out)
     assert doc["vertices"] == 1 and doc["faces"] == 1 and doc["genus"] == 1
     assert doc["single_face_edges"] == [0, 1] and doc["bridges"] == []
     assert "V=1" in err
+    for argv in (["info", "-"], ["info"]):  # the map from stdin
+        monkeypatch.setattr(sys, "stdin", io.StringIO(sg.dumps(TORUS)))
+        assert run(capsys, argv)[:2] == (0, out)
 
 
 def test_dual_to_file(capsys, files, tmp_path):
@@ -84,6 +88,9 @@ def test_integral(capsys, files):
     )
     assert code == 0
     assert json.loads(out)["count"] == 16
+    for name, g in (("torus", TORUS), ("triangle", TRIANGLE), ("kite", KITE)):
+        code, out, _ = run(capsys, ["integral", "--kind", "flow", "--k", "2", files[name]])
+        assert code == 0 and json.loads(out)["count"] == sg.count_integral_flows(g, 2)
 
 
 def test_integral_guard_admits_what_the_join_reads(capsys, tmp_path):
@@ -217,6 +224,20 @@ def test_batch(capsys):
     assert doc["graphs"] == 2 and doc["all_pass"] is True
 
 
+def test_batch_refuses_an_empty_corpus(capsys):
+    # no summary, so no vacuous all_pass
+    for argv, what in (
+        (["--edges", "2", "--genus", "5"], "2 edges passes the filters genus=5, planar=None"),
+        (["--edges", "3", "--planar", "--genus", "1", "--jobs", "2"], "genus=1, planar=True"),
+    ):
+        code, out, err = run(capsys, ["batch", *argv])
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and what in errors[0]
+    code, out, _ = run(capsys, ["batch", "--edges", "0"])
+    assert code == 0 and json.loads(out)["graphs"] == 1
+
+
 def test_batch_worker_count_does_not_change_output(capsys):
     _, out1, _ = run(capsys, ["batch", "--edges", "2", "--kmax", "2", "--jobs", "1"])
     _, out2, _ = run(capsys, ["batch", "--edges", "2", "--kmax", "2", "--jobs", "2"])
@@ -308,13 +329,16 @@ def test_batch_failures_are_stably_sorted_by_graph(capsys, monkeypatch):
     assert json.loads(out)["failures"] == sorted(in_order, key=lambda f: f["graph"])
 
 
-def test_generate_ndjson(capsys):
+def test_generate_ndjson(capsys, tmp_path):
     code, out, err = run(capsys, ["generate", "--edges", "2"])
     assert code == 0
     lines = [line for line in out.splitlines() if line]
     assert len(lines) == 5
     assert all(sg.from_json_dict(json.loads(line)) for line in lines)
     assert "5 maps" in err
+    path = tmp_path / "maps.ndjson"
+    code, out_file, _ = run(capsys, ["generate", "--edges", "2", "--out", str(path)])
+    assert code == 0 and out_file == "" and path.read_text() == out
 
 
 def test_parse_errors_exit_2(capsys, tmp_path):
@@ -334,7 +358,7 @@ def test_guards_exit_3(capsys, tmp_path):
 
 
 def test_kmax_below_one_exits_2(capsys, files):
-    for kmax in ("0", "-2"):
+    for kmax in ("0", "-2", "x"):
         code, _, err = run(capsys, ["verify", files["torus"], "--kmax", kmax])
         assert code == 2 and "--kmax" in err
         code, _, err = run(capsys, ["batch", "--edges", "1", "--kmax", kmax])

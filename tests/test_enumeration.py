@@ -25,7 +25,7 @@ from surfgraph import (
     orientation_to_string,
     poly_eval,
 )
-from surfgraph import enumeration, guards, reciprocity
+from surfgraph import enumeration, guards, orientations, reciprocity, ribbonmap
 import mapzoo
 from mapzoo import (
     BRIDGE,
@@ -395,6 +395,50 @@ def test_witness_on_acyclic_triangle():
     vec = bao_witness_vector(TRIANGLE, o)
     assert all(x != 0 for x in vec)
     assert [x > 0 for x in vec] == [s == 1 for s in o.signs]
+
+
+def _complete_dual(n):
+    """g = h* for h = K_n, with darts 2e, 2e+1 at i < j for the e-th edge
+    (i, j) in lexicographic order and each rotation in increasing dart
+    order, and the signs of i -> j when (j - i) mod n <= n // 2: a TCO of
+    h, so a BAO of g."""
+    ends = list(itertools.combinations(range(n), 2))
+    at = [[] for _ in range(n)]
+    for e, (i, j) in enumerate(ends):
+        at[i].append(2 * e)
+        at[j].append(2 * e + 1)
+    h = build(2 * len(ends), [tuple(d) for d in at], [(2 * e, 2 * e + 1) for e in range(len(ends))])
+    signs = "".join("+" if (j - i) % n <= n // 2 else "-" for i, j in ends)
+    return dual(h), signs
+
+
+def test_cocycle_search_is_refused_before_it_runs(monkeypatch, capsys, tmp_path):
+    # the bound is 2^45 - 1; listing the cycles of K_10 already takes 800 MB
+    g, signs = _complete_dual(11)
+    o = sg.orientation_from_string(g, signs)
+    searched = []
+    monkeypatch.setattr(ribbonmap, "_enumerate_cycles", lambda h: searched.append(h) or [])
+    for call in (bao_witness_vector, sg.is_totally_biwalkable, orientations.coherent_cocycles):
+        with pytest.raises(TooLarge, match="up to 35184372088831 cycles"):
+            call(g, o)
+    path = tmp_path / "k11dual.json"
+    path.write_text(sg.dumps(g))
+    assert cli.main(["witness", str(path), signs]) == 3
+    assert "35184372088831 cycles" in capsys.readouterr().err
+    assert searched == []
+
+
+def test_cocycle_guard_admits_k8_and_prices_every_call(monkeypatch):
+    # positive control: K_8 has at most 2^21 - 1 = 2097151 cycles
+    g, signs = _complete_dual(8)
+    o = sg.orientation_from_string(g, signs)
+    vec = bao_witness_vector(g, o)
+    assert len(vec) == 28 and all(x != 0 for x in vec)
+    assert sg.is_totally_biwalkable(g, o) is False  # a BAO whose dual is not acyclic
+    # the cocycles are now listed on g, and the guard still runs
+    monkeypatch.setattr(guards, "MAX_ASSIGNMENTS", 2097150)
+    with pytest.raises(TooLarge, match="up to 2097151 cycles"):
+        orientations.coherent_cocycles(g, o)
 
 
 # -- condition matrices -----------------------------------------------------------

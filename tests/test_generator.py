@@ -15,7 +15,7 @@ from surfgraph import (
     generate,
 )
 from surfgraph.guards import _rooted_maps
-from surfgraph.generator import _dart_component, _extensions
+from surfgraph.generator import _extensions
 
 from mapzoo import ISOLATED, SMALL, TRIANGLE, TWO_COMPONENTS, code_from, disjoint_union, fresh
 
@@ -84,24 +84,39 @@ def test_rooted_map_count(census):
 
 def _full_search_code(g):
     """canonical_code by the unpruned search: every start dart's whole
-    relabeled table, the least kept per dart component (the components
-    as `_encode` splits them)."""
-    comp_codes, remaining = [], set(range(g.num_darts))
-    while remaining:
-        comp = _dart_component(g, min(remaining))
-        remaining -= comp
-        comp_codes.append(min(code_from(g, s) for s in comp))
+    relabeled table, the least kept per dart component (the darts of the
+    vertices of each component of the map's union-find)."""
+    comp_codes = []
+    for comp in g.components:
+        darts = [d for v in comp for d in g.vertices[v]]
+        if darts:  # an isolated vertex counts only in the suffix
+            comp_codes.append(min(code_from(g, s) for s in darts))
     text = ";".join(",".join(map(str, code)) for code in sorted(comp_codes))
     return f"{text}|{g.isolated}".encode()
 
 
 def test_pruned_code_search_equals_the_full_search(census):
     # every candidate the census extends to, m <= 4, duplicates included
-    candidates = [h for m in range(1, 4) for g in census[m] for h in _extensions(g)]
+    candidates = [
+        RibbonGraph(s, tuple((2 * i, 2 * i + 1) for i in range(m + 1)))
+        for m in range(1, 4)
+        for g in census[m]
+        for s in _extensions(g.sigma)
+    ]
     assert len(candidates) > len({canonical_code(h) for h in candidates})
     both = disjoint_union(TRIANGLE, fresh(TRIANGLE))
     for g in [*census[1], *candidates, *SMALL, ISOLATED, TWO_COMPONENTS, both]:
         assert canonical_code(fresh(g)) == _full_search_code(g), g
+
+
+def test_the_census_builds_one_map_per_class(monkeypatch):
+    # candidates stay rotation tuples; only the yielded classes become maps
+    built = []
+    real = RibbonGraph.__post_init__
+    monkeypatch.setattr(RibbonGraph, "__post_init__", lambda g: built.append(g) or real(g))
+    maps = list(generate(CorpusSpec(edges=5)))
+    assert len(built) == len(maps) == CONNECTED_CENSUS[5]
+    assert all(g is h for g, h in zip(built, maps))
 
 
 def test_two_edge_stratification():

@@ -66,7 +66,7 @@ def test_verify_computes_each_quantity_once(corpus, monkeypatch):
     monkeypatch.setattr(generator, "_least_code", spy(codes, generator._least_code))
 
     for g in [fresh(h) for h in corpus]:
-        g._canonical_code  # the report names g by its code
+        generator.canonical_code(g)  # the report names g by its code
         for log in (masks, surgeries, scans, codes):
             log.clear()
         cli._verify_graph(g, 3)
@@ -86,7 +86,7 @@ def test_verify_computes_each_quantity_once(corpus, monkeypatch):
     for log in (surgeries, codes):
         log.clear()
     reciprocity.double_slash(TRIANGLE, [0])
-    fresh(TRIANGLE)._canonical_code
+    generator.canonical_code(fresh(TRIANGLE))
     assert len(surgeries) == 2 and codes
 
 

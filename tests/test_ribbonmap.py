@@ -106,6 +106,7 @@ def test_euler_table():
         d = g.euler
         assert (d.v_count, d.e_count, d.f_count, d.c, d.g) == EULER[name]
         assert d.v_count - d.e_count + d.f_count == 2 * d.c - 2 * d.g
+        assert sg.euler_data(g) == d and g.genus == d.g
 
 
 def test_build_rejects_odd_dart_count():
@@ -116,8 +117,14 @@ def test_build_rejects_odd_dart_count():
 def test_build_rejects_non_permutation():
     with pytest.raises(NonPermutation):
         build(2, [0, 0], [(0, 1)])
-    with pytest.raises(NonPermutation):
+    with pytest.raises(NonPermutation, match="appears twice"):
         build(2, [(0,), (0, 1)], [(0, 1)])
+    with pytest.raises(NonPermutation, match="outside 0..1"):
+        build(2, [(0, 2)], [(0, 1)])
+    with pytest.raises(NonPermutation, match="dart 1 missing"):
+        build(2, [(0,)], [(0, 1)])
+    with pytest.raises(NonPermutation, match="covers 2 darts, expected 4"):
+        build(4, [1, 0], [(0, 1), (2, 3)])
 
 
 def test_build_rejects_bad_pairings():
