@@ -31,11 +31,12 @@ fits, witness vectors) is in `reciprocity`, so this module loads neither
 `orientations` nor `fractions`.
 
 A quantity with a second independent characterization is computed both
-ways, and disagreement raises.  The condition rows, the DP's forms and
-column plans (tuples), the mod-k counts and the subset census are kept
-on the map (RibbonGraph._memo).  Guards run before every lookup, and
-every DP is priced from its own plan (guards.check_dp); nothing is
-stored from a call that raised.
+ways, and disagreement raises.  The DP's forms and column plans
+(tuples), the counts and the subset census are kept on the map's graph,
+(V, edge ends), for every map with that graph; the local-tension and
+balanced-flow rows read faces and are kept on the map.  Guards run
+before every lookup, and every DP is priced from its own plan
+(guards.check_dp); nothing is stored from a call that raised.
 """
 
 from __future__ import annotations
@@ -190,12 +191,12 @@ def _forms(h: RibbonGraph, flow: bool) -> tuple[Form, ...]:
 
 
 def _fundamental_forms(h: RibbonGraph, flow: bool) -> tuple[Form, ...]:
-    return h._memoised(("forms", flow), lambda: _forms(h, flow))
+    return h._graph_memoised(("forms", flow), lambda: _forms(h, flow))
 
 
 def _fundamental_plan(h: RibbonGraph, flow: bool) -> tuple:
     forms = _fundamental_forms(h, flow)
-    return h._memoised(("plan", flow), lambda: _plan(h.num_edges - len(forms), forms))
+    return h._graph_memoised(("plan", flow), lambda: _plan(h.num_edges - len(forms), forms))
 
 
 def _nz_count(h: RibbonGraph, k: int, flow: bool) -> int:
@@ -205,10 +206,10 @@ def _nz_count(h: RibbonGraph, k: int, flow: bool) -> int:
 
 
 def _dp_count(h: RibbonGraph, k: int, flow: bool) -> int:
-    """_nz_count, priced from its plan, once per map, flag and k."""
+    """_nz_count, priced from its plan, once per graph, flag and k."""
     _require_k(k)
     check_dp(_fundamental_plan(h, flow)[2], k - 1, k)
-    return h._memoised(("nz count", flow, k), lambda: _nz_count(h, k, flow))
+    return h._graph_memoised(("nz count", flow, k), lambda: _nz_count(h, k, flow))
 
 
 # -- condition rows ----------------------------------------------------------
@@ -245,12 +246,19 @@ _ROWS: dict[str, Callable[[RibbonGraph], tuple[Form, ...]]] = {
 }
 
 
+_ON_MAP = ("local-tension", "balanced-flow")  # the rows that read faces
+
+
+def _memoised(g: RibbonGraph, condition: str, key: tuple, compute: Callable):
+    return (g._memoised if condition in _ON_MAP else g._graph_memoised)(key, compute)
+
+
 def _rows(g: RibbonGraph, condition: str) -> tuple[Form, ...]:
-    return g._memoised(("rows", condition), lambda: _ROWS[condition](g))
+    return _memoised(g, condition, ("rows", condition), lambda: _ROWS[condition](g))
 
 
 def _row_plan(g: RibbonGraph, condition: str) -> tuple:
-    return g._memoised(("plan", condition), lambda: _plan(g.num_edges, _rows(g, condition)))
+    return _memoised(g, condition, ("plan", condition), lambda: _plan(g.num_edges, _rows(g, condition)))
 
 
 def _row_count(g: RibbonGraph, condition: str, k: int, nonzero: bool) -> int:
@@ -264,12 +272,11 @@ def _row_count(g: RibbonGraph, condition: str, k: int, nonzero: bool) -> int:
 
 def _count(g: RibbonGraph, k: int, nonzero: bool, condition: str) -> int:
     """Solutions mod k of one condition on g, priced from its plan, counted
-    once per map."""
+    once per map, or per graph if the rows read no face."""
     _require_k(k)
     check_dp(_row_plan(g, condition)[2], k - nonzero, k)
-    return g._memoised(
-        ("count", condition, k, nonzero),
-        lambda: _row_count(g, condition, k, nonzero),
+    return _memoised(
+        g, condition, ("count", condition, k, nonzero), lambda: _row_count(g, condition, k, nonzero)
     )
 
 

@@ -12,6 +12,7 @@ asking for.
 
 import math
 import os
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .errors import TooLarge
@@ -41,9 +42,10 @@ def check_orientation_scan(num_edges: int) -> None:
         )
 
 
-def _refuse(work: int, what: str) -> None:
-    """Refuse, stating what and its estimate, work past MAX_ASSIGNMENTS."""
-    if work > MAX_ASSIGNMENTS and not _override():
+def _refuse(what: str) -> None:
+    """Refuse, stating what and its estimate, unless overridden.  Guards
+    call it only past MAX_ASSIGNMENTS, so most calls build no text."""
+    if not _override():
         raise TooLarge(
             f"{what} exceeds the {MAX_ASSIGNMENTS} guard; set SURFGRAPH_GUARD_OVERRIDE=1 to force"
         )
@@ -56,17 +58,18 @@ def check_class_scan(num_edges: int, per_mask: int) -> None:
     steps each mask meets, estimated from sizes alone before any scan.
     """
     work = per_mask << num_edges
-    _refuse(
-        work,
-        f"orientation class scan of 2^{num_edges} sign masks against "
-        f"{per_mask} patterns and search steps each, about {work} tests,",
-    )
+    if work > MAX_ASSIGNMENTS:
+        _refuse(
+            f"orientation class scan of 2^{num_edges} sign masks against "
+            f"{per_mask} patterns and search steps each, about {work} tests,"
+        )
 
 
 def check_cycle_search(bound: int) -> None:
     """Refuse a listing of simple cycles whose count, bounded from sizes
-    alone (`orientations._cycle_bound`), is too large."""
-    _refuse(bound, f"simple cycle search over up to {bound} cycles")
+    alone (`ribbonmap._cycle_bound`), is too large."""
+    if bound > MAX_ASSIGNMENTS:
+        _refuse(f"simple cycle search over up to {bound} cycles")
 
 
 def check_pair_poly(num_edges: int, per_support: int) -> None:
@@ -77,22 +80,22 @@ def check_pair_poly(num_edges: int, per_support: int) -> None:
     the patterns and search steps of one class scan."""
     check_orientation_scan(num_edges)
     work = (3 * num_edges + per_support) << num_edges
-    _refuse(
-        work,
-        f"reciprocity pair polynomial over 2^{num_edges} edge subsets, each "
-        f"{3 * num_edges} walk steps and up to {per_support} class-count steps, "
-        f"about {work} steps,",
-    )
+    if work > MAX_ASSIGNMENTS:
+        _refuse(
+            f"reciprocity pair polynomial over 2^{num_edges} edge subsets, each "
+            f"{3 * num_edges} walk steps and up to {per_support} class-count steps, "
+            f"about {work} steps,"
+        )
 
 
 def check_subset_poly(num_edges: int) -> None:
     """Refuse a polynomial by subset sum whose 2^E subset walk and k = 2, 3
     nowhere-zero counts, together bounded by 3^E steps, are too many."""
-    _refuse(
-        3**num_edges,
-        f"subset-sum polynomial of 2^{num_edges} subsets and its k = 2, 3 counts, "
-        f"bounded by 3^{num_edges} steps,",
-    )
+    if 3**num_edges > MAX_ASSIGNMENTS:
+        _refuse(
+            f"subset-sum polynomial of 2^{num_edges} subsets and its k = 2, 3 counts, "
+            f"bounded by 3^{num_edges} steps,"
+        )
 
 
 def _dp_steps(guide: Sequence, values: int, modulus: int, tags: Callable[[int], int]) -> int:
@@ -115,9 +118,13 @@ def _dp_steps(guide: Sequence, values: int, modulus: int, tags: Callable[[int], 
     return work
 
 
-def check_dp(guide: Sequence, values: int, modulus: int = 0, boxes: int = 1, edges: int = 0) -> None:
+def check_dp(
+    guide: Sequence, values: int, modulus: int = 0, boxes: int = 1, edges: int = 0, spent: int = 0
+) -> int:
     """Refuse a frontier DP, taking values values per column, whose
-    steps, priced from its plan's guide before it starts, are too many.
+    steps, priced from its plan's guide before it starts, are too many
+    with the spent steps of the DPs before it in the same call; return
+    that total.
 
     A count mod modulus keeps no tag.  An integral box DP (modulus 0)
     keeps one of boxes boxes.  An integral pair DP keeps a mask over the
@@ -126,18 +133,27 @@ def check_dp(guide: Sequence, values: int, modulus: int = 0, boxes: int = 1, edg
     ceil(2^edges / 64) words, and is charged them: the charge bounds the
     masks' time and memory.
     """
-    columns = f"{len(guide)} columns of {values} values"
+    work = spent + _dp_price(guide, values, modulus, boxes, edges)
+    if work > MAX_ASSIGNMENTS:
+        columns = f"{len(guide)} columns of {values} values"
+        unit = "word steps" if edges else "steps"
+        if edges:
+            what = f"integral pair DP over {columns} and masks of {-(-(1 << edges) // 64)} words"
+        elif modulus:
+            what = f"count mod {modulus} by a frontier DP over {columns}"
+        else:
+            what = f"integral box DP over {columns} and {boxes} boxes"
+        if spent:
+            what += f", after {spent} {unit} of the DPs before it"
+        _refuse(f"{what}, about {work} {unit}{' in all' if spent else ''},")
+    return work
+
+
+@lru_cache(maxsize=1024)  # guards run before every memo lookup, so prices repeat
+def _dp_price(guide: Sequence, values: int, modulus: int, boxes: int, edges: int) -> int:
     if edges:
-        words = -(-(1 << edges) // 64)
-        work = _dp_steps(guide, values, 0, lambda a: 3**a) * words
-        what = f"integral pair DP over {columns} and masks of {words} words, about {work} word steps,"
-    elif modulus:
-        work = _dp_steps(guide, values, modulus, lambda a: 1)
-        what = f"count mod {modulus} by a frontier DP over {columns}, about {work} steps,"
-    else:
-        work = _dp_steps(guide, values, 0, lambda a: boxes)
-        what = f"integral box DP over {columns} and {boxes} boxes, about {work} steps,"
-    _refuse(work, what)
+        return _dp_steps(guide, values, 0, lambda a: 3**a) * -(-(1 << edges) // 64)
+    return _dp_steps(guide, values, modulus, lambda a: boxes)
 
 
 def _rooted_maps(m: int) -> int:
@@ -173,4 +189,5 @@ def check_generator_size(num_edges: int) -> None:
 def check_rotation_scan(num_edges: int) -> None:
     """Refuse a labelled scan of all (2m)! rotation systems past MAX_ASSIGNMENTS."""
     work = math.factorial(2 * num_edges)
-    _refuse(work, f"labelled scan over (2*{num_edges})! = {work} rotation systems")
+    if work > MAX_ASSIGNMENTS:
+        _refuse(f"labelled scan over (2*{num_edges})! = {work} rotation systems")

@@ -36,28 +36,28 @@ predicates `is_*` compute their own characterizations in plain Python
 (two each for TCO, BAO and TBO) and serve as oracles for the engine.  Whenever two routes are
 computed they are compared, and any disagreement raises; that
 cross-check is part of the contract, not a debugging aid.  A class mask
-that passed it is kept on its primitive (an int, so read-only), under
+reads only its primitive's vertex count and edge ends, so one that
+passed it is kept on the primitive's graph (an int, so read-only), under
 "cycles" or "cuts": BAO(g) is TCO(g*) and TBO(g) is AO(g*), so the four
-classes of g and the four of g* are four scans.  The cost estimate its
-guard reads is kept on the map, once per (map, class); the guards still
-run on every call.
+classes of g and the four of g* are four scans, shared by every map of
+a census with the same graphs.  The cost estimate its guard reads, and
+the TBO masks per cw face (read on g*), are kept the same way; the
+guards still run on every call.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 from functools import lru_cache, reduce
 from itertools import product
-from math import prod
 from operator import and_, or_
 from typing import Iterator, Sequence
 
 from . import ribbonmap
 from .errors import GraphMismatch
-from .guards import check_class_scan, check_cycle_search, check_orientation_scan
+from .guards import check_class_scan, check_orientation_scan
 from .records import Record
-from .ribbonmap import RibbonGraph
+from .ribbonmap import RibbonGraph, _cycle_bound
 
 
 class Orientation(Record):
@@ -275,20 +275,14 @@ def _coherent(coc: ribbonmap.Cocycle, signs: Sequence[int]) -> bool:
     return all(d * signs[e] == first for e, d in zip(coc.edges, coc.directions))
 
 
-def _cocycles(g: RibbonGraph) -> tuple[ribbonmap.Cocycle, ...]:
-    """The cocycles of g (cycles of g*), their search priced on every call."""
-    check_cycle_search(_cycle_bound(g.dual))
-    return g._cocycles
-
-
 def _no_coherent_cocycle(g: RibbonGraph, signs: Sequence[int]) -> bool:
-    return not any(_coherent(coc, signs) for coc in _cocycles(g))
+    return not any(_coherent(coc, signs) for coc in ribbonmap.cocycles(g))
 
 
 def coherent_cocycles(g: RibbonGraph, o: Orientation) -> list[ribbonmap.Cocycle]:
     """The cocycles whose edges all cross in the direction given by o."""
     _check(g, o)
-    return [coc for coc in _cocycles(g) if _coherent(coc, o.signs)]
+    return [coc for coc in ribbonmap.cocycles(g) if _coherent(coc, o.signs)]
 
 
 def dual_orientation(g: RibbonGraph, o: Orientation) -> Orientation:
@@ -463,27 +457,6 @@ def _strongly_connected(h: RibbonGraph) -> int:
     return reduce(and_, both, _full(h.num_edges))
 
 
-def _cycle_bound(h: RibbonGraph) -> int:
-    """Upper bound on the simple cycles of h, from edge multiplicities.
-
-    A simple cycle is a loop, two parallel edges, or a cycle of length
-    at least 3 of the simple graph underneath, with one edge picked from
-    each of its parallel classes.  The simple graph has at most
-    2^rank - 1 cycles, each through at most V classes.
-    """
-    loops = 0
-    mult: Counter[tuple[int, int]] = Counter()
-    for t, w in h._edge_ends:
-        if t == w:
-            loops += 1
-        else:
-            mult[min(t, w), max(t, w)] += 1
-    rank = len(mult) - h.num_vertices + h.num_components
-    widest = prod(sorted(mult.values(), reverse=True)[: h.num_vertices])
-    pairs = sum(m * (m - 1) // 2 for m in mult.values())
-    return loops + pairs + (2**rank - 1) * widest
-
-
 def _primitive(g: RibbonGraph, cls: OrientationClass) -> tuple[RibbonGraph, bool]:
     """The map a class is read on, g or g*, and whether it forbids
     coherent cycles (AO, TBO) rather than coherent cuts (TCO, BAO)."""
@@ -491,16 +464,24 @@ def _primitive(g: RibbonGraph, cls: OrientationClass) -> tuple[RibbonGraph, bool
     return h, cls in (OrientationClass.AO, OrientationClass.TBO)
 
 
+# The memo key of what a class reads on its primitive, by whether it
+# forbids cycles.
+_SIDE = {True: "cycles", False: "cuts"}
+
+
 def _scan_cost(g: RibbonGraph, cls: OrientationClass) -> int:
     """Subcube patterns plus search steps per mask of both routes, from
-    sizes; kept on the map, since every guarded call asks for it."""
-    return g._memoised(("scan cost", cls), lambda: _estimate_scan_cost(g, cls))
+    sizes; kept on the primitive's graph, by cycles or cuts, since every
+    guarded call asks for it."""
+    h, cycles = _primitive(g, cls)
+    return h._graph_memoised(
+        ("scan cost", _SIDE[cycles]), lambda: _estimate_scan_cost(h, cycles)
+    )
 
 
-def _estimate_scan_cost(g: RibbonGraph, cls: OrientationClass) -> int:
+def _estimate_scan_cost(h: RibbonGraph, cycles: bool) -> int:
     """Each cycle gives two patterns, each cut side one; a search makes at
     most V rounds over the E edges, and reachability runs both ways."""
-    h, cycles = _primitive(g, cls)
     v, e = h.num_vertices, h.num_edges
     if cycles:
         return 2 * _cycle_bound(h) + v * e
@@ -544,14 +525,15 @@ def _agree(num_edges: int, a: int, b: int, what: str) -> None:
 
 def _class_mask(g: RibbonGraph, cls: OrientationClass) -> int:
     """The sign masks of the orientations in cls, as the set bits of one
-    int.  Guarded on every call, scanned once per primitive: the mask is
-    kept on h = g or g* under "cycles" or "cuts", so BAO(g) and TCO(g*),
-    or TBO(g) and AO(g*), are one scan."""
+    int.  Guarded on every call, scanned once per primitive's graph: the
+    mask is kept on the graph of h = g or g* under "cycles" or "cuts", so
+    BAO(g) and TCO(g*), or TBO(g) and AO(g*), are one scan, and so are
+    the classes of every map with the same graph."""
     e = g.num_edges
     check_orientation_scan(e)
     check_class_scan(e, _scan_cost(g, cls))
     h, cycles = _primitive(g, cls)
-    return h._memoised(("class", "cycles" if cycles else "cuts"), lambda: _scan_class(g, cls))
+    return h._graph_memoised(("class", _SIDE[cycles]), lambda: _scan_class(g, cls))
 
 
 def _scan_class(g: RibbonGraph, cls: OrientationClass) -> int:
@@ -586,26 +568,29 @@ def cw_faces(g: RibbonGraph, o: Orientation) -> frozenset[int]:
     )
 
 
-def _cw_cubes(g: RibbonGraph) -> Iterator[tuple[int, int]]:
-    """One subcube per face: every dart of its orbit a head dart.
+def _cw_cubes(h: RibbonGraph) -> Iterator[tuple[int, int]]:
+    """One subcube per vertex of h = g*, a face of g: every edge at it
+    points into it, so it is a sink of the carried-over orientation.
 
-    A face holding both darts of an edge would need both of its signs at
-    once, which no cube expresses; but such an edge is a loop of the
-    dual, so no orientation is totally bi-walkable and no cube is applied.
+    A vertex at both ends of an edge would need both of its signs at
+    once, which no cube expresses; but such an edge is a loop of h, so no
+    orientation is totally bi-walkable and no cube is applied.
     """
-    need = {}
-    for e, (t, h) in enumerate(g.edge_pairs):
-        need[t] = (e, -1)
-        need[h] = (e, 1)
-    for orbit in g.faces:
-        yield _subcube(g.num_edges, [need[d] for d in orbit])
+    need: list[list[tuple[int, int]]] = [[] for _ in range(h.num_vertices)]
+    for e, (t, w) in enumerate(h._edge_ends):
+        need[t].append((e, -1))
+        need[w].append((e, 1))
+    for pairs in need:
+        yield _subcube(h.num_edges, pairs)
 
 
 def _tbo_cw(g: RibbonGraph) -> tuple[int, ...]:
-    """Per face, the totally bi-walkable masks where it is cw; kept on the
-    map, behind the guards of the TBO mask."""
+    """Per face, the totally bi-walkable masks where it is cw; read on g*,
+    whose vertices are the faces of g and whose acyclic masks are the TBO
+    masks of g, kept on its graph, behind the guards of the TBO mask."""
     e, tbo = g.num_edges, _class_mask(g, OrientationClass.TBO)
-    return g._memoised(("tbo cw",), lambda: tuple(_cube(e, x, p) & tbo for x, p in _cw_cubes(g)))
+    h = g.dual
+    return h._graph_memoised(("cw",), lambda: tuple(_cube(e, x, p) & tbo for x, p in _cw_cubes(h)))
 
 
 def tbo_histogram(g: RibbonGraph) -> dict[int, int]:

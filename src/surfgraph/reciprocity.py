@@ -38,8 +38,8 @@ from .guards import check_cycle_search, check_dp, check_pair_poly
 from .orientations import (
     Orientation,
     OrientationClass,
+    _SIDE,
     _class_mask,
-    _cycle_bound,
     _lanes,
     _primitive,
     _scan_cost,
@@ -50,7 +50,15 @@ from .orientations import (
 )
 from .polynomials import ipoly_mul, ipoly_trim, poly_eval
 from .records import Record
-from .ribbonmap import Cycle, EulerData, RibbonGraph, _orbits, _spanning_forest, check_cycle
+from .ribbonmap import (
+    Cycle,
+    EulerData,
+    RibbonGraph,
+    _cycle_bound,
+    _orbits,
+    _spanning_forest,
+    check_cycle,
+)
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -71,8 +79,8 @@ if TYPE_CHECKING:
 
 def _subset_components(h: RibbonGraph) -> tuple[int, ...]:
     """c(B), the components of (V, B), for every edge subset B of h, edge e
-    at bit E-1-e; walked once per map."""
-    return h._memoised(("subset components",), lambda: _components_walk(h))
+    at bit E-1-e; walked once per graph."""
+    return h._graph_memoised(("subset components",), lambda: _components_walk(h))
 
 
 def _components_walk(h: RibbonGraph) -> tuple[int, ...]:
@@ -125,9 +133,15 @@ def _pair_poly(g: RibbonGraph, kind: str) -> list[int]:
 
 
 def _pairs(g: RibbonGraph, k: int, kind: str) -> int:
+    """The pair count at k, from the pair polynomial kept on the graph of
+    the class's primitive, by cycles or cuts: the local-tension pairs of g
+    are the flow pairs of g*, and the balanced-flow pairs its tension pairs."""
     _require_k(k)
-    check_pair_poly(g.num_edges, _scan_cost(g, CLASS_OF[kind]))
-    return poly_eval(g._memoised(("pairs", kind), lambda: tuple(_pair_poly(g, kind))), k)
+    cls = CLASS_OF[kind]
+    check_pair_poly(g.num_edges, _scan_cost(g, cls))
+    h, cycles = _primitive(g, cls)
+    poly = h._graph_memoised(("pairs", _SIDE[cycles]), lambda: tuple(_pair_poly(g, kind)))
+    return poly_eval(poly, k)
 
 
 def reciprocity_pairs_tension(g: RibbonGraph, k: int) -> int:
@@ -234,15 +248,20 @@ def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
     t > 0 and reverses it where t < 0; edges with t = 0 are free.  At
     k = 0 only t = 0 remains and the result is |BAO(g)|.  The local
     tensions are the flows of g*, counted by the box DP with the mask of
-    the BAOs still compatible as its tag.
+    the BAOs still compatible as its tag.  The BAOs of g are the TCOs of
+    g*, so the count is kept per k on the graph of g*.
     """
     if not isinstance(k, int) or k < 0:
         raise BadModulus(f"k must be a nonnegative integer, got {k!r}")
-    width = g.num_edges
     h = g.dual
+    check_dp(_fundamental_plan(h, True)[2], 2 * k + 1, edges=g.num_edges)
+    bao = _class_mask(g, CLASS_OF["local-tension"])  # TCO of g*, guarded here too
+    return h._graph_memoised(("integral pairs", k), lambda: _integral_pairs(h, k, bao))
+
+
+def _integral_pairs(h: RibbonGraph, k: int, bao: int) -> int:
+    width = h.num_edges
     plan = _fundamental_plan(h, True)
-    check_dp(plan[2], 2 * k + 1, edges=width)
-    bao = _class_mask(g, CLASS_OF["local-tension"])
     chords = [c.edges[0] for c in h._fundamental_cycles]
     tree = sorted(set(range(width)) - set(chords))  # the edges of forms, in order
     lanes = _lanes(width)  # per edge: (masks keeping its direction, masks reversing it)
@@ -390,34 +409,42 @@ def fit_quasipolynomial(
     raise NoFit(f"no quasipolynomial of period <= {max_period} fits the samples")
 
 
-def _quasi_driver(g: RibbonGraph, h: RibbonGraph, max_period: int) -> QuasiPolynomial:
+def _quasi_driver(h: RibbonGraph, max_period: int) -> QuasiPolynomial:
     """Fit each period in turn from one box DP on the flows of h over
-    k = 1..period(E+2)+2.  The largest period's DP, which bounds every
-    smaller one's, is priced before the first runs."""
+    k = 1..period(E+2)+2.  Before a period's DP runs, it is priced with
+    those of the periods before it, so the whole call stays under one
+    budget.  Each period's fit, or None if it fits no period up to it, is
+    kept on h's graph."""
     _require_max_period(max_period)
-    degree = g.num_edges
-    kmax = max_period * (degree + 2) + 2
-    _price_box(h, kmax, kmax)
-    last: NoFit | None = None
+    degree = h.num_edges
+    guide = _fundamental_plan(h, True)[2]
+    spent = 0
     for period in range(1, max_period + 1):
-        ks = range(1, period * (degree + 2) + 3)
-        samples = dict(zip(ks, _box_counts(h, ks)))
-        try:
-            return fit_quasipolynomial(samples, degree, max_period=period)
-        except NoFit as exc:
-            last = exc
-    raise NoFit(str(last))
+        kmax = period * (degree + 2) + 2
+        spent = check_dp(guide, 2 * kmax - 2, boxes=kmax, spent=spent)
+        fit = h._graph_memoised(("quasi", period), lambda: _fit_period(h, degree, period))
+        if fit is not None:
+            return fit
+    raise NoFit(f"no quasipolynomial of period <= {max_period} fits the samples")
+
+
+def _fit_period(h: RibbonGraph, degree: int, period: int) -> QuasiPolynomial | None:
+    ks = range(1, period * (degree + 2) + 3)
+    try:
+        return fit_quasipolynomial(dict(zip(ks, _box_counts(h, ks))), degree, max_period=period)
+    except NoFit:
+        return None
 
 
 def quasi_integral_local_tensions(
     g: RibbonGraph, max_period: int = 6
 ) -> QuasiPolynomial:
     """Smallest-period quasipolynomial through the integral local tension counts."""
-    return _quasi_driver(g, g.dual, max_period)
+    return _quasi_driver(g.dual, max_period)
 
 
 def quasi_integral_flows(g: RibbonGraph, max_period: int = 6) -> QuasiPolynomial:
-    return _quasi_driver(g, g, max_period)
+    return _quasi_driver(g, max_period)
 
 
 # -- witness vectors ---------------------------------------------------------

@@ -17,8 +17,9 @@ and its left face is the orbit of its head dart.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, OrderedDict
 from functools import cached_property
+from math import prod
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -75,14 +76,13 @@ class RibbonGraph(Record):
     """Immutable combinatorial map; all derived data is cached.
 
     Equality, hash and repr read sigma, edge_pairs and isolated; labels
-    ride along.  Besides the cached properties below, the counting
-    layers keep their per-map results in `_memo` through `_memoised`:
-    the canonical code, class masks, their scan costs and the TBO masks
-    per cw face, condition rows, DP forms, column plans and mod-k counts,
-    the subset census and components, and pair polynomials.
-    They die with the map.  Each caller runs its guards before the
-    lookup and stores a value only once its cross-checks passed; the
-    stored values are read-only.
+    ride along.  The counting layers keep what reads the rotation (the
+    canonical code, the local-tension and balanced-flow rows, plans and
+    counts) in `_memoised`, which dies with the map, and what reads only
+    V and the edge ends (cycles, forms, plans, counts, census, class
+    masks, pair polynomials, quasi fits) in `_graph_memoised`, shared by
+    every map with the same graph.  Each caller runs its guards before
+    the lookup and stores a read-only value once its cross-checks passed.
     """
 
     _fields = ("sigma", "edge_pairs", "isolated")
@@ -253,22 +253,18 @@ class RibbonGraph(Record):
         d.__dict__["dual"] = self
         return d
 
-    # Enumerated structures are cached per instance; the module-level
+    # Enumerated structures are cached per graph; the module-level
     # functions below hand out fresh lists so callers cannot corrupt them.
 
-    @cached_property
+    @property
     def _cycles(self) -> tuple[Cycle, ...]:
-        return tuple(_enumerate_cycles(self))
+        return self._graph_memoised(("cycles",), lambda: tuple(_enumerate_cycles(self)))
 
-    @cached_property
-    def _cocycles(self) -> tuple[Cocycle, ...]:
-        return tuple(
-            Cocycle(c.vertices, c.edges, c.directions) for c in self.dual._cycles
-        )
-
-    @cached_property
+    @property
     def _fundamental_cycles(self) -> tuple[Cycle, ...]:
-        return tuple(_build_fundamental_cycles(self))
+        return self._graph_memoised(
+            ("fundamental cycles",), lambda: tuple(_build_fundamental_cycles(self))
+        )
 
     @cached_property
     def _face_matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -292,6 +288,33 @@ class RibbonGraph(Record):
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+    @cached_property
+    def _graph_memo(self) -> dict:
+        """Its graph's values in _GRAPHS, marked recent; a graph dropped
+        from the table has its values emptied."""
+        key = (self.num_vertices, self._edge_ends)
+        memo = _GRAPHS.pop(key, None)
+        if memo is None:
+            memo = {}
+            if len(_GRAPHS) >= _GRAPHS_KEPT:
+                _GRAPHS.popitem(last=False)[1].clear()
+        _GRAPHS[key] = memo
+        return memo
+
+    def _graph_memoised(self, key, compute):
+        """As _memoised, for a value of (V, edge ends) alone."""
+        memo = self._graph_memo
+        if key in memo:
+            return memo[key]
+        value = memo[key] = compute()
+        return value
+
+
+# Values per graph (V, edge ends), least recently used dropped first: the
+# 18,872 maps g and g* at m = 6 have 4,684 graphs, and 1,024 keep most hits.
+_GRAPHS_KEPT = 1024
+_GRAPHS: OrderedDict[tuple, dict] = OrderedDict()
 
 
 def _orbits(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -340,8 +363,8 @@ def _spanning_forest(
 def _subset_census(h: RibbonGraph) -> tuple[tuple[int, tuple[int, ...], int], ...]:
     """(|B|, sorted component sizes of (V, B), number of such B) over the
     2^E edge subsets B of h: the data behind every subset-sum formula,
-    walked once per map."""
-    return h._memoised(("subset census",), lambda: _census_walk(h))
+    walked once per graph."""
+    return h._graph_memoised(("subset census",), lambda: _census_walk(h))
 
 
 def _census_walk(h: RibbonGraph) -> tuple[tuple[int, tuple[int, ...], int], ...]:
@@ -469,36 +492,45 @@ def face_matrix(g: RibbonGraph) -> tuple[tuple[int, ...], ...]:
 # -- cycles and cocycles --------------------------------------------------
 
 
-def _adjacency(g: RibbonGraph) -> dict[int, list[tuple[int, int, int]]]:
-    # vertex -> sorted (edge, direction, other endpoint)
-    adj: dict[int, list[tuple[int, int, int]]] = {
-        v: [] for v in range(g.num_vertices)
-    }
-    for e, (t, h) in enumerate(g.edge_pairs):
-        u, w = g.vertex_of_dart(t), g.vertex_of_dart(h)
-        adj[u].append((e, 1, w))
-        adj[w].append((e, -1, u))
-    for v in adj:
-        adj[v].sort()
-    return adj
-
-
 def cycles(g: RibbonGraph) -> list[Cycle]:
-    """All simple cycles of the underlying graph, loops and 2-cycles included.
+    """All simple cycles of the underlying graph, loops and 2-cycles included,
+    their search priced on every call.
 
     Each cycle appears once; a cycle and its reversal are not distinguished.
     """
+    from .guards import check_cycle_search  # not loaded to build a map
+
+    check_cycle_search(_cycle_bound(g))
     return list(g._cycles)
 
 
+def _cycle_bound(h: RibbonGraph) -> int:
+    """Upper bound on the simple cycles of h: loops, pairs of parallel
+    edges, and the at most 2^rank - 1 cycles of the simple graph
+    underneath, each through at most V parallel classes."""
+    loops = 0
+    mult: Counter[tuple[int, int]] = Counter()
+    for t, w in h._edge_ends:
+        if t == w:
+            loops += 1
+        else:
+            mult[min(t, w), max(t, w)] += 1
+    rank = len(mult) - h.num_vertices + h.num_components
+    widest = prod(sorted(mult.values(), reverse=True)[: h.num_vertices])
+    pairs = sum(m * (m - 1) // 2 for m in mult.values())
+    return loops + pairs + (2**rank - 1) * widest
+
+
 def _enumerate_cycles(g: RibbonGraph) -> list[Cycle]:
-    adj = _adjacency(g)
+    # vertex -> (edge, direction, other endpoint), by edge
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.num_vertices)]
     out: list[Cycle] = []
     seen: set[frozenset[int]] = set()
-    for e, (t, h) in enumerate(g.edge_pairs):
-        if g.vertex_of_dart(t) == g.vertex_of_dart(h):
-            out.append(Cycle((e,), (1,), (g.vertex_of_dart(t),)))
-            seen.add(frozenset((e,)))
+    for e, (u, w) in enumerate(g._edge_ends):
+        adj[u].append((e, 1, w))
+        adj[w].append((e, -1, u))
+        if u == w:
+            out.append(Cycle((e,), (1,), (u,)))
 
     def grow(start, verts, eds, dirs):
         v = verts[-1]
@@ -529,8 +561,12 @@ def cocycles(g: RibbonGraph) -> list[Cocycle]:
 
     Face ids of g and vertex ids of dual(g) coincide (both index the same
     orbit family sorted by least dart), so the translation is direct.
+    The search is priced on every call.
     """
-    return list(g._cocycles)
+    from .guards import check_cycle_search
+
+    check_cycle_search(_cycle_bound(g.dual))
+    return [Cocycle(c.vertices, c.edges, c.directions) for c in g.dual._cycles]
 
 
 def check_cycle(g: RibbonGraph, cycle: Cycle) -> None:

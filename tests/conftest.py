@@ -1,5 +1,5 @@
-"""Shared pytest wiring: the census fixture, guards left on for every test,
-and the acceptance verdict lines.
+"""Shared pytest wiring: the census fixture, guards left on and an empty
+graph table for every test, and the acceptance verdict lines.
 
 The acceptance tests record one PASS/FAIL line per criterion in
 ACCEPTANCE_LINES; fd-level capture would otherwise swallow them, so a
@@ -8,6 +8,7 @@ terminal-summary hook replays the lines at the end of the run.
 
 import pytest
 
+from mapzoo import forget_graphs
 from surfgraph import CorpusSpec, generate
 
 ACCEPTANCE_LINES: list[str] = []
@@ -17,6 +18,15 @@ ACCEPTANCE_LINES: list[str] = []
 def _no_guard_override(monkeypatch):
     """Run every test with the guards on, whatever the caller's shell sets."""
     monkeypatch.delenv("SURFGRAPH_GUARD_OVERRIDE", raising=False)
+
+
+@pytest.fixture(autouse=True)
+def _empty_graph_table():
+    """Start every test with no graph-keyed value kept, also on the maps
+    that hold their graph's values, so a test that breaks or spies on a
+    route sees it run.  Within a test the table stays shared, so a
+    census-wide check still meets a value filed under the wrong graph."""
+    forget_graphs()
 
 
 @pytest.fixture(scope="session")

@@ -39,6 +39,7 @@ from surfgraph import (
     is_boundary_acyclic,
     to_json_dict,
 )
+from surfgraph import ribbonmap
 from surfgraph.errors import NonIntegerCoefficients
 from surfgraph.polynomials import ipoly_add, ipoly_mul
 
@@ -99,8 +100,17 @@ def fresh(g: RibbonGraph) -> RibbonGraph:
 
     Its per-map memo starts empty, so a test that spies on or breaks a
     route cannot be answered from what an earlier test stored on g.
+    What reads only its graph is shared with every map of that graph
+    until `forget_graphs`.
     """
     return from_json_dict(to_json_dict(g))
+
+
+def forget_graphs() -> None:
+    """Empty the values of every graph in the shared table, also where a
+    map holds them, so that each graph-keyed value is computed again."""
+    for memo in ribbonmap._GRAPHS.values():
+        memo.clear()
 
 
 def disjoint_union(a: RibbonGraph, b: RibbonGraph) -> RibbonGraph:

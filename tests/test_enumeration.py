@@ -48,6 +48,7 @@ from mapzoo import (
     box_values,
     count_solutions,
     disjoint_union,
+    forget_graphs,
     fresh,
     incidence_matrix,
     integral_pairs,
@@ -421,6 +422,10 @@ def test_cocycle_search_is_refused_before_it_runs(monkeypatch, capsys, tmp_path)
     for call in (bao_witness_vector, sg.is_totally_biwalkable, orientations.coherent_cocycles):
         with pytest.raises(TooLarge, match="up to 35184372088831 cycles"):
             call(g, o)
+    # newly refused: the public listings, on the map and on its dual
+    for listing in (lambda: ribbonmap.cocycles(g), lambda: ribbonmap.cycles(g.dual)):
+        with pytest.raises(TooLarge, match="up to 35184372088831 cycles"):
+            listing()
     path = tmp_path / "k11dual.json"
     path.write_text(sg.dumps(g))
     assert cli.main(["witness", str(path), signs]) == 3
@@ -435,10 +440,17 @@ def test_cocycle_guard_admits_k8_and_prices_every_call(monkeypatch):
     vec = bao_witness_vector(g, o)
     assert len(vec) == 28 and all(x != 0 for x in vec)
     assert sg.is_totally_biwalkable(g, o) is False  # a BAO whose dual is not acyclic
+    # the public listings: the 8,018 cycles of K_8, as cocycles of g
+    assert len(ribbonmap.cocycles(g)) == len(ribbonmap.cycles(g.dual)) == 8018
     # the cocycles are now listed on g, and the guard still runs
     monkeypatch.setattr(guards, "MAX_ASSIGNMENTS", 2097150)
-    with pytest.raises(TooLarge, match="up to 2097151 cycles"):
-        orientations.coherent_cocycles(g, o)
+    for call in (
+        lambda: orientations.coherent_cocycles(g, o),
+        lambda: ribbonmap.cocycles(g),
+        lambda: ribbonmap.cycles(g.dual),
+    ):
+        with pytest.raises(TooLarge, match="up to 2097151 cycles"):
+            call()
 
 
 # -- condition matrices -----------------------------------------------------------
@@ -891,12 +903,15 @@ def test_dp_guards_bound_every_step(corpus, monkeypatch):
         real(plan, values, anything, modulus, spy, start)
         return real(plan, values, accept, modulus, mark, start)
 
-    def refuse(work, what):
-        if " DP over " in what:
-            estimates.append(work)
+    real_price = guards._dp_price
+
+    def price(*args):
+        estimates.append(real_price(*args))
+        return estimates[-1]
 
     def priced(count, *args):
         # (steps, estimate) of each DP the count runs, each priced before it starts
+        forget_graphs()
         steps.clear()
         estimates.clear()
         count(*args)
@@ -905,12 +920,12 @@ def test_dp_guards_bound_every_step(corpus, monkeypatch):
 
     for module in (enumeration, reciprocity):
         monkeypatch.setattr(module, "_frontier", counted)
-    monkeypatch.setattr(guards, "_refuse", refuse)
+    monkeypatch.setattr(guards, "_dp_price", price)
     # the counts mod k: nowhere-zero tensions and flows on fundamental
     # coordinates, and every condition's rows, nonzero or not
     digon = from_json_dict(DIGON)
     for g in [*corpus, *ZOO[:-1], digon]:
-        h = fresh(g)  # an empty memo, so every DP runs
+        h = fresh(g)  # an empty memo, and priced empties the graph table: every DP runs
         for k in (2, 3):
             runs = [priced(enumeration._dp_count, h, k, flow) for flow in (False, True)]
             runs += [
@@ -982,43 +997,49 @@ def test_quasi_fit_joins_once_per_period_and_refuses_first(monkeypatch):
     joins.clear()
     q = sg.quasi_integral_flows(TRIANGLE)
     assert joins == [7, 12, 17] and scans == []
-    # The theta's flows fit at period 1, a DP of 12 + 12^2 = 156 steps; a
-    # guard of 1000 steps admits it but not the period-6 DP, which is priced
-    # first, so no DP starts.
-    monkeypatch.setattr(reciprocity, "fit_quasipolynomial", real_fit)
+    # Each period is priced with the periods before it, before its DP
+    # starts.  The theta's flows take 156, 506 and 1056 steps at periods
+    # 1, 2 and 3: a guard of 1000 steps admits the first two, which the
+    # forced misses run, and refuses the third before its DP.
     monkeypatch.setattr(guards, "MAX_ASSIGNMENTS", 1000)
-    reciprocity._price_box(THETA, 7, 7)
     joins.clear()
-    with pytest.raises(TooLarge, match=r"2 columns of 62 values and 32 boxes, about 3906 steps"):
+    with pytest.raises(
+        TooLarge,
+        match=r"2 columns of 32 values and 17 boxes, after 662 steps of the DPs before it, "
+        r"about 1718 steps in all",
+    ):
         sg.quasi_integral_flows(THETA)
-    assert joins == [] and scans == []
+    assert joins == [7, 12] and scans == []
     # the same row-count spy sees an admitted count mod k
     sg.count_flows(fresh(THETA), 2)
     assert len(scans) == 1
 
 
-def test_quasi_guard_prices_the_largest_period(monkeypatch):
+def test_quasi_guard_prices_one_period_at_a_time(monkeypatch):
     joins = []
     real = reciprocity._box_counts
     monkeypatch.setattr(reciprocity, "_box_counts", lambda h, ks: joins.append(ks[-1]) or real(h, ks))
     e7, e9 = from_json_dict(FRONTIER[1]), from_json_dict(FRONTIER_9)
-    # Newly refused: the 7-edge map's local tensions fit at period 1, which
-    # the join admitted and ran, but the period-6 DP is about 7.5 * 10^8 steps
-    with pytest.raises(TooLarge, match=r"about 748112970 steps"):
-        sg.quasi_integral_local_tensions(e7)
-    assert joins == []
-    # Newly admitted: the 9-edge map's local tensions, refused by the join's
-    # 24^4 left half-rows, are a period-6 DP of about 3.3 * 10^7 steps, and
-    # fit at period 1
-    q = sg.quasi_integral_local_tensions(e9)
-    assert q.period == 1 and joins == [13]
-    assert [q.evaluate(k) for k in (2, 13)] == [
-        sg.count_integral_local_tensions(e9, k) for k in (2, 13)
+    # Newly admitted: the 7-edge map's local tensions fit at period 1, a DP
+    # of about 9 * 10^5 steps.  Priced up to the default period 6 at once,
+    # the DPs came to about 1.3 * 10^9 steps and were refused.
+    q = sg.quasi_integral_local_tensions(e7)
+    assert q.period == 1 and joins == [11]
+    assert [q.evaluate(k) for k in (3, 11)] == [
+        sg.count_integral_local_tensions(e7, k) for k in (3, 11)
     ]
-    # its flows are refused by both, now before the first period
+    # Newly admitted too: the 9-edge map's flows fit at period 1, a DP of
+    # about 3.6 * 10^5 steps; its period-6 DP alone is about 3.3 * 10^8
     joins.clear()
-    with pytest.raises(TooLarge, match=r"about 327293258 steps"):
-        sg.quasi_integral_flows(e9)
+    q = sg.quasi_integral_flows(e9)
+    assert q.period == 1 and joins == [13]
+    assert q.evaluate(4) == sg.count_integral_flows(e9, 4)
+    # A guard one step smaller refuses the 7-edge map at period 1, though
+    # its fit is kept on its graph: the guard runs before the lookup.
+    monkeypatch.setattr(guards, "MAX_ASSIGNMENTS", 899039)
+    joins.clear()
+    with pytest.raises(TooLarge, match=r"about 899040 steps,"):
+        sg.quasi_integral_local_tensions(fresh(e7))
     assert joins == []
 
 

@@ -1,27 +1,41 @@
-"""The per-map memo: class masks and their scan costs, the TBO masks
-per cw face, condition rows, mod-k counts, the DP's forms and column
-plans, the nowhere-zero counts and the subset census are computed once
-per map, after the guards and the cross-checks, and handed out
-read-only.  The dual of g.dual is g itself, so nothing is computed again
-on an equal copy of g.  The pair counters read g's own forbidden
-subcubes, so verify builds no surgered map and takes no canonical code
-beyond the one naming g in its report."""
+"""The two memos: what reads a map's rotation (its canonical code, and
+the local-tension and balanced-flow rows, plans and counts) is kept on
+the map; what reads only its graph, (V, edge ends), is kept per graph in
+one table shared by every map with that graph.  Each is computed once,
+after the guards and the cross-checks, and handed out read-only.  A
+census asks for each graph's values once however many maps share it.
+The dual of g.dual is g itself, so nothing is computed again on an equal
+copy of g.  The pair counters read g's own forbidden subcubes, so verify
+builds no surgered map and takes no canonical code beyond the one naming
+g in its report."""
 
 import pytest
 
 from surfgraph import (
+    CorpusSpec,
     OrientationClass,
     TooLarge,
+    build,
     cli,
     count_class,
     enumeration,
+    generate,
     generator,
     guards,
     orientations,
     reciprocity,
     ribbonmap,
 )
-from mapzoo import FACE_MATRIX_PRIMAL, ISOLATED, K5, SMALL, TRIANGLE, TWO_COMPONENTS, fresh
+from mapzoo import (
+    FACE_MATRIX_PRIMAL,
+    ISOLATED,
+    K5,
+    SMALL,
+    TRIANGLE,
+    TWO_COMPONENTS,
+    forget_graphs,
+    fresh,
+)
 
 ZOO = [*SMALL, FACE_MATRIX_PRIMAL, ISOLATED, TWO_COMPONENTS, K5]
 
@@ -34,6 +48,11 @@ def _report(g, kmax=3):
     return report
 
 
+def _graph(h):
+    """The key of h's values in the graph table."""
+    return h.num_vertices, h._edge_ends
+
+
 def test_a_second_verify_on_the_same_map_gives_the_same_report(corpus):
     for g in [fresh(h) for h in corpus]:
         first = _report(g)
@@ -43,17 +62,60 @@ def test_a_second_verify_on_the_same_map_gives_the_same_report(corpus):
         assert _report(g) == _report(g)
 
 
+def test_the_graph_table_changes_no_report():
+    # m <= 5: 1,740 maps g and g* on 599 graphs at m = 5 alone
+    maps = [g for m in range(6) for g in generate(CorpusSpec(edges=m))]
+    shared = [_report(g) for g in maps]
+    assert all(report["all_pass"] for report in shared)
+    for g, report in zip(maps, shared):
+        forget_graphs()
+        assert _report(fresh(g)) == report, report["graph"]
+
+
+def test_maps_share_what_reads_only_their_graph(monkeypatch):
+    scans = []
+    real = orientations._scan_class
+
+    def scan(g, cls):
+        h, cycles = orientations._primitive(g, cls)
+        scans.append((_graph(h), cycles))
+        return real(g, cls)
+
+    monkeypatch.setattr(orientations, "_scan_class", scan)
+    # the theta graph embedded in the sphere and in the torus
+    pairs = [(0, 1), (2, 3), (4, 5)]
+    planar = build(6, [(0, 2, 4), (5, 3, 1)], pairs)
+    torus = build(6, [(0, 2, 4), (1, 3, 5)], pairs)
+    assert (planar.genus, torus.genus) == (0, 1) and _graph(planar) == _graph(torus)
+    counts = {}
+    for g in (planar, torus):
+        counts[g] = [count_class(g, cls) for cls in OrientationClass]
+    # AO and TCO read the one graph, scanned once; BAO and TBO each dual's
+    assert len(scans) == 2 + 2 * 2 and len(set(scans)) == len(scans)
+    assert counts[planar] == [2, 6, 2, 6] and counts[torus] == [2, 6, 8, 0]
+    # one more vertex, or one edge turned around, is another graph
+    isolated = build(6, [(0, 2, 4), (5, 3, 1), ()], pairs)
+    turned = build(6, [(0, 2, 4), (5, 3, 1)], [(1, 0), (2, 3), (4, 5)])
+    for g in (isolated, turned):
+        scans.clear()
+        assert count_class(g, OrientationClass.AO) == 2
+        assert count_class(g, OrientationClass.TCO) == 6
+        assert scans == [(_graph(g), True), (_graph(g), False)]
+
+
 def test_verify_computes_each_quantity_once(corpus, monkeypatch):
     masks, surgeries, scans, codes = [], [], [], []
     real_scan_class = orientations._scan_class
     real_count = enumeration._row_count
 
     def scan_class(g, cls):
-        masks.append((g, cls))
+        masks.append(orientations._primitive(g, cls))
         return real_scan_class(g, cls)
 
     def count(h, condition, k, nonzero):
-        scans.append(((h, condition), nonzero, k))
+        # rows that read faces are kept on the map, the others on its graph
+        on_map = condition in enumeration._ON_MAP
+        scans.append(((id(h) if on_map else _graph(h), condition), nonzero, k))
         return real_count(h, condition, k, nonzero)
 
     def spy(log, real):
@@ -65,23 +127,25 @@ def test_verify_computes_each_quantity_once(corpus, monkeypatch):
         monkeypatch.setattr(reciprocity, name, spy(surgeries, getattr(reciprocity, name)))
     monkeypatch.setattr(generator, "_least_code", spy(codes, generator._least_code))
 
-    for g in [fresh(h) for h in corpus]:
+    maps = [fresh(h) for h in corpus]  # held, so no id is reused meanwhile
+    for g in maps:
         generator.canonical_code(g)  # the report names g by its code
-        for log in (masks, surgeries, scans, codes):
-            log.clear()
+        surgeries.clear()
+        codes.clear()
         cli._verify_graph(g, 3)
         assert surgeries == [] and codes == []
-        # the lists hold every map, so no id is reused meanwhile
-        mask_keys = [(id(h), cls) for h, cls in masks]
-        assert len(set(mask_keys)) == len(mask_keys)
-        scan_keys = [((id(h), c), n, k) for (h, c), n, k in scans]
-        assert len(set(scan_keys)) == len(scan_keys)
-        # every condition is scanned at each k = 1..3, once
-        per_matrix: dict[int, list[int]] = {}
-        for key in scan_keys:
-            per_matrix.setdefault(key[0], []).append(key[2])
-        assert all(sorted(ks) == [1, 2, 3] for ks in per_matrix.values())
-        assert {cls for h, cls in masks if h is g} == set(OrientationClass)
+    # each class mask once per graph and side, and all four primitives of
+    # every map read
+    mask_keys = [(_graph(h), cycles) for h, cycles in masks]
+    assert len(set(mask_keys)) == len(mask_keys)
+    assert set(mask_keys) == {(_graph(h), c) for g in maps for h in (g, g.dual) for c in (False, True)}
+    # each count once per map or graph, and every condition scanned at
+    # each k = 1..3, once
+    assert len(set(scans)) == len(scans)
+    per_matrix: dict = {}
+    for matrix, _, k in scans:
+        per_matrix.setdefault(matrix, []).append(k)
+    assert all(sorted(ks) == [1, 2, 3] for ks in per_matrix.values())
     # the same spies see a surgery, and the one it calls, and a code
     for log in (surgeries, codes):
         log.clear()
@@ -93,30 +157,36 @@ def test_verify_computes_each_quantity_once(corpus, monkeypatch):
 def test_verify_scans_each_primitive_once(corpus, monkeypatch):
     # BAO(g) is TCO(g*) and TBO(g) is AO(g*): the six (map, class) masks
     # verify reads are the cycles and the cuts of g and of g*, four scans
+    # for a map whose graphs are new, none for one whose graphs are not
     scans = []
     real = orientations._scan_class
     monkeypatch.setattr(
         orientations, "_scan_class", lambda g, cls: scans.append((g, cls)) or real(g, cls)
     )
+    seen = set()
     for g in [fresh(h) for h in corpus]:
         scans.clear()
         cli._verify_graph(g, 3)
-        assert len(scans) == 4
-        read = {(id(h), cycles) for h, cycles in (orientations._primitive(*s) for s in scans)}
-        assert read == {(id(h), cycles) for h in (g, g.dual) for cycles in (False, True)}
+        read = [(_graph(h), cycles) for h, cycles in (orientations._primitive(*s) for s in scans)]
+        assert len(set(read)) == len(read) and not seen & set(read)
+        seen.update(read)
+        assert {(_graph(h), c) for h in (g, g.dual) for c in (False, True)} <= seen
+    assert len(seen) < 4 * len(corpus)
 
 
 def test_verify_builds_the_cw_face_masks_once(corpus, monkeypatch):
-    # unique_cw_counts and the cw histogram read one tuple kept on g
+    # unique_cw_counts and the cw histogram read one tuple kept on the
+    # graph of g*, whose vertices are the faces of g
     builds = []
     real = orientations._cw_cubes
-    monkeypatch.setattr(orientations, "_cw_cubes", lambda g: builds.append(g) or real(g))
-    for g in [fresh(h) for h in corpus]:
-        builds.clear()
+    monkeypatch.setattr(orientations, "_cw_cubes", lambda h: builds.append(_graph(h)) or real(h))
+    maps = [fresh(h) for h in corpus]
+    for g in maps:
         cli._verify_graph(g, 3)
-        assert len(builds) == 1 and builds[0] is g
         cw = orientations._tbo_cw(g)
-        assert isinstance(cw, tuple) and orientations._tbo_cw(g) is cw and len(builds) == 1
+        assert isinstance(cw, tuple) and orientations._tbo_cw(g) is cw
+    assert len(set(builds)) == len(builds)
+    assert set(builds) == {_graph(g.dual) for g in maps}
 
 
 def test_verify_builds_each_form_set_and_dp_count_once(corpus, monkeypatch):
@@ -124,7 +194,7 @@ def test_verify_builds_each_form_set_and_dp_count_once(corpus, monkeypatch):
     real_forms, real_count = enumeration._forms, enumeration._nz_count
     real_walk = ribbonmap._census_walk
 
-    def build(h, flow):
+    def build_forms(h, flow):
         forms.append((h, flow))
         return real_forms(h, flow)
 
@@ -136,10 +206,12 @@ def test_verify_builds_each_form_set_and_dp_count_once(corpus, monkeypatch):
         walks.append(h)
         return real_walk(h)
 
-    monkeypatch.setattr(enumeration, "_forms", build)
+    monkeypatch.setattr(enumeration, "_forms", build_forms)
     monkeypatch.setattr(enumeration, "_nz_count", count)
     monkeypatch.setattr(ribbonmap, "_census_walk", walk)
-    for g in [fresh(h) for h in [*corpus, *ZOO]]:
+    maps = [fresh(h) for h in [*corpus, *ZOO]]
+    seen = {"forms": [], "counts": [], "walks": []}
+    for g in maps:
         forms.clear()
         counts.clear()
         walks.clear()
@@ -147,18 +219,20 @@ def test_verify_builds_each_form_set_and_dp_count_once(corpus, monkeypatch):
         # all of it on g or g.dual, none on g.dual.dual built afresh
         built = [h for h, _ in forms] + [h for h, _, _ in counts] + walks
         assert all(h is g or h is g.dual for h in built)
-        # four polynomials and the cw formula: one census walk each of g and g*
-        assert sorted(map(id, walks)) == sorted([id(g), id(g.dual)])
-        # the lists hold every map, so no id is reused meanwhile
-        form_keys = [(id(h), flow) for h, flow in forms]
-        assert len(set(form_keys)) == len(form_keys)
-        count_keys = [(id(h), k, flow) for h, k, flow in counts]
-        assert len(set(count_keys)) == len(count_keys)
-        # tensions and flows of g, each at k = 1..3, are DP counts
-        assert {(k, flow) for h, k, flow in counts if h is g} == {
-            (k, flow) for k in (1, 2, 3) for flow in (False, True)
-        }
-        assert {flow for h, flow in forms if h is g} == {False, True}
+        seen["forms"] += [(_graph(h), flow) for h, flow in forms]
+        seen["counts"] += [(_graph(h), k, flow) for h, k, flow in counts]
+        seen["walks"] += map(_graph, walks)
+    # over the census, each graph's forms, DP counts and census once
+    for log, keys in seen.items():
+        assert len(set(keys)) == len(keys), log
+    # four polynomials and the cw formula: one census walk each of the
+    # graphs of g and g*
+    assert set(seen["walks"]) == {_graph(h) for g in maps for h in (g, g.dual)}
+    # tensions and flows of every g, each at k = 1..3, are DP counts, on
+    # fundamental forms of both kinds
+    for g in maps:
+        assert {(_graph(g), k, flow) for k in (1, 2, 3) for flow in (False, True)} <= set(seen["counts"])
+        assert {(_graph(g), False), (_graph(g), True)} <= set(seen["forms"])
 
 
 def test_verify_prices_each_class_once_and_guards_every_scan(corpus, monkeypatch):
@@ -167,7 +241,7 @@ def test_verify_prices_each_class_once_and_guards_every_scan(corpus, monkeypatch
     real_mask, real_guard = orientations._class_mask, orientations.check_class_scan
 
     def cost(g, cls):
-        priced.append((g, cls))
+        priced.append(orientations._primitive(g, cls))
         return real_cost(g, cls)
 
     def mask(g, cls):
@@ -182,19 +256,21 @@ def test_verify_prices_each_class_once_and_guards_every_scan(corpus, monkeypatch
         monkeypatch.setattr(module, "_class_mask", mask)
     monkeypatch.setattr(orientations, "_cycle_bound", spy(bounds, real_bound))
     monkeypatch.setattr(orientations, "check_class_scan", spy(guarded, real_guard))
-    for g in [fresh(h) for h in [*corpus, *ZOO]]:
-        for log in (priced, bounds, masks, guarded):
+    maps = [fresh(h) for h in [*corpus, *ZOO]]
+    for g in maps:
+        for log in (masks, guarded):
             log.clear()
         cli._verify_graph(g, 3)
-        # the lists hold every map, so no id is reused meanwhile
-        cycle_classes = (OrientationClass.AO, OrientationClass.TBO)
-        once = {(id(h), cls) for h, cls in priced if cls in cycle_classes}
-        assert len(bounds) == len(once) and len(priced) > len(once)
+        # every mask read is guarded, though many are read twice
         assert len(guarded) == len(masks) > len({(id(h), cls) for h, cls in masks})
         # a second verify reads every price from the memo, but guards again
-        first = len(guarded)
+        first, bounded = len(guarded), len(bounds)
         cli._verify_graph(g, 3)
-        assert len(bounds) == len(once) and len(guarded) == len(masks) > first
+        assert len(bounds) == bounded and len(guarded) == len(masks) > first
+    # each cycle class priced once per graph of its primitive, asked often
+    once = {_graph(h) for h, cycles in priced if cycles}
+    assert sorted(map(_graph, (h for (h,) in bounds))) == sorted(once)
+    assert len(priced) > len(once)
 
 
 def test_memoised_arrays_are_read_only():
