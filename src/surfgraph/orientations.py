@@ -29,20 +29,21 @@ class forbids coherent cycles or coherent cuts, of g or of g*
 
 The reciprocity pair counters in `reciprocity` read the same subcubes
 (`_support_classes`): those that miss an edge set A give the class of g
-surgered at A, on the sign vectors off A.  A cut scan on at most 5 edges
-also evaluates the definitional reading of TCO on its primitive (every
-edge lies on a directed cycle) as a third route.  The per-orientation
+surgered at A, on the sign vectors off A.  The per-orientation
 predicates `is_*` compute their own characterizations in plain Python
-(two each for TCO, BAO and TBO) and serve as oracles for the engine.  Whenever two routes are
-computed they are compared, and any disagreement raises; that
-cross-check is part of the contract, not a debugging aid.  A class mask
-reads only its primitive's vertex count and edge ends, so one that
-passed it is kept on the primitive's graph (an int, so read-only), under
-"cycles" or "cuts": BAO(g) is TCO(g*) and TBO(g) is AO(g*), so the four
-classes of g and the four of g* are four scans, shared by every map of
-a census with the same graphs.  The cost estimate its guard reads, and
-the TBO masks per cw face (read on g*), are kept the same way; the
-guards still run on every call.
+and serve as oracles for the engine: AO by a Kahn peel, and TCO, BAO and
+TBO each by a scan of the coherent cuts, face sets or cocycles of g
+against a search on g or g*.  The definitional readings (every edge on a
+directed cycle, on a bi-walkable closed walk) are census oracles in the
+tests.  Whenever two routes are computed they are compared, and any
+disagreement raises; that cross-check is part of the contract, not a
+debugging aid.  A class mask reads only its primitive's vertex count and
+edge ends, so one that passed it is kept on the primitive's graph (an
+int, so read-only), under "cycles" or "cuts": BAO(g) is TCO(g*) and
+TBO(g) is AO(g*), so the four classes of g and the four of g* are four
+scans, shared by every map of a census with the same graphs.  The cost
+estimate its guard reads, and the TBO masks per cw face (read on g*),
+are kept the same way; the guards still run on every call.
 """
 
 from __future__ import annotations
@@ -142,11 +143,7 @@ def _acyclic(g: RibbonGraph, signs: Sequence[int]) -> bool:
 
 
 def is_totally_cyclic(g: RibbonGraph, o: Orientation) -> bool:
-    """No coherent nonempty cut; cross-checked via strong connectivity.
-
-    On graphs with at most 5 edges the definitional reading (every edge
-    on a directed cycle) is evaluated as a third route.
-    """
+    """No coherent nonempty cut; cross-checked via strong connectivity."""
     _check(g, o)
     a = _no_coherent_cut(g, o.signs)
     b = _components_strongly_connected(g, o.signs)
@@ -155,13 +152,6 @@ def is_totally_cyclic(g: RibbonGraph, o: Orientation) -> bool:
             f"cut scan ({a}) and strong connectivity ({b}) disagree "
             f"on {orientation_to_string(o)}"
         )
-    if g.num_edges <= 5:
-        c = _every_edge_on_directed_cycle(g, o.signs)
-        if c != a:
-            raise AssertionError(
-                f"definitional directed-cycle check ({c}) disagrees ({a}) "
-                f"on {orientation_to_string(o)}"
-            )
     return a
 
 
@@ -221,14 +211,9 @@ def _components_strongly_connected(g: RibbonGraph, signs: Sequence[int]) -> bool
     return True
 
 
-def _every_edge_on_directed_cycle(g: RibbonGraph, signs: Sequence[int]) -> bool:
-    pairs = _directed_pairs(g, signs)
-    fwd = _out_lists(g.num_vertices, pairs)
-    return all(u in _reach(fwd, w) for u, w in pairs)
-
-
 def is_boundary_acyclic(g: RibbonGraph, o: Orientation) -> bool:
-    """No coherently oriented boundary; cross-checked on the dual.
+    """No coherently oriented boundary; cross-checked via strong
+    connectivity of the dual.
 
     The face-set scan runs over faces with nonempty dart orbits only:
     a face of an isolated vertex has an all-zero boundary row, so its
@@ -236,10 +221,10 @@ def is_boundary_acyclic(g: RibbonGraph, o: Orientation) -> bool:
     """
     _check(g, o)
     a = _no_coherent_boundary(g, o.signs)
-    b = is_totally_cyclic(g.dual, Orientation(g.dual, o.signs))
+    b = _components_strongly_connected(g.dual, o.signs)
     if a != b:
         raise AssertionError(
-            f"boundary scan ({a}) and dual total cyclicity ({b}) disagree "
+            f"boundary scan ({a}) and dual strong connectivity ({b}) disagree "
             f"on {orientation_to_string(o)}"
         )
     return a
@@ -542,12 +527,6 @@ def _scan_class(g: RibbonGraph, cls: OrientationClass) -> int:
     cubes = _avoids(e, _class_cubes(g, cls))
     search = _peel(h) if cycles else _strongly_connected(h)
     _agree(e, cubes, search, f"{cls.value}: forbidden subcubes and graph search")
-    if not cycles and e <= 5:  # TCO of h, whichever class asked
-        walks = sum(
-            1 << r for r in range(1 << e) if _every_edge_on_directed_cycle(h, _mask_signs(e, r))
-        )
-        what = f"{cls.value}: forbidden subcubes and directed cycles through every edge"
-        _agree(e, cubes, walks, what)
     return cubes
 
 

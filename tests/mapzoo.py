@@ -6,10 +6,13 @@ as ground truth, so do not regenerate or reorder them.
 
 The oracles include brute-force numpy scans of the condition matrices,
 which the library's frontier DP must reproduce: every assignment row of
-a value set, in blocks, kept where the matrix kills it.  `code_from`
-relabels a map from one start dart with no pruning, for the canonical
-code.  `lagrange` interpolates over Fractions, for the library's
-integer interpolation and quasipolynomial fits.
+a value set, in blocks, kept where the matrix kills it; the all-cycles
+matrix, one row per simple cycle, is the paper's definition of a
+tension.  `every_edge_on_directed_cycle` and `directed_walk_tbo` read
+TCO and TBO by their definitions, for the class masks and predicates.
+`code_from` relabels a map from one start dart with no pruning, for the
+canonical code.  `lagrange` interpolates over Fractions, for the
+library's integer interpolation and quasipolynomial fits.
 """
 
 from __future__ import annotations
@@ -446,6 +449,26 @@ def proper_colorings(g: RibbonGraph, k: int) -> int:
         ):
             total += 1
     return total
+
+
+def every_edge_on_directed_cycle(g: RibbonGraph, signs: Sequence[int]) -> bool:
+    """Definitional totally-cyclic check: each edge, directed u -> w by
+    its sign, lies on a directed cycle, so u is reachable from w."""
+    arcs = []
+    for e, s in enumerate(signs):
+        t, h = g.edge_tail_vertex(e), g.edge_head_vertex(e)
+        arcs.append((t, h) if s == 1 else (h, t))
+    for u, w in arcs:
+        seen, stack = {w}, [w]
+        while stack:
+            v = stack.pop()
+            for a, b in arcs:
+                if a == v and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        if u not in seen:
+            return False
+    return True
 
 
 def directed_walk_tbo(g: RibbonGraph, signs: tuple[int, ...]) -> bool:

@@ -46,6 +46,7 @@ from mapzoo import (
     TORUS,
     TRIANGLE,
     TWO_COMPONENTS,
+    every_edge_on_directed_cycle,
     proper_colorings,
 )
 
@@ -226,18 +227,19 @@ def test_criterion_6_planar_collapse(corpus):
 
 def test_criterion_7_oracle_agreement(corpus):
     # every predicate runs its independent routes and raises on any
-    # disagreement, so a clean sweep is the agreement proof
+    # disagreement, and TCO, read on g and (as BAO) on g*, must agree
+    # with the definition: every edge on a directed cycle
     ok = True
     try:
         for g in corpus:
             for o in all_orientations(g):
                 is_acyclic(g, o)
-                is_totally_cyclic(g, o)
-                is_boundary_acyclic(g, o)
+                ok = ok and is_totally_cyclic(g, o) == every_edge_on_directed_cycle(g, o.signs)
+                ok = ok and is_boundary_acyclic(g, o) == every_edge_on_directed_cycle(g.dual, o.signs)
                 is_totally_biwalkable(g, o)
             for k in range(1, 5):
-                # tension counts re-derive the cycle condition from every
-                # simple cycle at this size, and must match colorings
+                # nowhere-zero tension counts, from fundamental-cycle
+                # coordinates, must match colorings
                 ok = ok and proper_colorings(g, k) == k ** g.euler.c * (
                     sg.count_nz_tensions(g, k)
                 )
@@ -247,7 +249,8 @@ def test_criterion_7_oracle_agreement(corpus):
         ok = False
     _verdict(
         "criterion 7: independent predicate routes agree on every "
-        "orientation, and k^c * tension count equals proper colorings",
+        "orientation, TCO and BAO match the directed-cycle definition, "
+        "and k^c * tension count equals proper colorings",
         ok,
     )
 

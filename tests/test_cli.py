@@ -422,8 +422,8 @@ def test_cli_import_leaves_process_pool_unloaded():
 
 
 def test_poly_past_four_edges_leaves_numpy_unloaded(tmp_path):
-    # The k = 2, 3 checks of every polynomial are DP counts, and so is the
-    # all-cycles cross-check of tensions on E <= 4: no size loads numpy.
+    # The k = 2, 3 checks of every polynomial are DP counts, on small maps
+    # as on large ones: no size loads numpy.
     calls = []
     for name, g in (("kite", KITE), ("two", TWO_COMPONENTS), ("triangle", TRIANGLE)):
         path = tmp_path / f"{name}.json"

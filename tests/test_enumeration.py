@@ -760,17 +760,16 @@ def test_dp_forms_with_no_variables_count_nothing():
 def test_a_wrong_dp_fails_verify(monkeypatch, tmp_path, capsys):
     real = enumeration._nz_count
     monkeypatch.setattr(enumeration, "_nz_count", lambda h, k, flow: real(h, k, flow) + 1)
-    # The first duality row counts the DP tensions of g.  Up to 4 edges they
-    # are cross-checked against the all-cycles scan; past that, the row's
-    # other side, the balanced flows of g* scanned on g*'s own matrix, is
-    # cross-checked against the DP on the dual of g*.  Either way verify
-    # fails with exit code 4.
-    for g, route in ((TRIANGLE, "all-cycles count"), (KITE, "balanced flow count")):
+    # The first duality row counts the DP tensions of g.  Its other side,
+    # the balanced flows of g* counted on g*'s own rows, is cross-checked
+    # against the DP on the dual of g*, at every size, so verify fails
+    # with exit code 4.
+    for g in (TRIANGLE, KITE):
         path = tmp_path / "g.json"
         path.write_text(sg.dumps(g))
         assert cli.main(["verify", str(path)]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("error: internal cross-check failed:") and route in err, err
+        assert err.startswith("error: internal cross-check failed:") and "balanced flow count" in err, err
 
 
 # -- the integral box DP -----------------------------------------------------------
@@ -930,10 +929,10 @@ def test_dp_guards_bound_every_step(corpus, monkeypatch):
             runs = [priced(enumeration._dp_count, h, k, flow) for flow in (False, True)]
             runs += [
                 priced(enumeration._count, h, k, nonzero, condition)
-                for condition in CONDITIONS
+                for condition in enumeration._ROWS
                 for nonzero in (False, True)
             ]
-            assert len(runs) == 12 and all(len(run) == 1 for run in runs), (g, k)
+            assert len(runs) == 10 and all(len(run) == 1 for run in runs), (g, k)
             assert all(n <= bound for [(n, bound)] in runs), (g, k, runs)
     # the digon's zero-allowing tension rows at k = 2 take 2 + 2 * 2 steps,
     # past the 2^2 assignments
@@ -1054,15 +1053,24 @@ FRONTIER_9 = {
 
 
 def _row_mismatches(g, ks):
+    """(condition, k, nonzero, count, scan) wherever a library count and the
+    kernel scan of its condition matrix disagree: each condition's rows,
+    and the public tension counts against every simple cycle's row."""
+    counts = {
+        condition: lambda k, nonzero, c=condition: enumeration._count(g, k, nonzero, c)
+        for condition in enumeration._ROWS
+    }
+    tensions = (sg.count_tensions, sg.count_nz_tensions)
+    counts["all-cycles"] = lambda k, nonzero: tensions[nonzero](g, k)
     out = []
-    for condition, matrix in CONDITIONS.items():
-        matrix = matrix(g)
+    for condition, count in counts.items():
+        matrix = CONDITIONS[condition](g)
         for k in ks:
             for nonzero in (False, True):
-                dp = enumeration._count(g, k, nonzero, condition)
+                n = count(k, nonzero)
                 scan = count_solutions(matrix, mod_values(k, nonzero), g.num_edges, k)
-                if dp != scan:
-                    out.append((condition, k, nonzero, dp, scan))
+                if n != scan:
+                    out.append((condition, k, nonzero, n, scan))
     return out
 
 
@@ -1081,8 +1089,8 @@ def test_rows_are_the_condition_matrices():
     import numpy as np
 
     for g in PAIR_ZOO:
-        for condition, matrix in CONDITIONS.items():
-            rows = enumeration._rows(g, condition)
+        for condition in enumeration._ROWS:
+            rows, matrix = enumeration._rows(g, condition), CONDITIONS[condition]
             dense = np.zeros((len(rows), g.num_edges), dtype=np.int64)
             for i, row in enumerate(rows):
                 assert list(row) == sorted(row) and all(d for _, d in row)

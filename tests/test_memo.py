@@ -39,7 +39,7 @@ from mapzoo import (
 
 ZOO = [*SMALL, FACE_MATRIX_PRIMAL, ISOLATED, TWO_COMPONENTS, K5]
 
-_CONDITIONS = ("tension", "all-cycles", "flow", "local-tension", "balanced-flow")
+_CONDITIONS = ("tension", "flow", "local-tension", "balanced-flow")
 
 
 def _report(g, kmax=3):
@@ -311,23 +311,25 @@ def test_a_failed_cross_check_stores_nothing(monkeypatch):
     real_count = enumeration._row_count
 
     def off_by_one(h, condition, *args):
-        return real_count(h, condition, *args) + (condition == "all-cycles")
+        return real_count(h, condition, *args) + (condition == "balanced-flow")
 
     monkeypatch.setattr(enumeration, "_row_count", off_by_one)
     for _ in range(2):
-        with pytest.raises(AssertionError, match="all-cycles count"):
-            enumeration.count_nz_tensions(g, 2)
+        with pytest.raises(AssertionError, match="balanced flow count"):
+            enumeration.count_nz_balanced_flows(g, 2)
 
 
 def test_a_result_computed_under_the_override_is_still_refused_without_it(monkeypatch):
-    # 3 edges pass no scan under a 10-test guard: 3^3 rows, 2^3 masks x patterns
+    # 3 edges pass no scan under a 10-test guard: 3^3 rows, 2^3 masks x
+    # patterns; the nowhere-zero tension DP has 2 forest columns, 2 + 4
+    # steps at k = 3, so it is asked at k = 4 (3 + 9)
     monkeypatch.setattr(guards, "MAX_ASSIGNMENTS", 10)
     g = fresh(TRIANGLE)
     calls = [
         lambda: count_class(g, OrientationClass.AO),
         lambda: orientations.tbo_histogram(g),
         lambda: orientations.unique_cw_counts(g),
-        lambda: enumeration.count_nz_tensions(g, 3),
+        lambda: enumeration.count_nz_tensions(g, 4),
         lambda: enumeration.count_nz_balanced_flows(g, 3),
         lambda: reciprocity.reciprocity_pairs_flow(g, 3),
         lambda: reciprocity.integral_local_tension_reciprocity_pairs(g, 1),

@@ -48,6 +48,7 @@ from mapzoo import (
     TWO_COMPONENTS,
     abstract_map,
     directed_walk_tbo,
+    every_edge_on_directed_cycle,
     fresh,
     ribbon_maps,
 )
@@ -113,6 +114,56 @@ def test_predicates_match_walk_definition():
                 assert directed_walk_tbo(g, o.signs) == is_totally_biwalkable(
                     g, o
                 )
+
+
+def _cycle_definition_mask(h):
+    # the masks, in all_orientations order, with every edge on a directed cycle
+    return sum(
+        1 << r for r, o in enumerate(all_orientations(h)) if every_edge_on_directed_cycle(h, o.signs)
+    )
+
+
+def _assert_tco_is_the_cycle_definition(g):
+    for h in (g, g.dual):
+        assert orientations._class_mask(h, OrientationClass.TCO) == _cycle_definition_mask(h), h
+
+
+def test_predicates_match_the_cycle_definition():
+    # definitional oracle: TCO is every edge on a directed cycle; the
+    # masks of g* are also the BAO masks of g
+    maps = [g for m in range(6) for g in generate(CorpusSpec(edges=m))]
+    assert len(maps) == 1005
+    for g in maps:
+        _assert_tco_is_the_cycle_definition(g)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ribbon_maps(max_edges=6))
+def test_random_maps_match_the_cycle_definition(g):
+    _assert_tco_is_the_cycle_definition(g)
+
+
+def test_boundary_predicate_runs_no_cut_scan(monkeypatch):
+    # BAO compares its face-set scan with strong connectivity of g*, not
+    # with the whole TCO predicate of g*, whose cut scan repeats the test
+    cuts = []
+    real = orientations._no_coherent_cut
+    monkeypatch.setattr(orientations, "_no_coherent_cut", lambda *a: cuts.append(a) or real(*a))
+    for g in (TRIANGLE, TORUS, KITE, TWO_COMPONENTS):
+        for o in all_orientations(g):
+            is_boundary_acyclic(g, o)
+    assert cuts == []
+    # the spy does see the TCO predicate's own scan
+    is_totally_cyclic(TRIANGLE, orientation_from_string(TRIANGLE, "+++"))
+    assert len(cuts) == 1
+
+
+def test_a_flipped_dual_search_fails_the_boundary_predicate(monkeypatch):
+    real = orientations._components_strongly_connected
+    monkeypatch.setattr(orientations, "_components_strongly_connected", lambda *a: not real(*a))
+    o = orientation_from_string(TRIANGLE, "+++")
+    with pytest.raises(AssertionError, match=r"boundary scan .* disagree on \+\+\+$"):
+        is_boundary_acyclic(TRIANGLE, o)
 
 
 def test_specific_triangle_orientations():
