@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -165,10 +166,20 @@ def cmd_witness(args) -> int:
     from . import orientations
     from . import reciprocity as rc
 
-    g = _load_graph(args.map)
-    o = orientations.orientation_from_string(g, args.orientation)
+    # [MAP] [--] ORIENTATION, kept whole by the parser, with --out PATH
+    # possibly among them; a "--" before the orientation is a separator.
+    words, out = list(args.words), args.out
+    if "--out" in words[:-1]:
+        out = words.pop(words.index("--out") + 1)
+        words.remove("--out")
+    if len(words) > 1 and words[-2] == "--":
+        del words[-2]
+    if len(words) not in (1, 2):
+        raise SurfGraphError(f"witness takes [MAP] ORIENTATION, got {words}")
+    g = _load_graph(words[0] if len(words) == 2 else None)
+    o = orientations.orientation_from_string(g, words[-1])
     vec = rc.bao_witness_vector(g, o)
-    _emit({"vector": [str(x) for x in vec]}, args.out)
+    _emit({"vector": [str(x) for x in vec]}, out)
     _say(f"witness vector: {[str(x) for x in vec]}")
     return 0
 
@@ -381,12 +392,14 @@ def cmd_batch(args) -> int:
     drained = (maps.pop() for _ in range(len(maps)))
     verify = functools.partial(_verify_graph, kmax=args.kmax)
     pool, run = contextlib.nullcontext(), map
-    if args.jobs > 1:
+    # A forked pool starts all its workers at once: no more than maps or CPUs.
+    workers = min(args.jobs, len(maps), os.cpu_count() or 1)
+    if workers > 1:
         # Imported here: the pool pulls in multiprocessing, which no other
         # command needs.  It pickles the maps themselves.
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=args.jobs)
+        pool = ProcessPoolExecutor(max_workers=workers)
         run = pool.map
     summary = {"edges": args.edges, "kmax": args.kmax, "graphs": 0, "identities_checked": 0}
     failures, elapsed = [], 0.0
@@ -488,8 +501,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = add("witness", cmd_witness, help="kernel witness vector of a boundary acyclic orientation")
-    add_map(p)
-    p.add_argument("orientation", help="one +/- per edge, e.g. '++-+'")
+    # Whole words: an orientation may begin with "-" or be "--" itself.
+    p.add_argument("words", nargs=argparse.REMAINDER, metavar="[MAP] ORIENTATION",
+                   help="map JSON file ('-' or omitted: stdin), then one +/- per edge, e.g. '++-+'")
 
     p = add("cw-hist", cmd_cw_hist, help="cw-face histogram vs closed formula")
     add_map(p)

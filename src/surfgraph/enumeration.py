@@ -4,7 +4,7 @@ Four families of edge assignments, each defined by a linear condition:
 
   tension         sums around cycles vanish (fundamental cycle basis)
   flow            conservation at every vertex (signed incidence)
-  local tension   sums around face boundaries vanish (face rows)
+  local tension   sums around face boundaries vanish: flows of g*
   balanced flow   flow whose signed sums across all cocycles vanish
                   (incidence stacked with a cycle basis of the dual)
 
@@ -33,10 +33,10 @@ fits, witness vectors) is in `reciprocity`, so this module loads neither
 A quantity with a second independent characterization is computed both
 ways, and disagreement raises.  The DP's forms and column plans
 (tuples), the counts and the subset census are kept on the map's graph,
-(V, edge ends), for every map with that graph; the local-tension and
-balanced-flow rows read faces and are kept on the map.  Guards run
-before every lookup, and every DP is priced from its own plan
-(guards.check_dp); nothing is stored from a call that raised.
+(V, edge ends), for every map with that graph (local tensions are the
+flows of g*); the balanced-flow rows read g and g* and are kept on the
+map.  Guards run before every lookup, and every DP is priced from its
+own plan (guards.check_dp); nothing is stored from a call that raised.
 """
 
 from __future__ import annotations
@@ -239,13 +239,12 @@ def _incidence_rows(g: RibbonGraph) -> tuple[Form, ...]:
 _ROWS: dict[str, Callable[[RibbonGraph], tuple[Form, ...]]] = {
     "tension": lambda g: _cycle_rows(g._fundamental_cycles),
     "flow": _incidence_rows,
-    "local-tension": lambda g: tuple(_form(enumerate(row)) for row in g._face_matrix),
     # Cocycle sums over a generating set: cycles of the dual share edge ids.
-    "balanced-flow": lambda g: _incidence_rows(g) + _cycle_rows(g.dual._fundamental_cycles),
+    "balanced-flow": lambda g: _rows(g, "flow") + _rows(g.dual, "tension"),
 }
 
 
-_ON_MAP = ("local-tension", "balanced-flow")  # the rows that read faces
+_ON_MAP = ("balanced-flow",)  # the one row set that reads both g and g*
 
 
 def _memoised(g: RibbonGraph, condition: str, key: tuple, compute: Callable):
@@ -271,7 +270,7 @@ def _row_count(g: RibbonGraph, condition: str, k: int, nonzero: bool) -> int:
 
 def _count(g: RibbonGraph, k: int, nonzero: bool, condition: str) -> int:
     """Solutions mod k of one condition on g, priced from its plan, counted
-    once per map, or per graph if the rows read no face."""
+    once per graph, or per map if the rows read g*."""
     _require_k(k)
     check_dp(_row_plan(g, condition)[2], k - nonzero, k)
     return _memoised(
@@ -302,12 +301,14 @@ def count_flows(g: RibbonGraph, k: int) -> int:
 
 
 def count_nz_local_tensions(g: RibbonGraph, k: int) -> int:
-    """Nowhere-zero assignments with zero signed sum around every face."""
-    return _count(g, k, True, "local-tension")
+    """Nowhere-zero assignments with zero signed sum around every face: the
+    flows of g*, on its rows rather than the coordinates count_nz_flows
+    reads, so each duality row of verify compares two routes."""
+    return _count(g.dual, k, True, "flow")
 
 
 def count_local_tensions(g: RibbonGraph, k: int) -> int:
-    return _count(g, k, False, "local-tension")
+    return count_flows(g.dual, k)
 
 
 def _balanced_flow_count(g: RibbonGraph, k: int, nonzero: bool) -> int:
@@ -354,14 +355,13 @@ def _subset_sum(h: RibbonGraph, flow: bool) -> list[int]:
     return ipoly_trim(coeffs)
 
 
-def _subset_poly(g: RibbonGraph, kind: str, on_dual: bool, flow: bool) -> list[int]:
+def _subset_poly(h: RibbonGraph, flow: bool) -> list[int]:
     # Refuse before the 2^E subsets and the k = 2, 3 counts on h start.
-    check_subset_poly(g.num_edges)
-    h = g.dual if on_dual else g
+    check_subset_poly(h.num_edges)
     coeffs = _subset_sum(h, flow)
-    count = COUNT_NZ["flow" if flow else "tension"]
+    kind = "flow" if flow else "tension"
     for k in (2, 3):
-        value, counted = poly_eval(coeffs, k), count(h, k)
+        value, counted = poly_eval(coeffs, k), COUNT_NZ[kind](h, k)
         if value != counted:
             raise AssertionError(
                 f"{kind} subset sum gives {value} at k={k}, the count {counted}"
@@ -370,21 +370,21 @@ def _subset_poly(g: RibbonGraph, kind: str, on_dual: bool, flow: bool) -> list[i
 
 
 def poly_tension(g: RibbonGraph) -> list[int]:
-    return _subset_poly(g, "tension", on_dual=False, flow=False)
+    return _subset_poly(g, flow=False)
 
 
 def poly_flow(g: RibbonGraph) -> list[int]:
-    return _subset_poly(g, "flow", on_dual=False, flow=True)
+    return _subset_poly(g, flow=True)
 
 
 def poly_local_tension(g: RibbonGraph) -> list[int]:
     """Flow polynomial of the dual: faces of g are the vertices of g*."""
-    return _subset_poly(g, "local-tension", on_dual=True, flow=True)
+    return poly_flow(g.dual)
 
 
 def poly_balanced_flow(g: RibbonGraph) -> list[int]:
     """Tension polynomial of the dual, where balanced flows become tensions."""
-    return _subset_poly(g, "balanced-flow", on_dual=True, flow=False)
+    return poly_tension(g.dual)
 
 
 # -- the four kinds ----------------------------------------------------------

@@ -6,11 +6,11 @@ assignment and an orientation of g surgered at its support: AO(g\\A),
 TCO(g/A) abstractly, BAO(g//A) or TBO(g/A).  The pair counters read
 those classes on g's own forbidden subcubes (orientations), so they
 build no surgered map; the surgeries serve the tests' pair oracle and
-is_separating.  Integral local tensions and flows in a box |x(e)| < k
-are one box DP on the flows of g* or g (enumeration's frontier DP),
-fitted by a quasipolynomial whose value at -k counts the integral pairs
-with the BAOs.  A witness vector shows each BAO as the signs of a local
-tension.
+is_separating.  Integral flows in a box |x(e)| < k are one box DP
+(enumeration's frontier DP), fitted by a quasipolynomial; the integral
+local tensions of g are those flows of g*, and the value of their fit at
+-k counts the integral pairs with the BAOs.  A witness vector shows each
+BAO as the signs of a local tension.
 
 Interpolation runs in integers: the polynomial through the points is
 an integer polynomial N over one denominator L (`_scaled_interpolant`).
@@ -58,6 +58,7 @@ from .ribbonmap import (
     _orbits,
     _spanning_forest,
     check_cycle,
+    face_matrix,
 )
 
 if TYPE_CHECKING:
@@ -221,22 +222,15 @@ def _box_counts(h: RibbonGraph, ks: Sequence[int]) -> list[int]:
     return list(accumulate(tags.get(b, 0) for b in range(len(ks))))
 
 
-def _price_box(h: RibbonGraph, kmax: int, boxes: int) -> None:
-    check_dp(_fundamental_plan(h, True)[2], 2 * kmax - 2, boxes=boxes)
-
-
 def count_integral_local_tensions(g: RibbonGraph, k: int) -> int:
     """Nowhere-zero integer local tensions with |t(e)| < k: the flows of g*."""
-    _require_k(k)
-    _price_box(g.dual, k, 1)
-    (count,) = _box_counts(g.dual, [k])
-    return count
+    return count_integral_flows(g.dual, k)
 
 
 def count_integral_flows(g: RibbonGraph, k: int) -> int:
     """Nowhere-zero integer flows with |f(e)| < k."""
     _require_k(k)
-    _price_box(g, k, 1)
+    check_dp(_fundamental_plan(g, True)[2], 2 * k - 2)
     (count,) = _box_counts(g, [k])
     return count
 
@@ -409,25 +403,6 @@ def fit_quasipolynomial(
     raise NoFit(f"no quasipolynomial of period <= {max_period} fits the samples")
 
 
-def _quasi_driver(h: RibbonGraph, max_period: int) -> QuasiPolynomial:
-    """Fit each period in turn from one box DP on the flows of h over
-    k = 1..period(E+2)+2.  Before a period's DP runs, it is priced with
-    those of the periods before it, so the whole call stays under one
-    budget.  Each period's fit, or None if it fits no period up to it, is
-    kept on h's graph."""
-    _require_max_period(max_period)
-    degree = h.num_edges
-    guide = _fundamental_plan(h, True)[2]
-    spent = 0
-    for period in range(1, max_period + 1):
-        kmax = period * (degree + 2) + 2
-        spent = check_dp(guide, 2 * kmax - 2, boxes=kmax, spent=spent)
-        fit = h._graph_memoised(("quasi", period), lambda: _fit_period(h, degree, period))
-        if fit is not None:
-            return fit
-    raise NoFit(f"no quasipolynomial of period <= {max_period} fits the samples")
-
-
 def _fit_period(h: RibbonGraph, degree: int, period: int) -> QuasiPolynomial | None:
     ks = range(1, period * (degree + 2) + 3)
     try:
@@ -440,11 +415,28 @@ def quasi_integral_local_tensions(
     g: RibbonGraph, max_period: int = 6
 ) -> QuasiPolynomial:
     """Smallest-period quasipolynomial through the integral local tension counts."""
-    return _quasi_driver(g.dual, max_period)
+    return quasi_integral_flows(g.dual, max_period)
 
 
 def quasi_integral_flows(g: RibbonGraph, max_period: int = 6) -> QuasiPolynomial:
-    return _quasi_driver(g, max_period)
+    """Smallest-period quasipolynomial through the integral flow counts.
+
+    Each period is fitted in turn from one box DP over k =
+    1..period(E+2)+2.  Before a period's DP runs, it is priced with those
+    of the periods before it, so the whole call stays under one budget.
+    Each period's fit, or None if it fits no period up to it, is kept on
+    g's graph."""
+    _require_max_period(max_period)
+    degree = g.num_edges
+    guide = _fundamental_plan(g, True)[2]
+    spent = 0
+    for period in range(1, max_period + 1):
+        kmax = period * (degree + 2) + 2
+        spent = check_dp(guide, 2 * kmax - 2, boxes=kmax, spent=spent)
+        fit = g._graph_memoised(("quasi", period), lambda: _fit_period(g, degree, period))
+        if fit is not None:
+            return fit
+    raise NoFit(f"no quasipolynomial of period <= {max_period} fits the samples")
 
 
 # -- witness vectors ---------------------------------------------------------
@@ -468,7 +460,7 @@ def bao_witness_vector(g: RibbonGraph, o: Orientation) -> tuple[Fraction, ...]:
     for coc in coherent_cocycles(g, o):
         for e in coc.edges:
             p[e] += o.signs[e]
-    if any(sum(map(int.__mul__, row, p)) for row in g._face_matrix):
+    if any(sum(map(int.__mul__, row, p)) for row in face_matrix(g)):
         raise AssertionError("witness vector escapes the face matrix kernel")
     if any(x == 0 for x in p):
         raise AssertionError("witness vector has a zero entry")

@@ -77,9 +77,9 @@ class RibbonGraph(Record):
 
     Equality, hash and repr read sigma, edge_pairs and isolated; labels
     ride along.  The counting layers keep what reads the rotation (the
-    canonical code, the local-tension and balanced-flow rows, plans and
-    counts) in `_memoised`, which dies with the map, and what reads only
-    V and the edge ends (cycles, forms, plans, counts, census, class
+    canonical code, the balanced-flow rows, plans and counts) in
+    `_memoised`, which dies with the map, and what reads only V and the
+    edge ends of g or g* (cycles, forms, rows, plans, counts, census, class
     masks, pair polynomials, quasi fits) in `_graph_memoised`, shared by
     every map with the same graph.  Each caller runs its guards before
     the lookup and stores a read-only value once its cross-checks passed.
@@ -264,15 +264,6 @@ class RibbonGraph(Record):
     def _fundamental_cycles(self) -> tuple[Cycle, ...]:
         return self._graph_memoised(
             ("fundamental cycles",), lambda: tuple(_build_fundamental_cycles(self))
-        )
-
-    @cached_property
-    def _face_matrix(self) -> tuple[tuple[int, ...], ...]:
-        at = self._face_of_dart
-        sides = [(at[t], at[h]) for t, h in self.edge_pairs]  # (right, left)
-        return tuple(
-            tuple(int(left == f) - int(right == f) for right, left in sides)
-            for f in range(self.num_faces)
         )
 
     @cached_property
@@ -486,7 +477,7 @@ def signed_boundary(
 
 def face_matrix(g: RibbonGraph) -> tuple[tuple[int, ...], ...]:
     """Rows = signed boundaries of single faces w.r.t. the reference orientation."""
-    return g._face_matrix
+    return tuple(signed_boundary(g, (f,)) for f in range(g.num_faces))
 
 
 # -- cycles and cocycles --------------------------------------------------

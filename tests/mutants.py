@@ -45,13 +45,13 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
-    # Graph-table keys: a value that reads faces filed under the graph is
-    # shared by maps whose faces differ.
+    # Memo keys: a value of the faces read on g instead of g*, or filed
+    # under g's graph, is shared by maps whose faces differ.
     Mutant(
-        "local-tension-on-graph",
+        "local-tensions-on-g",
         "enumeration.py",
-        '_ON_MAP = ("local-tension", "balanced-flow")',
-        '_ON_MAP = ("balanced-flow",)',
+        '    return _count(g.dual, k, True, "flow")\n',
+        '    return _count(g, k, True, "flow")\n',
         (
             "tests/test_acceptance.py::test_criterion_2_corpus_dualities",
             "tests/test_enumeration.py::test_row_counts_equal_the_kernel_scans",
@@ -72,8 +72,8 @@ MUTANTS = (
     Mutant(
         "balanced-flow-on-graph",
         "enumeration.py",
-        '_ON_MAP = ("local-tension", "balanced-flow")',
-        '_ON_MAP = ("local-tension",)',
+        '_ON_MAP = ("balanced-flow",)',
+        "_ON_MAP = ()",
         (
             "tests/test_acceptance.py::test_criterion_2_corpus_dualities",
             "tests/test_enumeration.py::test_row_counts_equal_the_kernel_scans",

@@ -142,6 +142,59 @@ def test_witness_rejects_non_bao(capsys, files):
     assert "boundary" in err
 
 
+def test_witness_takes_every_orientation(capsys, tmp_path, monkeypatch):
+    # A two-edge star: every orientation is boundary acyclic, and its
+    # witness vector is its sign vector.
+    doc = json.dumps({"sigma": [[0, 2], [1], [3]], "edges": [[0, 1], [2, 3]]})
+    path, target = tmp_path / "star.json", tmp_path / "out.json"
+    path.write_text(doc)
+    reads = []
+
+    class Stdin(io.StringIO):
+        def read(self, *args):
+            reads.append(args)
+            return super().read(*args)
+
+    monkeypatch.setattr(sys, "stdin", Stdin(""))
+    for words, vector in (
+        (["-+"], ["-1", "1"]),
+        (["--"], ["-1", "-1"]),
+        (["--", "--"], ["-1", "-1"]),
+        (["--", "-+"], ["-1", "1"]),
+        (["\u2212\u2212"], ["-1", "-1"]),
+        (["+\u2212"], ["1", "-1"]),
+    ):
+        code, out, _ = run(capsys, ["witness", str(path), *words])
+        assert code == 0 and json.loads(out)["vector"] == vector, words
+    # --out before and after the orientation is an option, not signs
+    for argv in (
+        ["--out", str(target), str(path), "--"],
+        [str(path), "--out", str(target), "--"],
+        [str(path), "--", "--out", str(target)],
+        [str(path), "--", "--", "--out", str(target)],
+    ):
+        target.unlink(missing_ok=True)
+        code, out, _ = run(capsys, ["witness", *argv])
+        assert code == 0 and out == "", argv
+        assert json.loads(target.read_text())["vector"] == ["-1", "-1"], argv
+    # no path after --out, or another word past the orientation: refused
+    for argv in (
+        [str(path), "-+", "--out"],
+        [str(path), "-+", "x"],
+        [str(path), "-+", "--ou", "x"],
+        [str(path), "-+", f"--out={target}"],
+    ):
+        code, out, err = run(capsys, ["witness", *argv])
+        assert code == 2 and out == "" and err.startswith("error:"), argv
+    # a map path given: stdin is never read; with "-" or none, it is
+    assert reads == []
+    for argv in (["-", "--"], ["--", "--"]):
+        monkeypatch.setattr(sys, "stdin", Stdin(doc))
+        code, out, _ = run(capsys, ["witness", *argv])
+        assert code == 0 and json.loads(out)["vector"] == ["-1", "-1"], argv
+    assert len(reads) == 2
+
+
 def test_cw_hist(capsys, files):
     code, out, _ = run(capsys, ["cw-hist", files["kite"]])
     assert code == 0
@@ -244,6 +297,44 @@ def test_batch_worker_count_does_not_change_output(capsys):
     d1, d2 = json.loads(out1), json.loads(out2)
     d1.pop("elapsed_s"), d2.pop("elapsed_s")
     assert d1 == d2
+
+
+def test_batch_starts_no_more_workers_than_maps_or_cpus(capsys, monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class Pool:  # a pool in this process that records its worker count
+        map = staticmethod(map)
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    outs = set()
+    # --edges 1 has 2 maps, --edges 2 has 5
+    for edges, jobs, cpus, workers in (
+        ("1", "5000", 64, [2]),
+        ("2", "5000", 3, [3]),
+        ("2", "5000", None, []),
+        ("2", "2", 1, []),
+        ("2", "1", 64, []),
+        ("2", "4", 64, [4]),
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        started.clear()
+        code, out, _ = run(capsys, ["batch", "--edges", edges, "--kmax", "2", "--jobs", jobs])
+        assert code == 0 and started == workers, (edges, jobs, cpus)
+        doc = json.loads(out)
+        doc.pop("elapsed_s")
+        outs.add(json.dumps(doc))
+    assert len(outs) == 2
 
 
 def test_batch_over_labelled_maps_matches_verify_on_each(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Counting layer: tensions, flows, polynomials, reciprocity, witnesses."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -772,6 +773,29 @@ def test_a_wrong_dp_fails_verify(monkeypatch, tmp_path, capsys):
         assert err.startswith("error: internal cross-check failed:") and "balanced flow count" in err, err
 
 
+def test_a_wrong_flow_row_count_fails_both_local_tension_rows(monkeypatch, tmp_path, capsys, corpus):
+    # The local tensions of g are counted on the flow rows of g*, kept on
+    # g*'s graph under ("count", "flow", k, True).  The other side of each
+    # row that reads them is the flow DP on fundamental coordinates, kept
+    # under ("nz count", True, k), and no cross-check reads the row count.
+    # So one error in the row DP fails both rows, self-dual maps included.
+    real = enumeration._row_count
+
+    def off_by_one(h, condition, k, nonzero):
+        return real(h, condition, k, nonzero) + (condition == "flow" and nonzero)
+
+    monkeypatch.setattr(enumeration, "_row_count", off_by_one)
+    rows = {"flow of map equals local-tension of dual", "local-tension of map equals flow of dual"}
+    path = tmp_path / "g.json"
+    for g in corpus:
+        path.write_text(sg.dumps(g))
+        assert cli.main(["verify", str(path)]) == 4
+        out, err = capsys.readouterr()
+        assert "internal cross-check" not in err
+        failed = {i["identity"] for i in json.loads(out)["identities"] if not i["pass"]}
+        assert failed == rows, g
+
+
 # -- the integral box DP -----------------------------------------------------------
 
 
@@ -921,7 +945,8 @@ def test_dp_guards_bound_every_step(corpus, monkeypatch):
         monkeypatch.setattr(module, "_frontier", counted)
     monkeypatch.setattr(guards, "_dp_price", price)
     # the counts mod k: nowhere-zero tensions and flows on fundamental
-    # coordinates, and every condition's rows, nonzero or not
+    # coordinates, every condition's rows, nonzero or not, and the local
+    # tensions, on the flow rows of the dual
     digon = from_json_dict(DIGON)
     for g in [*corpus, *ZOO[:-1], digon]:
         h = fresh(g)  # an empty memo, and priced empties the graph table: every DP runs
@@ -932,6 +957,7 @@ def test_dp_guards_bound_every_step(corpus, monkeypatch):
                 for condition in enumeration._ROWS
                 for nonzero in (False, True)
             ]
+            runs += [priced(count, h, k) for count in (sg.count_local_tensions, sg.count_nz_local_tensions)]
             assert len(runs) == 10 and all(len(run) == 1 for run in runs), (g, k)
             assert all(n <= bound for [(n, bound)] in runs), (g, k, runs)
     # the digon's zero-allowing tension rows at k = 2 take 2 + 2 * 2 steps,
@@ -946,7 +972,7 @@ def test_dp_guards_bound_every_step(corpus, monkeypatch):
             kmax = g.num_edges + 4
             steps.clear()
             estimates.clear()
-            reciprocity._price_box(h, kmax, kmax)
+            guards.check_dp(enumeration._fundamental_plan(h, True)[2], 2 * kmax - 2, boxes=kmax)
             reciprocity._box_counts(h, range(1, kmax + 1))
             assert steps[0] <= estimates[0], (g, h is g)
         words = -(-(2**g.num_edges) // 64)
@@ -1055,13 +1081,16 @@ FRONTIER_9 = {
 def _row_mismatches(g, ks):
     """(condition, k, nonzero, count, scan) wherever a library count and the
     kernel scan of its condition matrix disagree: each condition's rows,
-    and the public tension counts against every simple cycle's row."""
+    the public tension counts against every simple cycle's row, and the
+    public local-tension counts against the face rows."""
     counts = {
         condition: lambda k, nonzero, c=condition: enumeration._count(g, k, nonzero, c)
         for condition in enumeration._ROWS
     }
     tensions = (sg.count_tensions, sg.count_nz_tensions)
     counts["all-cycles"] = lambda k, nonzero: tensions[nonzero](g, k)
+    local = (sg.count_local_tensions, sg.count_nz_local_tensions)
+    counts["local-tension"] = lambda k, nonzero: local[nonzero](g, k)
     out = []
     for condition, count in counts.items():
         matrix = CONDITIONS[condition](g)
@@ -1085,18 +1114,25 @@ def test_random_maps_row_counts_equal_the_kernel_scans(g):
     assert _row_mismatches(g, range(1, 5)) == []
 
 
-def test_rows_are_the_condition_matrices():
+def test_rows_are_the_condition_matrices(corpus):
     import numpy as np
+
+    def dense(rows, width):
+        out = np.zeros((len(rows), width), dtype=np.int64)
+        for i, row in enumerate(rows):
+            assert list(row) == sorted(row) and all(d for _, d in row)
+            for e, d in row:
+                out[i, e] = d
+        return out
 
     for g in PAIR_ZOO:
         for condition in enumeration._ROWS:
             rows, matrix = enumeration._rows(g, condition), CONDITIONS[condition]
-            dense = np.zeros((len(rows), g.num_edges), dtype=np.int64)
-            for i, row in enumerate(rows):
-                assert list(row) == sorted(row) and all(d for _, d in row)
-                for e, d in row:
-                    dense[i, e] = d
-            assert (dense == matrix(g)).all(), (condition, g)
+            assert (dense(rows, g.num_edges) == matrix(g)).all(), (condition, g)
+    # the local-tension counts read the flow rows of g*: the face rows of g
+    for g in [*corpus, *PAIR_ZOO]:
+        rows = enumeration._rows(g.dual, "flow")
+        assert (dense(rows, g.num_edges) == local_tension_matrix(g)).all(), g
 
 
 def test_integral_pairs_equal_the_sign_pattern_scan(corpus):

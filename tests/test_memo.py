@@ -1,13 +1,14 @@
 """The two memos: what reads a map's rotation (its canonical code, and
-the local-tension and balanced-flow rows, plans and counts) is kept on
-the map; what reads only its graph, (V, edge ends), is kept per graph in
-one table shared by every map with that graph.  Each is computed once,
-after the guards and the cross-checks, and handed out read-only.  A
-census asks for each graph's values once however many maps share it.
-The dual of g.dual is g itself, so nothing is computed again on an equal
-copy of g.  The pair counters read g's own forbidden subcubes, so verify
-builds no surgered map and takes no canonical code beyond the one naming
-g in its report."""
+the balanced-flow rows, plans and counts) is kept on the map; what reads
+only its graph, (V, edge ends), is kept per graph in one table shared by
+every map with that graph, and what reads only its faces on the graph of
+its dual, so the local-tension rows of g are the flow rows of g*.  Each
+is computed once, after the guards and the cross-checks, and handed out
+read-only.  A census asks for each graph's values once however many maps
+share it.  The dual of g.dual is g itself, so nothing is computed again
+on an equal copy of g.  The pair counters read g's own forbidden
+subcubes, so verify builds no surgered map and takes no canonical code
+beyond the one naming g in its report."""
 
 import pytest
 
@@ -38,9 +39,6 @@ from mapzoo import (
 )
 
 ZOO = [*SMALL, FACE_MATRIX_PRIMAL, ISOLATED, TWO_COMPONENTS, K5]
-
-_CONDITIONS = ("tension", "flow", "local-tension", "balanced-flow")
-
 
 def _report(g, kmax=3):
     report = cli._verify_graph(g, kmax)
@@ -113,7 +111,8 @@ def test_verify_computes_each_quantity_once(corpus, monkeypatch):
         return real_scan_class(g, cls)
 
     def count(h, condition, k, nonzero):
-        # rows that read faces are kept on the map, the others on its graph
+        # the balanced-flow rows read g* and are kept on the map, the others
+        # on its graph
         on_map = condition in enumeration._ON_MAP
         scans.append(((id(h) if on_map else _graph(h), condition), nonzero, k))
         return real_count(h, condition, k, nonzero)
@@ -281,18 +280,20 @@ def test_memoised_arrays_are_read_only():
         mask = orientations._class_mask(g, cls)
         assert isinstance(mask, int)
         assert orientations._class_mask(g, cls) is mask
-    for condition in _CONDITIONS:
-        rows = enumeration._rows(g, condition)
-        assert enumeration._rows(g, condition) is rows
-        assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
-        with pytest.raises(TypeError):
-            rows[0] = ()
-    # a DP's column plan is tuples all the way down, so it hashes
-    plans = [(enumeration._row_plan, condition) for condition in _CONDITIONS]
-    plans += [(enumeration._fundamental_plan, flow) for flow in (False, True)]
-    for plan_of, arg in plans:
-        plan = plan_of(g, arg)
-        assert plan_of(g, arg) is plan and isinstance(hash(plan), int)
+    # g* too: the local-tension rows of g are its flow rows
+    for h in (g, g.dual):
+        for condition in enumeration._ROWS:
+            rows = enumeration._rows(h, condition)
+            assert enumeration._rows(h, condition) is rows
+            assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
+            with pytest.raises(TypeError):
+                rows[0] = ()
+        # a DP's column plan is tuples all the way down, so it hashes
+        plans = [(enumeration._row_plan, condition) for condition in enumeration._ROWS]
+        plans += [(enumeration._fundamental_plan, flow) for flow in (False, True)]
+        for plan_of, arg in plans:
+            plan = plan_of(h, arg)
+            assert plan_of(h, arg) is plan and isinstance(hash(plan), int)
 
 
 def test_a_failed_cross_check_stores_nothing(monkeypatch):
