@@ -5,8 +5,8 @@ Four families of edge assignments, each defined by a linear condition:
   tension         sums around cycles vanish (fundamental cycle basis)
   flow            conservation at every vertex (signed incidence)
   local tension   sums around face boundaries vanish: flows of g*
-  balanced flow   flow whose signed sums across all cocycles vanish
-                  (incidence stacked with a cycle basis of the dual)
+  balanced flow   flow whose signed sums across all cocycles vanish:
+                  tensions of g*
 
 Every count is one frontier DP, _frontier (Sekine, Imai and Tani, ISAAC
 1995), in pure Python: it assigns values to columns in order, keeps the
@@ -19,9 +19,10 @@ at its last column.  It runs on two kinds of columns:
       nowhere-zero integer flows in a box |x(e)| < k for every k up to
       a bound at once (local tensions of g are the flows of g*), and the
       integral reciprocity pairs; `reciprocity` runs those last two.
-  condition rows  the edges are the columns and the rows of a condition
-      the forms, each zero mod k.  This counts everything else mod k, so
-      each duality check in verify compares two routes.
+  condition rows  the edges are the columns and the rows of a condition,
+      tension or flow, the forms, each zero mod k.  This counts everything
+      else mod k, on g or g*, so each duality check in verify compares two
+      routes.
 
 The four polynomials in k are two subset sums (Whitney, Tutte) over the
 subset census of g or g*, exact since every condition matrix is totally
@@ -33,10 +34,10 @@ fits, witness vectors) is in `reciprocity`, so this module loads neither
 A quantity with a second independent characterization is computed both
 ways, and disagreement raises.  The DP's forms and column plans
 (tuples), the counts and the subset census are kept on the map's graph,
-(V, edge ends), for every map with that graph (local tensions are the
-flows of g*); the balanced-flow rows read g and g* and are kept on the
-map.  Guards run before every lookup, and every DP is priced from its
-own plan (guards.check_dp); nothing is stored from a call that raised.
+(V, edge ends), for every map with that graph; the local tensions and
+balanced flows of g are the flows and tensions of g*, kept on its graph.
+Guards run before every lookup, and every DP is priced from its own plan
+(guards.check_dp); nothing is stored from a call that raised.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def _plan(width: int, forms: Sequence[Form]) -> tuple:
     each sum's coefficient; and per column, for the guards, the values
     assigned before it (columns and closed forms) and the variables
     already assigned in each form open as it starts.  Form i has slot
-    width + i.  All of it is tuples, so a plan can be kept on the map."""
+    width + i.  All of it is tuples, so a plan can be kept on its graph."""
     last = [f[-1][0] if f else -1 for f in forms]
     opens: list[list[int]] = [[] for _ in range(width)]
     for i, f in enumerate(forms):
@@ -239,24 +240,15 @@ def _incidence_rows(g: RibbonGraph) -> tuple[Form, ...]:
 _ROWS: dict[str, Callable[[RibbonGraph], tuple[Form, ...]]] = {
     "tension": lambda g: _cycle_rows(g._fundamental_cycles),
     "flow": _incidence_rows,
-    # Cocycle sums over a generating set: cycles of the dual share edge ids.
-    "balanced-flow": lambda g: _rows(g, "flow") + _rows(g.dual, "tension"),
 }
 
 
-_ON_MAP = ("balanced-flow",)  # the one row set that reads both g and g*
-
-
-def _memoised(g: RibbonGraph, condition: str, key: tuple, compute: Callable):
-    return (g._memoised if condition in _ON_MAP else g._graph_memoised)(key, compute)
-
-
 def _rows(g: RibbonGraph, condition: str) -> tuple[Form, ...]:
-    return _memoised(g, condition, ("rows", condition), lambda: _ROWS[condition](g))
+    return g._graph_memoised(("rows", condition), lambda: _ROWS[condition](g))
 
 
 def _row_plan(g: RibbonGraph, condition: str) -> tuple:
-    return _memoised(g, condition, ("plan", condition), lambda: _plan(g.num_edges, _rows(g, condition)))
+    return g._graph_memoised(("plan", condition), lambda: _plan(g.num_edges, _rows(g, condition)))
 
 
 def _row_count(g: RibbonGraph, condition: str, k: int, nonzero: bool) -> int:
@@ -270,25 +262,21 @@ def _row_count(g: RibbonGraph, condition: str, k: int, nonzero: bool) -> int:
 
 def _count(g: RibbonGraph, k: int, nonzero: bool, condition: str) -> int:
     """Solutions mod k of one condition on g, priced from its plan, counted
-    once per graph, or per map if the rows read g*."""
+    once per graph."""
     _require_k(k)
     check_dp(_row_plan(g, condition)[2], k - nonzero, k)
-    return _memoised(
-        g, condition, ("count", condition, k, nonzero), lambda: _row_count(g, condition, k, nonzero)
+    return g._graph_memoised(
+        ("count", condition, k, nonzero), lambda: _row_count(g, condition, k, nonzero)
     )
-
-
-def _tension_count(g: RibbonGraph, k: int, nonzero: bool) -> int:
-    return _dp_count(g, k, False) if nonzero else _count(g, k, False, "tension")
 
 
 def count_nz_tensions(g: RibbonGraph, k: int) -> int:
     """Nowhere-zero assignments E -> Z_k with zero sum around every cycle."""
-    return _tension_count(g, k, True)
+    return _dp_count(g, k, False)
 
 
 def count_tensions(g: RibbonGraph, k: int) -> int:
-    return _tension_count(g, k, False)
+    return _count(g, k, False, "tension")
 
 
 def count_nz_flows(g: RibbonGraph, k: int) -> int:
@@ -311,27 +299,16 @@ def count_local_tensions(g: RibbonGraph, k: int) -> int:
     return count_flows(g.dual, k)
 
 
-def _balanced_flow_count(g: RibbonGraph, k: int, nonzero: bool) -> int:
-    n = _count(g, k, nonzero, "balanced-flow")
-    n2 = _tension_count(g.dual, k, nonzero)
-    if n != n2:
-        raise AssertionError(
-            f"balanced flow count {n} != dual tension count {n2}"
-        )
-    return n
-
-
 def count_nz_balanced_flows(g: RibbonGraph, k: int) -> int:
-    """Nowhere-zero flows whose signed cocycle sums all vanish.
-
-    Cross-checked by transporting the values to the dual and counting its
-    nowhere-zero tensions; the two totals must agree.
-    """
-    return _balanced_flow_count(g, k, True)
+    """Nowhere-zero flows whose signed sums across all cocycles vanish: the
+    tensions of g*, on its rows rather than the coordinates
+    count_nz_tensions reads, so each duality row of verify compares two
+    routes."""
+    return _count(g.dual, k, True, "tension")
 
 
 def count_balanced_flows(g: RibbonGraph, k: int) -> int:
-    return _balanced_flow_count(g, k, False)
+    return count_tensions(g.dual, k)
 
 
 # -- polynomials by subset expansion -----------------------------------------

@@ -56,7 +56,7 @@ from typing import Iterator, Sequence
 
 from . import ribbonmap
 from .errors import GraphMismatch
-from .guards import check_class_scan, check_orientation_scan
+from .guards import check_class_scan, check_orientation_scan, check_subset_poly
 from .records import Record
 from .ribbonmap import RibbonGraph, _cycle_bound
 
@@ -626,7 +626,8 @@ def tbo_generating_poly_formula(g: RibbonGraph) -> list[int]:
     from .polynomials import ipoly_add, ipoly_mul, ipoly_pow, ipoly_sub, ipoly_trim
 
     h = g.dual
-    check_orientation_scan(h.num_edges)
+    # The subset census of g*, priced as poly_balanced_flow prices it.
+    check_subset_poly(h.num_edges)
     n = h.num_vertices
     factor = [ipoly_sub([1], ipoly_pow([1, -1], size)) for size in range(n + 1)]
     total = [0]

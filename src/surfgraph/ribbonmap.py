@@ -77,12 +77,12 @@ class RibbonGraph(Record):
 
     Equality, hash and repr read sigma, edge_pairs and isolated; labels
     ride along.  The counting layers keep what reads the rotation (the
-    canonical code, the balanced-flow rows, plans and counts) in
-    `_memoised`, which dies with the map, and what reads only V and the
-    edge ends of g or g* (cycles, forms, rows, plans, counts, census, class
-    masks, pair polynomials, quasi fits) in `_graph_memoised`, shared by
-    every map with the same graph.  Each caller runs its guards before
-    the lookup and stores a read-only value once its cross-checks passed.
+    canonical code) in `_memoised`, which dies with the map, and what
+    reads only V and the edge ends of g or g* (cycles, forms, rows, plans,
+    counts, census, class masks, pair polynomials, quasi fits) in
+    `_graph_memoised`, shared by every map with the same graph.  Each
+    caller runs its guards before the lookup and stores a read-only value
+    once its cross-checks passed.
     """
 
     _fields = ("sigma", "edge_pairs", "isolated")

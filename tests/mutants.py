@@ -70,10 +70,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "balanced-flow-on-graph",
+        "balanced-flows-on-g",
         "enumeration.py",
-        '_ON_MAP = ("balanced-flow",)',
-        "_ON_MAP = ()",
+        '    return _count(g.dual, k, True, "tension")\n',
+        '    return _count(g, k, True, "tension")\n',
         (
             "tests/test_acceptance.py::test_criterion_2_corpus_dualities",
             "tests/test_enumeration.py::test_row_counts_equal_the_kernel_scans",

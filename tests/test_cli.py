@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import surfgraph as sg
-from surfgraph import OrientationClass, build, cli, count_class, dual
+from surfgraph import OrientationClass, build, cli, count_class, dual, ribbonmap
 from mapzoo import (
     BRIDGE,
     ISOLATED,
@@ -200,6 +200,24 @@ def test_cw_hist(capsys, files):
     assert code == 0
     doc = json.loads(out)
     assert doc["histogram"] == {"1": 24} and doc["match"] is True
+
+
+def test_cw_hist_formula_is_priced_as_a_subset_polynomial(capsys, tmp_path, monkeypatch):
+    # The closed formula walks the subset census of g*, as the balanced-flow
+    # polynomial does: the planar 17-loop bouquet (3^17 > 10^8 steps) is
+    # refused before the walk starts, the 16-loop one is not
+    walks = []
+    real = ribbonmap._census_walk
+    monkeypatch.setattr(ribbonmap, "_census_walk", lambda h: walks.append(h.num_edges) or real(h))
+    path = tmp_path / "bouquet.json"
+    for m in (17, 16):
+        path.write_text(sg.dumps(build(2 * m, [tuple(range(2 * m))], [(2 * i, 2 * i + 1) for i in range(m)])))
+        code, out, err = run(capsys, ["cw-hist", str(path)])
+        if m == 17:
+            assert code == 3 and out == "" and walks == []
+            assert err.startswith("guard: subset-sum polynomial of 2^17 subsets"), err
+        else:
+            assert code == 0 and json.loads(out)["match"] is True and walks == [16]
 
 
 def test_verify(capsys, files):

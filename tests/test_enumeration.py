@@ -761,16 +761,40 @@ def test_dp_forms_with_no_variables_count_nothing():
 def test_a_wrong_dp_fails_verify(monkeypatch, tmp_path, capsys):
     real = enumeration._nz_count
     monkeypatch.setattr(enumeration, "_nz_count", lambda h, k, flow: real(h, k, flow) + 1)
-    # The first duality row counts the DP tensions of g.  Its other side,
-    # the balanced flows of g* counted on g*'s own rows, is cross-checked
-    # against the DP on the dual of g*, at every size, so verify fails
-    # with exit code 4.
+    # The duality rows compare the DP with the row counts, the balanced
+    # flows of g* being the tension rows of g.  The tension polynomial is
+    # cross-checked against the DP at k = 2 and 3, at every size, so verify
+    # fails with exit code 4.
     for g in (TRIANGLE, KITE):
         path = tmp_path / "g.json"
         path.write_text(sg.dumps(g))
         assert cli.main(["verify", str(path)]) == 4
         err = capsys.readouterr().err
-        assert err.startswith("error: internal cross-check failed:") and "balanced flow count" in err, err
+        assert err == "error: internal cross-check failed: tension subset sum gives 0 at k=2, the count 1\n", err
+
+
+def test_a_wrong_tension_row_count_fails_both_balanced_flow_rows(monkeypatch, tmp_path, capsys, corpus):
+    # The balanced flows of g are counted on the tension rows of g*, kept
+    # on g*'s graph under ("count", "tension", k, True).  The other side of
+    # each row that reads them is the tension DP on fundamental
+    # coordinates, kept under ("nz count", False, k), and no cross-check
+    # reads the row count.  So one error in the row DP fails both rows,
+    # self-dual maps included.
+    real = enumeration._row_count
+
+    def off_by_one(h, condition, k, nonzero):
+        return real(h, condition, k, nonzero) + (condition == "tension" and nonzero)
+
+    monkeypatch.setattr(enumeration, "_row_count", off_by_one)
+    rows = {"tension of map equals balanced-flow of dual", "balanced-flow of map equals tension of dual"}
+    path = tmp_path / "g.json"
+    for g in corpus:
+        path.write_text(sg.dumps(g))
+        assert cli.main(["verify", str(path)]) == 4
+        out, err = capsys.readouterr()
+        assert "internal cross-check" not in err
+        failed = {i["identity"] for i in json.loads(out)["identities"] if not i["pass"]}
+        assert failed == rows, g
 
 
 def test_a_wrong_flow_row_count_fails_both_local_tension_rows(monkeypatch, tmp_path, capsys, corpus):
@@ -946,7 +970,7 @@ def test_dp_guards_bound_every_step(corpus, monkeypatch):
     monkeypatch.setattr(guards, "_dp_price", price)
     # the counts mod k: nowhere-zero tensions and flows on fundamental
     # coordinates, every condition's rows, nonzero or not, and the local
-    # tensions, on the flow rows of the dual
+    # tensions and balanced flows, on the flow and tension rows of the dual
     digon = from_json_dict(DIGON)
     for g in [*corpus, *ZOO[:-1], digon]:
         h = fresh(g)  # an empty memo, and priced empties the graph table: every DP runs
@@ -957,7 +981,15 @@ def test_dp_guards_bound_every_step(corpus, monkeypatch):
                 for condition in enumeration._ROWS
                 for nonzero in (False, True)
             ]
-            runs += [priced(count, h, k) for count in (sg.count_local_tensions, sg.count_nz_local_tensions)]
+            runs += [
+                priced(count, h, k)
+                for count in (
+                    sg.count_local_tensions,
+                    sg.count_nz_local_tensions,
+                    sg.count_balanced_flows,
+                    sg.count_nz_balanced_flows,
+                )
+            ]
             assert len(runs) == 10 and all(len(run) == 1 for run in runs), (g, k)
             assert all(n <= bound for [(n, bound)] in runs), (g, k, runs)
     # the digon's zero-allowing tension rows at k = 2 take 2 + 2 * 2 steps,
@@ -1081,8 +1113,10 @@ FRONTIER_9 = {
 def _row_mismatches(g, ks):
     """(condition, k, nonzero, count, scan) wherever a library count and the
     kernel scan of its condition matrix disagree: each condition's rows,
-    the public tension counts against every simple cycle's row, and the
-    public local-tension counts against the face rows."""
+    the public tension counts against every simple cycle's row, the public
+    local-tension counts against the face rows, and the public
+    balanced-flow counts against the vertex rows joined with the cycle
+    rows of g*."""
     counts = {
         condition: lambda k, nonzero, c=condition: enumeration._count(g, k, nonzero, c)
         for condition in enumeration._ROWS
@@ -1091,6 +1125,8 @@ def _row_mismatches(g, ks):
     counts["all-cycles"] = lambda k, nonzero: tensions[nonzero](g, k)
     local = (sg.count_local_tensions, sg.count_nz_local_tensions)
     counts["local-tension"] = lambda k, nonzero: local[nonzero](g, k)
+    balanced = (sg.count_balanced_flows, sg.count_nz_balanced_flows)
+    counts["balanced-flow"] = lambda k, nonzero: balanced[nonzero](g, k)
     out = []
     for condition, count in counts.items():
         matrix = CONDITIONS[condition](g)

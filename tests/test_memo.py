@@ -1,9 +1,9 @@
-"""The two memos: what reads a map's rotation (its canonical code, and
-the balanced-flow rows, plans and counts) is kept on the map; what reads
-only its graph, (V, edge ends), is kept per graph in one table shared by
-every map with that graph, and what reads only its faces on the graph of
-its dual, so the local-tension rows of g are the flow rows of g*.  Each
-is computed once, after the guards and the cross-checks, and handed out
+"""The two memos: what reads a map's rotation (its canonical code) is
+kept on the map; what reads only its graph, (V, edge ends), is kept per
+graph in one table shared by every map with that graph, and what reads
+its faces on the graph of its dual, so the local-tension and
+balanced-flow rows of g are the flow and tension rows of g*.  Each is
+computed once, after the guards and the cross-checks, and handed out
 read-only.  A census asks for each graph's values once however many maps
 share it.  The dual of g.dual is g itself, so nothing is computed again
 on an equal copy of g.  The pair counters read g's own forbidden
@@ -111,10 +111,8 @@ def test_verify_computes_each_quantity_once(corpus, monkeypatch):
         return real_scan_class(g, cls)
 
     def count(h, condition, k, nonzero):
-        # the balanced-flow rows read g* and are kept on the map, the others
-        # on its graph
-        on_map = condition in enumeration._ON_MAP
-        scans.append(((id(h) if on_map else _graph(h), condition), nonzero, k))
+        # every row count is kept on its graph, g's or g*'s
+        scans.append(((_graph(h), condition), nonzero, k))
         return real_count(h, condition, k, nonzero)
 
     def spy(log, real):
@@ -138,8 +136,8 @@ def test_verify_computes_each_quantity_once(corpus, monkeypatch):
     mask_keys = [(_graph(h), cycles) for h, cycles in masks]
     assert len(set(mask_keys)) == len(mask_keys)
     assert set(mask_keys) == {(_graph(h), c) for g in maps for h in (g, g.dual) for c in (False, True)}
-    # each count once per map or graph, and every condition scanned at
-    # each k = 1..3, once
+    # each count once per graph, and every condition scanned at each
+    # k = 1..3, once
     assert len(set(scans)) == len(scans)
     per_matrix: dict = {}
     for matrix, _, k in scans:
@@ -309,15 +307,11 @@ def test_a_failed_cross_check_stores_nothing(monkeypatch):
             count_class(g, OrientationClass.AO)
 
     # one route of a two-route count off by one: both calls raise
-    real_count = enumeration._row_count
-
-    def off_by_one(h, condition, *args):
-        return real_count(h, condition, *args) + (condition == "balanced-flow")
-
-    monkeypatch.setattr(enumeration, "_row_count", off_by_one)
+    real_count = enumeration._nz_count
+    monkeypatch.setattr(enumeration, "_nz_count", lambda h, k, flow: real_count(h, k, flow) + 1)
     for _ in range(2):
-        with pytest.raises(AssertionError, match="balanced flow count"):
-            enumeration.count_nz_balanced_flows(g, 2)
+        with pytest.raises(AssertionError, match="tension subset sum gives 0 at k=2, the count 1"):
+            enumeration.poly_tension(g)
 
 
 def test_a_result_computed_under_the_override_is_still_refused_without_it(monkeypatch):
