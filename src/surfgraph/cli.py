@@ -403,6 +403,7 @@ def cmd_batch(args) -> int:
         run = pool.map
     summary = {"edges": args.edges, "kmax": args.kmax, "graphs": 0, "identities_checked": 0}
     failures, elapsed = [], 0.0
+    before = dict(ribbonmap._TRAFFIC)
     with pool:
         # Each report is folded in and dropped before the next map is verified.
         for r in run(verify, drained):
@@ -420,6 +421,10 @@ def cmd_batch(args) -> int:
     _emit(summary, args.out)
     _say(f"{summary['graphs']} graphs, {summary['identities_checked']} identities, "
          f"{len(failures)} failures")
+    if workers == 1:  # verified here, so the tables' traffic is this batch's
+        n = {key: ribbonmap._TRAFFIC[key] - before[key] for key in before}
+        _say(f"graph tables: {n['graphs']} labelled graphs, {n['classes']} classes, "
+             f"{n['hits']} invariant hits, {n['misses']} misses")
     return 0 if not failures else 4
 
 

@@ -33,11 +33,13 @@ fits, witness vectors) is in `reciprocity`, so this module loads neither
 
 A quantity with a second independent characterization is computed both
 ways, and disagreement raises.  The DP's forms and column plans
-(tuples), the counts and the subset census are kept on the map's graph,
-(V, edge ends), for every map with that graph; the local tensions and
-balanced flows of g are the flows and tensions of g*, kept on its graph.
-Guards run before every lookup, and every DP is priced from its own plan
-(guards.check_dp); nothing is stored from a call that raised.
+(tuples) are kept on the map's labelled graph, (V, edge ends), for every
+map with that graph; the counts, the subset census and the polynomials
+are invariants, kept on its isomorphism class; the local tensions and
+balanced flows of g are the flows and tensions of g*, kept on its graph
+and class.  Guards run before every lookup, and every DP is priced from
+the map's own plan (guards.check_dp); nothing is stored from a call that
+raised.
 """
 
 from __future__ import annotations
@@ -196,8 +198,11 @@ def _fundamental_forms(h: RibbonGraph, flow: bool) -> tuple[Form, ...]:
 
 
 def _fundamental_plan(h: RibbonGraph, flow: bool) -> tuple:
-    forms = _fundamental_forms(h, flow)
-    return h._graph_memoised(("plan", flow), lambda: _plan(h.num_edges - len(forms), forms))
+    def plan() -> tuple:
+        forms = _fundamental_forms(h, flow)
+        return _plan(h.num_edges - len(forms), forms)
+
+    return h._graph_memoised(("plan", flow), plan)
 
 
 def _nz_count(h: RibbonGraph, k: int, flow: bool) -> int:
@@ -207,10 +212,10 @@ def _nz_count(h: RibbonGraph, k: int, flow: bool) -> int:
 
 
 def _dp_count(h: RibbonGraph, k: int, flow: bool) -> int:
-    """_nz_count, priced from its plan, once per graph, flag and k."""
+    """_nz_count, priced from h's plan, once per class, flag and k."""
     _require_k(k)
     check_dp(_fundamental_plan(h, flow)[2], k - 1, k)
-    return h._graph_memoised(("nz count", flow, k), lambda: _nz_count(h, k, flow))
+    return h._invariant_memoised(("nz count", flow, k), lambda: _nz_count(h, k, flow))
 
 
 # -- condition rows ----------------------------------------------------------
@@ -261,11 +266,11 @@ def _row_count(g: RibbonGraph, condition: str, k: int, nonzero: bool) -> int:
 
 
 def _count(g: RibbonGraph, k: int, nonzero: bool, condition: str) -> int:
-    """Solutions mod k of one condition on g, priced from its plan, counted
-    once per graph."""
+    """Solutions mod k of one condition on g, priced from g's plan, counted
+    once per class."""
     _require_k(k)
     check_dp(_row_plan(g, condition)[2], k - nonzero, k)
-    return g._graph_memoised(
+    return g._invariant_memoised(
         ("count", condition, k, nonzero), lambda: _row_count(g, condition, k, nonzero)
     )
 
@@ -333,17 +338,24 @@ def _subset_sum(h: RibbonGraph, flow: bool) -> list[int]:
 
 
 def _subset_poly(h: RibbonGraph, flow: bool) -> list[int]:
+    """The subset sum, checked against the DP counts at k = 2, 3, which
+    are priced on h's own plans on every call; summed once per class."""
     # Refuse before the 2^E subsets and the k = 2, 3 counts on h start.
     check_subset_poly(h.num_edges)
-    coeffs = _subset_sum(h, flow)
     kind = "flow" if flow else "tension"
-    for k in (2, 3):
-        value, counted = poly_eval(coeffs, k), COUNT_NZ[kind](h, k)
+    counts = [COUNT_NZ[kind](h, k) for k in (2, 3)]
+    return list(h._invariant_memoised(("subset poly", flow), lambda: _checked_sum(h, kind, counts)))
+
+
+def _checked_sum(h: RibbonGraph, kind: str, counts: list[int]) -> tuple[int, ...]:
+    coeffs = _subset_sum(h, kind == "flow")
+    for k, counted in zip((2, 3), counts):
+        value = poly_eval(coeffs, k)
         if value != counted:
             raise AssertionError(
                 f"{kind} subset sum gives {value} at k={k}, the count {counted}"
             )
-    return coeffs
+    return tuple(coeffs)
 
 
 def poly_tension(g: RibbonGraph) -> list[int]:

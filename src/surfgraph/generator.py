@@ -172,13 +172,22 @@ def _census(m: int) -> dict[bytes, tuple[int, ...]]:
     return level
 
 
+def _coded(sigma: tuple[int, ...], pairs: tuple[tuple[int, int], ...], code: bytes) -> RibbonGraph:
+    """The map of a class, its dedupe key kept as its canonical code: both
+    are _encode of its sigma, alpha and no isolated vertex."""
+    g = RibbonGraph(sigma, pairs)
+    g._memo[("canonical code",)] = code
+    return g
+
+
 def generate(spec: CorpusSpec) -> Iterator[RibbonGraph]:
     """Yield the maps admitted by spec in a deterministic order.
 
     With dedupe the order is by canonical code, and the connected census
     grows by edge extension; without it, rotation permutations are
     scanned lexicographically and every labeled map is yielded as
-    encountered.  A map is built only for each rotation yielded.
+    encountered.  A map is built only for each rotation yielded, and a
+    deduped one keeps the code it was deduped by.
     """
     m = spec.edges
     if spec.dedupe and spec.connected:
@@ -193,7 +202,7 @@ def generate(spec: CorpusSpec) -> Iterator[RibbonGraph]:
     else:
         classes = _census(m) if spec.connected else _classes(itertools.permutations(range(2 * m)), m)
         # popped as built, so the dict shrinks while the maps are consumed
-        maps = (RibbonGraph(classes.pop(code), pairs) for code in sorted(classes))
+        maps = (_coded(classes.pop(code), pairs, code) for code in sorted(classes))
     for g in maps:
         if _admit(spec, g):
             yield g

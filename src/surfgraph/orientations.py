@@ -43,7 +43,9 @@ int, so read-only), under "cycles" or "cuts": BAO(g) is TCO(g*) and
 TBO(g) is AO(g*), so the four classes of g and the four of g* are four
 scans, shared by every map of a census with the same graphs.  The cost
 estimate its guard reads, and the TBO masks per cw face (read on g*),
-are kept the same way; the guards still run on every call.
+are kept the same way; the guards still run on every call.  The
+polynomial from the cw-face formula reads no labels, so it is kept on
+the isomorphism class of g*'s graph.
 """
 
 from __future__ import annotations
@@ -442,11 +444,14 @@ def _strongly_connected(h: RibbonGraph) -> int:
     return reduce(and_, both, _full(h.num_edges))
 
 
+_ON_DUAL = (OrientationClass.BAO, OrientationClass.TBO)
+_ON_CYCLES = (OrientationClass.AO, OrientationClass.TBO)
+
+
 def _primitive(g: RibbonGraph, cls: OrientationClass) -> tuple[RibbonGraph, bool]:
     """The map a class is read on, g or g*, and whether it forbids
     coherent cycles (AO, TBO) rather than coherent cuts (TCO, BAO)."""
-    h = g.dual if cls in (OrientationClass.BAO, OrientationClass.TBO) else g
-    return h, cls in (OrientationClass.AO, OrientationClass.TBO)
+    return (g.dual if cls in _ON_DUAL else g), cls in _ON_CYCLES
 
 
 # The memo key of what a class reads on its primitive, by whether it
@@ -621,13 +626,18 @@ def tbo_generating_poly_formula(g: RibbonGraph) -> list[int]:
     Evaluated on the dual's vertex data: over edge subsets S, the sign is
     (-1)^(|S| - |V*| + c(S)) and each component C of the spanning subgraph
     (V*, S) contributes a factor 1 - (1-q)^|V(C)|, one term per census key.
+    Summed once per isomorphism class of g*'s graph.
     """
-    # Imported here, so that a class count never loads polynomials.
-    from .polynomials import ipoly_add, ipoly_mul, ipoly_pow, ipoly_sub, ipoly_trim
-
     h = g.dual
     # The subset census of g*, priced as poly_balanced_flow prices it.
     check_subset_poly(h.num_edges)
+    return list(h._invariant_memoised(("cw formula",), lambda: _cw_formula(h)))
+
+
+def _cw_formula(h: RibbonGraph) -> tuple[int, ...]:
+    # Imported here, so that a class count never loads polynomials.
+    from .polynomials import ipoly_add, ipoly_mul, ipoly_pow, ipoly_sub, ipoly_trim
+
     n = h.num_vertices
     factor = [ipoly_sub([1], ipoly_pow([1, -1], size)) for size in range(n + 1)]
     total = [0]
@@ -636,4 +646,4 @@ def tbo_generating_poly_formula(g: RibbonGraph) -> list[int]:
         for csize in comps:
             term = ipoly_mul(term, factor[csize])
         total = ipoly_add(total, term)
-    return ipoly_trim(total)
+    return tuple(ipoly_trim(total))

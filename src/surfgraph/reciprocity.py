@@ -27,6 +27,7 @@ commands load this module; the counts and polynomials load none of it.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cached_property
 from itertools import accumulate
 from math import lcm, prod
 from operator import sub
@@ -134,14 +135,15 @@ def _pair_poly(g: RibbonGraph, kind: str) -> list[int]:
 
 
 def _pairs(g: RibbonGraph, k: int, kind: str) -> int:
-    """The pair count at k, from the pair polynomial kept on the graph of
-    the class's primitive, by cycles or cuts: the local-tension pairs of g
-    are the flow pairs of g*, and the balanced-flow pairs its tension pairs."""
+    """The pair count at k, from the pair polynomial kept on the
+    isomorphism class of the graph of the class's primitive, by cycles or
+    cuts: the local-tension pairs of g are the flow pairs of g*, and the
+    balanced-flow pairs its tension pairs."""
     _require_k(k)
     cls = CLASS_OF[kind]
     check_pair_poly(g.num_edges, _scan_cost(g, cls))
     h, cycles = _primitive(g, cls)
-    poly = h._graph_memoised(("pairs", _SIDE[cycles]), lambda: tuple(_pair_poly(g, kind)))
+    poly = h._invariant_memoised(("pairs", _SIDE[cycles]), lambda: tuple(_pair_poly(g, kind)))
     return poly_eval(poly, k)
 
 
@@ -243,14 +245,14 @@ def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
     k = 0 only t = 0 remains and the result is |BAO(g)|.  The local
     tensions are the flows of g*, counted by the box DP with the mask of
     the BAOs still compatible as its tag.  The BAOs of g are the TCOs of
-    g*, so the count is kept per k on the graph of g*.
+    g*, so the count is kept per k on the isomorphism class of g*'s graph.
     """
     if not isinstance(k, int) or k < 0:
         raise BadModulus(f"k must be a nonnegative integer, got {k!r}")
     h = g.dual
     check_dp(_fundamental_plan(h, True)[2], 2 * k + 1, edges=g.num_edges)
     bao = _class_mask(g, CLASS_OF["local-tension"])  # TCO of g*, guarded here too
-    return h._graph_memoised(("integral pairs", k), lambda: _integral_pairs(h, k, bao))
+    return h._invariant_memoised(("integral pairs", k), lambda: _integral_pairs(h, k, bao))
 
 
 def _integral_pairs(h: RibbonGraph, k: int, bao: int) -> int:
@@ -290,7 +292,18 @@ class QuasiPolynomial(Record):
     def evaluate(self, n: int) -> Fraction:
         from fractions import Fraction
 
-        return Fraction(poly_eval(self.constituents[n % self.period], n))
+        nums, den = self._scaled[n % self.period]
+        return Fraction(poly_eval(nums, n), den)
+
+    @cached_property
+    def _scaled(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Each constituent as integer coefficients over one denominator,
+        so that evaluate builds one Fraction rather than one per step."""
+        out = []
+        for cs in self.constituents:
+            den = lcm(*(c.denominator for c in cs))
+            out.append((tuple(c.numerator * (den // c.denominator) for c in cs), den))
+        return tuple(out)
 
     @property
     def degree(self) -> int:
@@ -425,7 +438,7 @@ def quasi_integral_flows(g: RibbonGraph, max_period: int = 6) -> QuasiPolynomial
     1..period(E+2)+2.  Before a period's DP runs, it is priced with those
     of the periods before it, so the whole call stays under one budget.
     Each period's fit, or None if it fits no period up to it, is kept on
-    g's graph."""
+    the isomorphism class of g's graph."""
     _require_max_period(max_period)
     degree = g.num_edges
     guide = _fundamental_plan(g, True)[2]
@@ -433,7 +446,7 @@ def quasi_integral_flows(g: RibbonGraph, max_period: int = 6) -> QuasiPolynomial
     for period in range(1, max_period + 1):
         kmax = period * (degree + 2) + 2
         spent = check_dp(guide, 2 * kmax - 2, boxes=kmax, spent=spent)
-        fit = g._graph_memoised(("quasi", period), lambda: _fit_period(g, degree, period))
+        fit = g._invariant_memoised(("quasi", period), lambda: _fit_period(g, degree, period))
         if fit is not None:
             return fit
     raise NoFit(f"no quasipolynomial of period <= {max_period} fits the samples")

@@ -19,7 +19,8 @@ from __future__ import annotations
 import json
 from collections import Counter, OrderedDict
 from functools import cached_property
-from math import prod
+from itertools import chain, permutations, product
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -76,13 +77,23 @@ class RibbonGraph(Record):
     """Immutable combinatorial map; all derived data is cached.
 
     Equality, hash and repr read sigma, edge_pairs and isolated; labels
-    ride along.  The counting layers keep what reads the rotation (the
-    canonical code) in `_memoised`, which dies with the map, and what
-    reads only V and the edge ends of g or g* (cycles, forms, rows, plans,
-    counts, census, class masks, pair polynomials, quasi fits) in
-    `_graph_memoised`, shared by every map with the same graph.  Each
-    caller runs its guards before the lookup and stores a read-only value
-    once its cross-checks passed.
+    ride along.  The counting layers keep their values in three places:
+      `_memoised`           what reads the rotation (the canonical code);
+                            it dies with the map
+      `_graph_memoised`     what reads the labels of V and the edge ends
+                            of g or g* (cycles, fundamental cycles, forms,
+                            rows, plans, class masks, cw cubes, subset
+                            components, scan costs), in _GRAPHS, shared
+                            by every map with the same labelled graph
+      `_invariant_memoised` what survives relabelling the vertices and
+                            reversing edges (counts, subset census and
+                            polynomials, pair polynomials, quasi fits,
+                            integral pairs, the cw formula), in _CLASSES,
+                            shared by every graph of the isomorphism class
+    Each caller runs its guards on the map's own labelled plan or mask
+    before any lookup, so a refusal depends on the input and not on what
+    the tables hold, and stores a read-only value once its cross-checks
+    passed.
     """
 
     _fields = ("sigma", "edge_pairs", "isolated")
@@ -282,16 +293,8 @@ class RibbonGraph(Record):
 
     @cached_property
     def _graph_memo(self) -> dict:
-        """Its graph's values in _GRAPHS, marked recent; a graph dropped
-        from the table has its values emptied."""
-        key = (self.num_vertices, self._edge_ends)
-        memo = _GRAPHS.pop(key, None)
-        if memo is None:
-            memo = {}
-            if len(_GRAPHS) >= _GRAPHS_KEPT:
-                _GRAPHS.popitem(last=False)[1].clear()
-        _GRAPHS[key] = memo
-        return memo
+        """Its labelled graph's values in _GRAPHS, marked recent."""
+        return _entry(_GRAPHS, (self.num_vertices, self._edge_ends), "graphs")
 
     def _graph_memoised(self, key, compute):
         """As _memoised, for a value of (V, edge ends) alone."""
@@ -301,11 +304,83 @@ class RibbonGraph(Record):
         value = memo[key] = compute()
         return value
 
+    @cached_property
+    def _class_memo(self) -> dict:
+        """Its graph's class's values in _CLASSES, marked recent, found by
+        the form kept among the labelled graph's values."""
+        form = self._graph_memoised(("form",), lambda: _graph_form(self.num_vertices, self._edge_ends))
+        return _entry(_CLASSES, form, "classes")
 
-# Values per graph (V, edge ends), least recently used dropped first: the
-# 18,872 maps g and g* at m = 6 have 4,684 graphs, and 1,024 keep most hits.
+    def _invariant_memoised(self, key, compute):
+        """As _graph_memoised, for a value that relabelling the vertices
+        and reversing edges leave unchanged."""
+        memo = self._class_memo
+        if key in memo:
+            _TRAFFIC["hits"] += 1
+            return memo[key]
+        _TRAFFIC["misses"] += 1
+        value = memo[key] = compute()
+        return value
+
+
+# Values per labelled graph (V, edge ends) in _GRAPHS, and per isomorphism
+# class in _CLASSES, keyed by _graph_form; each table drops its least
+# recently used entry first past _GRAPHS_KEPT entries.  The 18,872 maps g
+# and g* at m = 6 have 4,684 graphs in 328 classes, and 1,024 graphs keep
+# most hits.  Only invariants are filed by class: a mask or a row set reads
+# the edge and vertex labels of one graph, and each guard prices that
+# graph's own plan or mask, which relabelling changes, before the lookup.
 _GRAPHS_KEPT = 1024
 _GRAPHS: OrderedDict[tuple, dict] = OrderedDict()
+_CLASSES: OrderedDict[tuple, dict] = OrderedDict()
+# Entries made in each table ("graphs", "classes"), and lookups of
+# invariant values ("hits", "misses"); `batch` prints them.
+_TRAFFIC = dict.fromkeys(("graphs", "classes", "hits", "misses"), 0)
+# Vertex orders one form may try: 7!, above the 6! of any census graph to
+# m = 6.
+_FORM_PRICE = 5040
+
+
+def _entry(table: OrderedDict, key: tuple, made: str) -> dict:
+    """The values kept under key, marked recent; a new key may drop the
+    least recent entry, whose values are emptied."""
+    memo = table.pop(key, None)
+    if memo is None:
+        memo = {}
+        _TRAFFIC[made] += 1
+        if len(table) >= _GRAPHS_KEPT:
+            table.popitem(last=False)[1].clear()
+    table[key] = memo
+    return memo
+
+
+def _graph_form(v: int, ends: Sequence[tuple[int, int]]) -> tuple:
+    """(V, edge ends) up to relabelling the vertices and reversing edges:
+    V and the least sorted list of unordered ends over the vertex orders
+    that list the cells of equal (degree, loops) in ascending order, each
+    cell in any order.  So loops, parallel edges and isolated vertices
+    are kept.  A graph with more than _FORM_PRICE such orders, priced
+    before the search, keeps (V, edge ends) as its key and shares with no
+    other graph; an equal form would be an isomorphic graph anyway."""
+    degree, loops = [0] * v, [0] * v
+    for t, w in ends:
+        degree[t] += 1
+        degree[w] += 1
+        loops[t] += t == w
+    by_cell: dict[tuple[int, int], list[int]] = {}
+    for x in range(v):
+        by_cell.setdefault((degree[x], loops[x]), []).append(x)
+    cells = [by_cell[c] for c in sorted(by_cell)]
+    if prod(factorial(len(c)) for c in cells) > _FORM_PRICE:
+        return v, tuple(ends)
+
+    def listed(orders) -> list[tuple[int, int]]:
+        at = [0] * v
+        for i, x in enumerate(chain.from_iterable(orders)):
+            at[x] = i
+        return sorted((min(at[t], at[w]), max(at[t], at[w])) for t, w in ends)
+
+    return v, tuple(min(map(listed, product(*map(permutations, cells)))))
 
 
 def _orbits(perm: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -354,8 +429,8 @@ def _spanning_forest(
 def _subset_census(h: RibbonGraph) -> tuple[tuple[int, tuple[int, ...], int], ...]:
     """(|B|, sorted component sizes of (V, B), number of such B) over the
     2^E edge subsets B of h: the data behind every subset-sum formula,
-    walked once per graph."""
-    return h._graph_memoised(("subset census",), lambda: _census_walk(h))
+    walked once per isomorphism class."""
+    return h._invariant_memoised(("subset census",), lambda: _census_walk(h))
 
 
 def _census_walk(h: RibbonGraph) -> tuple[tuple[int, tuple[int, ...], int], ...]:

@@ -1,5 +1,5 @@
-"""Shared pytest wiring: the census fixture, guards left on and an empty
-graph table for every test, and the acceptance verdict lines.
+"""Shared pytest wiring: the census fixture, guards left on and empty
+graph tables for every test, and the acceptance verdict lines.
 
 The acceptance tests record one PASS/FAIL line per criterion in
 ACCEPTANCE_LINES; fd-level capture would otherwise swallow them, so a
@@ -22,10 +22,11 @@ def _no_guard_override(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def _empty_graph_table():
-    """Start every test with no graph-keyed value kept, also on the maps
-    that hold their graph's values, so a test that breaks or spies on a
-    route sees it run.  Within a test the table stays shared, so a
-    census-wide check still meets a value filed under the wrong graph."""
+    """Start every test with no value kept by labelled graph or by
+    isomorphism class, also on the maps that hold them, so a test that
+    breaks or spies on a route sees it run.  Within a test the tables stay
+    shared, so a census-wide check still meets a value filed under the
+    wrong graph or class."""
     forget_graphs()
 
 

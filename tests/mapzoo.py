@@ -103,17 +103,20 @@ def fresh(g: RibbonGraph) -> RibbonGraph:
 
     Its per-map memo starts empty, so a test that spies on or breaks a
     route cannot be answered from what an earlier test stored on g.
-    What reads only its graph is shared with every map of that graph
-    until `forget_graphs`.
+    What reads only its graph is shared with every map of that graph,
+    and every invariant with every isomorphic graph, until
+    `forget_graphs`.
     """
     return from_json_dict(to_json_dict(g))
 
 
 def forget_graphs() -> None:
-    """Empty the values of every graph in the shared table, also where a
-    map holds them, so that each graph-keyed value is computed again."""
-    for memo in ribbonmap._GRAPHS.values():
-        memo.clear()
+    """Empty the values of every labelled graph and every isomorphism
+    class in the two shared tables, also where a map holds them, so that
+    each graph-keyed and each invariant value is computed again."""
+    for table in (ribbonmap._GRAPHS, ribbonmap._CLASSES):
+        for memo in table.values():
+            memo.clear()
 
 
 def disjoint_union(a: RibbonGraph, b: RibbonGraph) -> RibbonGraph:

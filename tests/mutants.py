@@ -80,6 +80,41 @@ MUTANTS = (
             "tests/test_memo.py::test_the_graph_table_changes_no_report",
         ),
     ),
+    # The class table: a form that drops parallel edges or edge reversal,
+    # or a labelled value filed by class, shares values between graphs
+    # that differ.
+    Mutant(
+        "form-edge-set",
+        "ribbonmap.py",
+        "        return sorted((min(at[t], at[w]), max(at[t], at[w])) for t, w in ends)\n",
+        "        return sorted({(min(at[t], at[w]), max(at[t], at[w])) for t, w in ends})\n",
+        (
+            "tests/test_memo.py::test_the_form_keeps_loops_parallel_edges_and_isolated_vertices",
+            "tests/test_memo.py::test_the_census_graphs_fall_into_30_and_95_classes",
+            "tests/test_memo.py::test_the_graph_table_changes_no_report",
+        ),
+    ),
+    Mutant(
+        "form-keeps-direction",
+        "ribbonmap.py",
+        "        return sorted((min(at[t], at[w]), max(at[t], at[w])) for t, w in ends)\n",
+        "        return sorted((at[t], at[w]) for t, w in ends)\n",
+        (
+            "tests/test_memo.py::test_the_form_keeps_loops_parallel_edges_and_isolated_vertices",
+            "tests/test_memo.py::test_the_census_graphs_fall_into_30_and_95_classes",
+        ),
+    ),
+    Mutant(
+        "class-mask-filed-as-invariant",
+        "orientations.py",
+        '    return h._graph_memoised(("class", _SIDE[cycles]),',
+        '    return h._invariant_memoised(("class", _SIDE[cycles]),',
+        (
+            "tests/test_memo.py::test_maps_share_what_reads_only_their_graph",
+            "tests/test_memo.py::test_the_graph_table_changes_no_report",
+            "tests/test_memo.py::test_verify_scans_each_primitive_once",
+        ),
+    ),
     # The mask engine.
     Mutant(
         "both-ways-forward-only",

@@ -4,9 +4,11 @@ import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,7 @@ from mapzoo import (
     TRIANGLE,
     TWO_COMPONENTS,
     disjoint_union,
+    fresh,
 )
 
 
@@ -310,11 +313,56 @@ def test_batch_refuses_an_empty_corpus(capsys):
 
 
 def test_batch_worker_count_does_not_change_output(capsys):
-    _, out1, _ = run(capsys, ["batch", "--edges", "2", "--kmax", "2", "--jobs", "1"])
-    _, out2, _ = run(capsys, ["batch", "--edges", "2", "--kmax", "2", "--jobs", "2"])
+    _, out1, err1 = run(capsys, ["batch", "--edges", "2", "--kmax", "2", "--jobs", "1"])
+    _, out2, err2 = run(capsys, ["batch", "--edges", "2", "--kmax", "2", "--jobs", "2"])
     d1, d2 = json.loads(out1), json.loads(out2)
     d1.pop("elapsed_s"), d2.pop("elapsed_s")
     assert d1 == d2
+    # the tables' traffic is known only where the maps were verified
+    assert "graph tables:" in err1 and "graph tables:" not in err2
+
+
+def test_batch_prints_the_graph_table_traffic_on_stderr(capsys, monkeypatch):
+    # empty tables, so every entry the census needs is made here
+    monkeypatch.setattr(ribbonmap, "_GRAPHS", OrderedDict())
+    monkeypatch.setattr(ribbonmap, "_CLASSES", OrderedDict())
+    code, out, err = run(capsys, ["batch", "--edges", "4", "--kmax", "3", "--jobs", "1"])
+    assert code == 0 and "graph tables" not in out
+    (line,) = [line for line in err.splitlines() if line.startswith("graph tables:")]
+    hits, misses = map(int, re.fullmatch(
+        r"graph tables: 100 labelled graphs, 30 classes, (\d+) invariant hits, (\d+) misses", line
+    ).groups())
+    # each miss stored one value, and the census asks for most of them again
+    assert misses == sum(map(len, ribbonmap._CLASSES.values())) and hits > misses
+
+
+def test_batch_takes_no_canonical_code_while_verifying(capsys, monkeypatch):
+    # a census map carries the code it was deduped by
+    from surfgraph import generator
+
+    verifying, codes = [], []
+    real_verify, real_code = cli._verify_graph, generator._least_code
+
+    def verify(g, kmax):
+        verifying.append(g)
+        try:
+            return real_verify(g, kmax)
+        finally:
+            verifying.pop()
+
+    def least_code(*args):
+        if verifying:
+            codes.append(args)
+        return real_code(*args)
+
+    monkeypatch.setattr(cli, "_verify_graph", verify)
+    monkeypatch.setattr(generator, "_least_code", least_code)
+    code, out, _ = run(capsys, ["batch", "--edges", "4", "--kmax", "3", "--jobs", "1"])
+    assert code == 0 and json.loads(out)["graphs"] == 107
+    assert codes == []
+    # the same spies see the code of a map read from a file
+    cli._verify_graph(fresh(TRIANGLE), 1)
+    assert codes
 
 
 def test_batch_starts_no_more_workers_than_maps_or_cpus(capsys, monkeypatch):

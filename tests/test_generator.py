@@ -178,3 +178,13 @@ def test_generator_guard():
         next(generate(CorpusSpec(edges=6, dedupe=False)))
     with pytest.raises(TooLarge, match="rotation systems"):
         next(generate(CorpusSpec(edges=6, connected=False)))
+
+
+def test_census_maps_keep_the_code_they_were_deduped_by():
+    # the dedupe key is the canonical code, so no map yielded takes it again
+    specs = [CorpusSpec(edges=m) for m in range(1, 6)]
+    specs += [CorpusSpec(edges=m, connected=False) for m in range(1, 4)]
+    for spec in specs:
+        for g in generate(spec):
+            assert ("canonical code",) in g._memo
+            assert canonical_code(fresh(g)) == canonical_code(g)

@@ -1,14 +1,25 @@
-"""The two memos: what reads a map's rotation (its canonical code) is
-kept on the map; what reads only its graph, (V, edge ends), is kept per
-graph in one table shared by every map with that graph, and what reads
-its faces on the graph of its dual, so the local-tension and
-balanced-flow rows of g are the flow and tension rows of g*.  Each is
-computed once, after the guards and the cross-checks, and handed out
-read-only.  A census asks for each graph's values once however many maps
-share it.  The dual of g.dual is g itself, so nothing is computed again
-on an equal copy of g.  The pair counters read g's own forbidden
-subcubes, so verify builds no surgered map and takes no canonical code
-beyond the one naming g in its report."""
+"""The memos, in three places.  What reads a map's rotation (its
+canonical code) is kept on the map.  What reads the labels of its graph,
+(V, edge ends) - cycles, forms, rows, plans, class masks, cw cubes,
+subset components, scan costs - is kept per labelled graph in one table
+shared by every map with that graph.  What relabelling the vertices and
+reversing edges leave unchanged - the counts, the subset census and
+polynomials, the pair polynomials, quasi fits, integral pairs and the cw
+formula - is kept per isomorphism class of graph in a second table,
+found by a canonical form of (V, edge ends).  What reads faces is kept on
+the graphs of the dual, so the local-tension and balanced-flow rows of g
+are the flow and tension rows of g*.
+
+Each value is computed once, after the guards and the cross-checks, and
+handed out read-only.  A census asks for each labelled value once per
+graph and each invariant once per class, however many maps share it.
+The guards price each labelled graph's own plan or mask before any
+lookup, since relabelling changes a plan: a value computed under the
+override is still refused on an isomorphic copy without it.  The dual of
+g.dual is g itself, so nothing is computed again on an equal copy of g.
+The pair counters read g's own forbidden subcubes, so verify builds no
+surgered map and takes no canonical code beyond the one naming g in its
+report, which a census map carries from its dedupe."""
 
 import pytest
 
@@ -28,10 +39,12 @@ from surfgraph import (
     ribbonmap,
 )
 from mapzoo import (
+    BRIDGE,
     FACE_MATRIX_PRIMAL,
     ISOLATED,
     K5,
     SMALL,
+    THETA,
     TRIANGLE,
     TWO_COMPONENTS,
     forget_graphs,
@@ -49,6 +62,21 @@ def _report(g, kmax=3):
 def _graph(h):
     """The key of h's values in the graph table."""
     return h.num_vertices, h._edge_ends
+
+
+def _class(h):
+    """The key of h's invariant values in the class table."""
+    return ribbonmap._graph_form(h.num_vertices, h._edge_ends)
+
+
+def _relabelled(g, perm, reverse):
+    """g with dart d renamed perm[d], and edge `reverse` turned around."""
+    sigma = [0] * g.num_darts
+    for d, s in enumerate(g.sigma):
+        sigma[perm[d]] = perm[s]
+    pairs = [(perm[t], perm[h]) for t, h in g.edge_pairs]
+    pairs[reverse] = pairs[reverse][::-1]
+    return ribbonmap.RibbonGraph(tuple(sigma), tuple(pairs), g.isolated)
 
 
 def test_a_second_verify_on_the_same_map_gives_the_same_report(corpus):
@@ -111,8 +139,8 @@ def test_verify_computes_each_quantity_once(corpus, monkeypatch):
         return real_scan_class(g, cls)
 
     def count(h, condition, k, nonzero):
-        # every row count is kept on its graph, g's or g*'s
-        scans.append(((_graph(h), condition), nonzero, k))
+        # every row count is kept on the class of its graph, g's or g*'s
+        scans.append(((_class(h), condition), nonzero, k))
         return real_count(h, condition, k, nonzero)
 
     def spy(log, real):
@@ -136,7 +164,7 @@ def test_verify_computes_each_quantity_once(corpus, monkeypatch):
     mask_keys = [(_graph(h), cycles) for h, cycles in masks]
     assert len(set(mask_keys)) == len(mask_keys)
     assert set(mask_keys) == {(_graph(h), c) for g in maps for h in (g, g.dual) for c in (False, True)}
-    # each count once per graph, and every condition scanned at each
+    # each count once per class, and every condition scanned at each
     # k = 1..3, once
     assert len(set(scans)) == len(scans)
     per_matrix: dict = {}
@@ -217,18 +245,19 @@ def test_verify_builds_each_form_set_and_dp_count_once(corpus, monkeypatch):
         built = [h for h, _ in forms] + [h for h, _, _ in counts] + walks
         assert all(h is g or h is g.dual for h in built)
         seen["forms"] += [(_graph(h), flow) for h, flow in forms]
-        seen["counts"] += [(_graph(h), k, flow) for h, k, flow in counts]
-        seen["walks"] += map(_graph, walks)
-    # over the census, each graph's forms, DP counts and census once
+        seen["counts"] += [(_class(h), k, flow) for h, k, flow in counts]
+        seen["walks"] += map(_class, walks)
+    # over the census, each graph's forms once, and each class's DP counts
+    # and census once
     for log, keys in seen.items():
         assert len(set(keys)) == len(keys), log
     # four polynomials and the cw formula: one census walk each of the
-    # graphs of g and g*
-    assert set(seen["walks"]) == {_graph(h) for g in maps for h in (g, g.dual)}
+    # classes of the graphs of g and g*
+    assert set(seen["walks"]) == {_class(h) for g in maps for h in (g, g.dual)}
     # tensions and flows of every g, each at k = 1..3, are DP counts, on
     # fundamental forms of both kinds
     for g in maps:
-        assert {(_graph(g), k, flow) for k in (1, 2, 3) for flow in (False, True)} <= set(seen["counts"])
+        assert {(_class(g), k, flow) for k in (1, 2, 3) for flow in (False, True)} <= set(seen["counts"])
         assert {(_graph(g), False), (_graph(g), True)} <= set(seen["forms"])
 
 
@@ -336,3 +365,104 @@ def test_a_result_computed_under_the_override_is_still_refused_without_it(monkey
     for call in calls:
         with pytest.raises(TooLarge):
             call()
+
+
+def test_a_copy_with_permuted_vertices_and_a_reversed_edge_is_still_refused(monkeypatch):
+    # as above, but the values computed under the override are asked for
+    # again on an isomorphic copy: its lookups would hit the class table,
+    # so the guards must price the copy's own plans and masks first
+    monkeypatch.setattr(guards, "MAX_ASSIGNMENTS", 10)
+    g = fresh(TRIANGLE)
+    copy = _relabelled(g, (2, 3, 4, 5, 0, 1), reverse=0)
+    assert sorted(_graph(copy)[1]) != sorted(_graph(g)[1])
+    calls = [
+        lambda h: count_class(h, OrientationClass.AO),
+        lambda h: orientations.tbo_histogram(h),
+        lambda h: orientations.unique_cw_counts(h),
+        lambda h: orientations.tbo_generating_poly_formula(h),
+        lambda h: enumeration.count_nz_tensions(h, 4),
+        lambda h: enumeration.count_nz_balanced_flows(h, 3),
+        lambda h: enumeration.poly_flow(h),
+        lambda h: reciprocity.reciprocity_pairs_flow(h, 3),
+        lambda h: reciprocity.integral_local_tension_reciprocity_pairs(h, 1),
+        lambda h: reciprocity.quasi_integral_flows(h),
+    ]
+    monkeypatch.setenv("SURFGRAPH_GUARD_OVERRIDE", "1")
+    for call in calls:
+        call(g)
+    monkeypatch.delenv("SURFGRAPH_GUARD_OVERRIDE")
+    # the copy's graphs share g's classes, which hold the values
+    for h, k in ((g, copy), (g.dual, copy.dual)):
+        assert _graph(h) != _graph(k) and k._class_memo is h._class_memo
+    assert g._class_memo and g.dual._class_memo
+    for call in calls:
+        with pytest.raises(TooLarge):
+            call(copy)
+
+
+def test_the_form_keeps_loops_parallel_edges_and_isolated_vertices():
+    # a loop beside an edge, and two parallel edges, on two vertices
+    loop = build(4, [(0, 2, 3), (1,)], [(0, 1), (2, 3)])
+    digon = build(4, [(0, 2), (3, 1)], [(0, 1), (2, 3)])
+    assert [g.num_vertices for g in (loop, digon)] == [2, 2]
+    assert _class(loop) == (2, ((0, 1), (1, 1))) and _class(digon) == (2, ((0, 1), (0, 1)))
+    # parallel edges count, and so do isolated vertices
+    assert len({_class(g) for g in (BRIDGE, digon, THETA)}) == 3
+    assert _class(ISOLATED) == (4, ((1, 2), (1, 3), (2, 3)))
+    assert _class(TRIANGLE) == (3, ((0, 1), (0, 2), (1, 2)))
+    # relabelling the vertices and turning edges around keep the form
+    for g in [*SMALL, K5, TWO_COMPONENTS]:
+        n = g.num_darts
+        for reverse in range(g.num_edges):
+            copy = _relabelled(g, [(d + 2) % n for d in range(n)], reverse)
+            assert _class(copy) == _class(g)
+    # past the price of its search a graph keeps its labelled key
+    assert ribbonmap._FORM_PRICE < 40320
+    cycle = [(v, (v + 1) % 8) for v in range(8)]
+    assert ribbonmap._graph_form(8, cycle) == (8, tuple(cycle))
+
+
+def test_the_census_graphs_fall_into_30_and_95_classes():
+    # g and g* over the connected census: labelled graphs and classes
+    for m, graphs, classes in ((4, 100, 30), (5, 599, 95)):
+        hs = [h for g in generate(CorpusSpec(edges=m)) for h in (g, g.dual)]
+        assert len(set(map(_graph, hs))) == graphs
+        assert len(set(map(_class, hs))) == classes
+
+
+def test_verify_computes_each_invariant_once_per_class(corpus, monkeypatch):
+    # the pair polynomials, quasi fits, integral pairs, subset polynomials
+    # and cw formulas each run once per class and key over the census,
+    # and never twice for one map's verify on graphs already seen
+    runs = []
+
+    def spy(module, name, key):
+        real = getattr(module, name)
+
+        def run(*args):
+            runs.append((name, key(*args)))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, run)
+
+    def pair_key(g, kind):
+        h, cycles = orientations._primitive(g, reciprocity.CLASS_OF[kind])
+        return _class(h), cycles
+
+    spy(reciprocity, "_pair_poly", pair_key)
+    spy(reciprocity, "_fit_period", lambda h, degree, period: (_class(h), period))
+    spy(reciprocity, "_integral_pairs", lambda h, k, bao: (_class(h), k))
+    spy(enumeration, "_checked_sum", lambda h, kind, counts: (_class(h), kind))
+    spy(orientations, "_cw_formula", lambda h: _class(h))
+    maps = [fresh(g) for g in corpus]
+    for g in maps:
+        cli._verify_graph(g, 3)
+    assert len(set(runs)) == len(runs)
+    classes = {_class(h) for g in maps for h in (g, g.dual)}
+    assert {key[0] for name, key in runs if name == "_checked_sum"} == classes
+    assert {key for name, key in runs if name == "_cw_formula"} == {_class(g.dual) for g in maps}
+    # a second census asks the table only
+    runs.clear()
+    for g in maps:
+        cli._verify_graph(fresh(g), 3)
+    assert runs == []
