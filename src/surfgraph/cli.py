@@ -6,17 +6,13 @@ exceeded (lift with SURFGRAPH_GUARD_OVERRIDE=1), 4 a verified identity
 failed in `verify` or `batch`, or an internal cross-check between two
 routes to the same quantity disagreed (one `error:` line on stderr).
 
-A call pays interpreter start-up and imports on every run, against a
-few milliseconds of work for most commands.  So this module imports
-only `ribbonmap` and `errors` at the top, and each command imports the
-modules it runs: `count` loads `orientations` alone and `cw-hist` adds
-`polynomials`; `poly` loads `enumeration` and `polynomials`, no
-orientation code; `integral`, `reciprocity`, `witness` and `verify` load
-`reciprocity`, which brings `orientations` and `enumeration`; and the
-corpus commands, and `info` and `verify` for the canonical code, load
-`generator`.  The parser is built on every call and imports none of
-them; its `--kind` and `--class` choices are literals, which the tests
-pin to `enumeration.KINDS` and `OrientationClass`.
+This module keeps argument parsing, I/O and thin command bodies; the
+identities of `verify`, `batch` and `reciprocity` are the table in
+`identities`.  Every call pays interpreter start-up and imports against
+a few milliseconds of work, so this module imports only `ribbonmap` and
+`errors` at the top, and each command imports the modules it runs (the
+README lists them).  The parser imports none: its `--kind` and `--class`
+choices are literals, pinned by the tests to the library's tables.
 """
 
 from __future__ import annotations
@@ -28,13 +24,9 @@ import json
 import os
 import sys
 import time
-from typing import TYPE_CHECKING
 
 from . import ribbonmap
 from .errors import SurfGraphError, TooLarge
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 def _load_graph(path: str | None) -> ribbonmap.RibbonGraph:
@@ -59,20 +51,12 @@ def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _code_hex(g: ribbonmap.RibbonGraph) -> str:
-    from .generator import canonical_code
-
-    return canonical_code(g).hex()
-
-
-def _json_num(x: Fraction) -> int | str:
-    return int(x) if x.denominator == 1 else str(x)
-
-
 # -- simple commands ----------------------------------------------------------
 
 
 def cmd_info(args) -> int:
+    from .generator import canonical_code
+
     g = _load_graph(args.map)
     d = g.euler
     info = {
@@ -86,7 +70,7 @@ def cmd_info(args) -> int:
         "single_face_edges": [
             e for e in range(g.num_edges) if g.is_coloop_edge(e)
         ],
-        "canonical_code": _code_hex(g),
+        "canonical_code": canonical_code(g).hex(),
     }
     _emit(info, args.out)
     _say(
@@ -138,14 +122,11 @@ def cmd_integral(args) -> int:
 
 
 def cmd_reciprocity(args) -> int:
-    from . import enumeration as en
-    from . import reciprocity as rc
-    from .polynomials import poly_eval
+    from .identities import SIGNED_PAIRS, Context
 
     g = _load_graph(args.map)
-    pairs = rc.PAIRS[args.kind](g, args.k)
-    coeffs = en.POLY[args.kind](g)
-    signed = (-1) ** rc.SIGN_EXP[args.kind](g.euler) * poly_eval(coeffs, -args.k)
+    row, c, ks = SIGNED_PAIRS[args.kind], Context(g), [args.k]
+    (pairs,), (signed,) = row.rhs(c, ks), row.lhs(c, ks)
     verdict = signed == pairs
     _emit(
         {
@@ -243,140 +224,18 @@ def cmd_generate(args) -> int:
 
 def _verify_graph(g: ribbonmap.RibbonGraph, kmax: int) -> dict:
     """Check every identity on one graph; report both sides of each."""
-    from . import enumeration as en
-    from . import orientations
-    from . import reciprocity as rc
-    from .polynomials import poly_eval
+    from . import identities
 
-    t0 = time.perf_counter()
-    gd = ribbonmap.dual(g)
-    d = g.euler
-    identities: list[dict] = []
-
-    def check(name, lhs, rhs, k_range=None, same=None):
-        identities.append(
-            {
-                "identity": name,
-                "k_range": k_range,
-                "lhs": lhs,
-                "rhs": rhs,
-                "pass": lhs == rhs if same is None else same,
-            }
-        )
-
-    ks = list(range(1, kmax + 1))
-    for kind in en.KINDS:
-        dual_kind = en.DUAL_KIND[kind]
-        check(
-            f"{kind} of map equals {dual_kind} of dual",
-            [en.COUNT_NZ[kind](g, k) for k in ks],
-            [en.COUNT_NZ[dual_kind](gd, k) for k in ks],
-            [1, kmax],
-        )
-
-    polys = {kind: en.POLY[kind](g) for kind in en.KINDS}
-    for kind in en.KINDS:
-        cls = rc.CLASS_OF[kind]
-        check(
-            f"|{kind} polynomial at -1| counts {cls.value} orientations",
-            abs(poly_eval(polys[kind], -1)),
-            orientations.count_class(g, cls),
-        )
-
-    for kind in en.KINDS:
-        sign = (-1) ** rc.SIGN_EXP[kind](d)
-        check(
-            f"signed {kind} polynomial at -k counts reciprocity pairs",
-            [sign * poly_eval(polys[kind], -k) for k in ks],
-            [rc.PAIRS[kind](g, k) for k in ks],
-            [1, kmax],
-        )
-
-    if g.num_edges <= 4:
-        quasi = rc.quasi_integral_local_tensions(g)
-        check(
-            "|integral local-tension quasipolynomial at -k| counts compatible pairs",
-            [_json_num(abs(quasi.evaluate(-k))) for k in range(0, kmax + 1)],
-            [
-                rc.integral_local_tension_reciprocity_pairs(g, k)
-                for k in range(0, kmax + 1)
-            ],
-            [0, kmax],
-        )
-
-    dual_tension = polys["balanced-flow"]  # the tension polynomial of gd
-    check(
-        "|dual tension polynomial at -1| counts totally bi-walkable orientations",
-        abs(poly_eval(dual_tension, -1)),
-        orientations.count_class(g, orientations.OrientationClass.TBO),
-    )
-
-    # The dual of a TBO is acyclic, so each component of g* has a sink, a
-    # cw face: with c >= 2 components no orientation has exactly one.
-    const = abs(dual_tension[0]) if dual_tension else 0
-    check(
-        "every face is the unique cw face of |dual tension constant term| orientations",
-        orientations.unique_cw_counts(g),
-        [const if d.c == 1 else 0] * g.num_faces,
-    )
-
-    check(
-        "cw-face histogram matches the subset-sum formula",
-        orientations.tbo_generating_polynomial(g),
-        orientations.tbo_generating_poly_formula(g),
-    )
-
-    # DUAL_KIND pairs the kinds two by two, so two of its entries give
-    # both class bijections: BAO -> TCO and AO -> TBO.  dual_orientation
-    # keeps the sign vector, and g and gd share the masks' bit order, so
-    # the bijection is the equality of two masks; the rows print sizes.
-    for kind in ("local-tension", "tension"):
-        cls, dual_cls = rc.CLASS_OF[kind], rc.CLASS_OF[en.DUAL_KIND[kind]]
-        mask = orientations._class_mask(g, cls)
-        dual_mask = orientations._class_mask(gd, dual_cls)
-        check(
-            f"dual orientations of {cls.value} maps are exactly the {dual_cls.value}"
-            " maps of the dual",
-            mask.bit_count(),
-            dual_mask.bit_count(),
-            same=mask == dual_mask,
-        )
-
-    return {
-        "graph": _code_hex(g),
-        "euler": {
-            "vertices": d.v_count,
-            "edges": d.e_count,
-            "faces": d.f_count,
-            "components": d.c,
-            "genus": d.g,
-        },
-        "kmax": kmax,
-        "identities": identities,
-        "all_pass": all(i["pass"] for i in identities),
-        "elapsed_s": round(time.perf_counter() - t0, 4),
-    }
-
-
-def _print_report(report: dict) -> None:
-    for i in report["identities"]:
-        if i["pass"]:
-            _say(f"  PASS {i['identity']}")
-        else:
-            _say(f"  FAIL {i['identity']}: lhs={i['lhs']} rhs={i['rhs']}")
-    _say(
-        f"graph {report['graph'][:16]}…: "
-        f"{sum(i['pass'] for i in report['identities'])}/"
-        f"{len(report['identities'])} identities pass "
-        f"({report['elapsed_s']}s)"
-    )
+    return identities.report(g, kmax)
 
 
 def cmd_verify(args) -> int:
+    from . import identities
+
     g = _load_graph(args.map)
     report = _verify_graph(g, args.kmax)
     _emit(report, args.out)
-    _print_report(report)
+    _say(identities.summary(report))
     return 0 if report["all_pass"] else 4
 
 

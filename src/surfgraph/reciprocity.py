@@ -31,7 +31,7 @@ from functools import cached_property
 from itertools import accumulate
 from math import lcm, prod
 from operator import sub
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .enumeration import KINDS, _frontier, _fundamental_plan, _require_k
 from .errors import BadModulus, DuplicateEdge, NoFit, NonIntegerCoefficients, NotBoundaryAcyclic
@@ -250,9 +250,14 @@ def integral_local_tension_reciprocity_pairs(g: RibbonGraph, k: int) -> int:
     if not isinstance(k, int) or k < 0:
         raise BadModulus(f"k must be a nonnegative integer, got {k!r}")
     h = g.dual
-    check_dp(_fundamental_plan(h, True)[2], 2 * k + 1, edges=g.num_edges)
+    check_dp(*_pairs_dp(g, k))
     bao = _class_mask(g, CLASS_OF["local-tension"])  # TCO of g*, guarded here too
     return h._invariant_memoised(("integral pairs", k), lambda: _integral_pairs(h, k, bao))
+
+
+def _pairs_dp(g: RibbonGraph, k: int) -> tuple:
+    """The check_dp arguments of g's integral pair DP at k, on g*."""
+    return _fundamental_plan(g.dual, True)[2], 2 * k + 1, 0, 1, g.num_edges
 
 
 def _integral_pairs(h: RibbonGraph, k: int, bao: int) -> int:
@@ -416,6 +421,15 @@ def fit_quasipolynomial(
     raise NoFit(f"no quasipolynomial of period <= {max_period} fits the samples")
 
 
+def _quasi_dps(h: RibbonGraph, max_period: int = 6) -> Iterator[tuple]:
+    """The check_dp arguments of the box DP of each period that
+    quasi_integral_flows(h) may fit, over k = 1..period(E+2)+2."""
+    guide = _fundamental_plan(h, True)[2]
+    for period in range(1, max_period + 1):
+        kmax = period * (h.num_edges + 2) + 2
+        yield guide, 2 * kmax - 2, 0, kmax
+
+
 def _fit_period(h: RibbonGraph, degree: int, period: int) -> QuasiPolynomial | None:
     ks = range(1, period * (degree + 2) + 3)
     try:
@@ -440,13 +454,10 @@ def quasi_integral_flows(g: RibbonGraph, max_period: int = 6) -> QuasiPolynomial
     Each period's fit, or None if it fits no period up to it, is kept on
     the isomorphism class of g's graph."""
     _require_max_period(max_period)
-    degree = g.num_edges
-    guide = _fundamental_plan(g, True)[2]
     spent = 0
-    for period in range(1, max_period + 1):
-        kmax = period * (degree + 2) + 2
-        spent = check_dp(guide, 2 * kmax - 2, boxes=kmax, spent=spent)
-        fit = g._invariant_memoised(("quasi", period), lambda: _fit_period(g, degree, period))
+    for period, dp in enumerate(_quasi_dps(g, max_period), 1):
+        spent = check_dp(*dp, spent=spent)
+        fit = g._invariant_memoised(("quasi", period), lambda: _fit_period(g, g.num_edges, period))
         if fit is not None:
             return fit
     raise NoFit(f"no quasipolynomial of period <= {max_period} fits the samples")

@@ -157,6 +157,46 @@ MUTANTS = (
             "tests/test_acceptance.py::test_criterion_7_oracle_agreement",
         ),
     ),
+    # The identities table: a row's gate, a side read on the wrong map, a
+    # lost sign, and a report price that leaves out the right-hand sides.
+    Mutant(
+        "integral-gate-at-three",
+        "identities.py",
+        "runs=lambda g: g.num_edges <= 4",
+        "runs=lambda g: g.num_edges <= 3",
+        ("tests/test_identities.py::test_the_integral_row_runs_on_maps_with_at_most_four_edges",),
+    ),
+    Mutant(
+        "duality-rhs-on-g",
+        "identities.py",
+        "lambda c, ks: [en.COUNT_NZ[dual](c.gd, k) for k in ks]",
+        "lambda c, ks: [en.COUNT_NZ[dual](c.g, k) for k in ks]",
+        (
+            "tests/test_identities.py::test_the_rows_of_every_small_map_are_pinned",
+            "tests/test_memo.py::test_a_second_verify_on_the_same_map_gives_the_same_report",
+        ),
+    ),
+    Mutant(
+        "signed-pairs-unsigned",
+        "identities.py",
+        "return [sign * poly_eval(c.poly(kind), -k) for k in ks]",
+        "return [poly_eval(c.poly(kind), -k) for k in ks]",
+        (
+            "tests/test_identities.py::test_the_rows_of_every_small_map_are_pinned",
+            "tests/test_memo.py::test_a_second_verify_on_the_same_map_gives_the_same_report",
+            "tests/test_cli.py::test_reciprocity_past_the_assignment_guard",
+        ),
+    ),
+    Mutant(
+        "price-without-rhs",
+        "identities.py",
+        "[*_nz_dps(c.g, kind, ks), *_nz_dps(c.gd, dual, ks)]",
+        "_nz_dps(c.g, kind, ks)",
+        (
+            "tests/test_identities.py::test_a_report_prices_every_dp_its_rows_run",
+            "tests/test_identities.py::test_a_report_too_large_in_all_is_refused_before_any_dp",
+        ),
+    ),
 )
 
 

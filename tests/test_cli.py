@@ -452,7 +452,7 @@ def test_batch_keeps_no_finished_report(capsys, monkeypatch):
     def verify(g, kmax):
         alive.append(sum(ref() is not None for ref in made))
         row = {"identity": "x", "k_range": None, "lhs": 1, "rhs": 1, "pass": True}
-        report = Report(graph=cli._code_hex(g), identities=[row], all_pass=True, elapsed_s=0.0)
+        report = Report(graph=sg.canonical_code(g).hex(), identities=[row], all_pass=True, elapsed_s=0.0)
         made.append(weakref.ref(report))
         return report
 
@@ -467,7 +467,7 @@ def test_batch_failures_are_stably_sorted_by_graph(capsys, monkeypatch):
     codes = []
 
     def verify(g, kmax):
-        codes.append(cli._code_hex(g))
+        codes.append(sg.canonical_code(g).hex())
         rows = [
             {"identity": f"row {j}", "k_range": None, "lhs": len(codes), "rhs": j, "pass": False}
             for j in (0, 1)
@@ -615,7 +615,7 @@ def test_class_counts_and_cw_hist_load_only_what_they_run(tmp_path):
             counts.append(["count", "--class", cls, str(path), "--out", os.devnull])
         hists.append(["cw-hist", str(path), "--out", os.devnull])
     # dataclasses would pull in inspect; the records are plain classes
-    for module in ("surfgraph.enumeration", "surfgraph.generator", "dataclasses"):
+    for module in ("surfgraph.enumeration", "surfgraph.generator", "surfgraph.identities", "dataclasses"):
         assert _loaded_by_cli_import(module, *counts, *hists) == "False", module
     # only cw-hist's generating polynomial needs the coefficient helpers
     for module in ("surfgraph.polynomials", "fractions"):
@@ -684,7 +684,8 @@ def test_poly_leaves_the_generator_unloaded(tmp_path):
 
 def test_counting_commands_load_no_reciprocity_code(tmp_path):
     # poly is a subset sum checked by DP counts: no orientation class, pair
-    # count or canonical code; a class count or histogram runs no assignment count
+    # count, identity or canonical code; a class count or histogram runs no
+    # assignment count, and info and dual neither
     polys, counts = [], []
     for name, g in (("kite", KITE), ("two", TWO_COMPONENTS)):
         path = tmp_path / f"{name}.json"
@@ -692,15 +693,16 @@ def test_counting_commands_load_no_reciprocity_code(tmp_path):
         quiet = ["--out", os.devnull]
         polys += [["poly", str(path), "--kind", kind, *quiet] for kind in sg.enumeration.KINDS]
         counts += [["count", "--class", cls, str(path), *quiet] for cls in ("ao", "tco", "bao", "tbo")]
-        counts.append(["cw-hist", str(path), *quiet])
+        counts += [["cw-hist", str(path), *quiet], ["info", str(path), *quiet], ["dual", str(path), *quiet]]
     assert [KITE.num_edges, TWO_COMPONENTS.num_edges] == [6, 5]
-    for module in ("surfgraph.orientations", "surfgraph.reciprocity", "surfgraph.generator"):
+    for module in ("surfgraph.orientations", "surfgraph.reciprocity", "surfgraph.generator", "surfgraph.identities"):
         assert _loaded_by_cli_import(module, *polys) == "False", module
-    for module in ("surfgraph.reciprocity", "surfgraph.enumeration"):
+    for module in ("surfgraph.reciprocity", "surfgraph.enumeration", "surfgraph.identities"):
         assert _loaded_by_cli_import(module, *counts) == "False", module
-    # the same probe sees verify load the reciprocity side
+    # the same probe sees verify load the reciprocity side and the identities
     verify = ["verify", str(tmp_path / "kite.json"), "--kmax", "1", "--out", os.devnull]
-    assert _loaded_by_cli_import("surfgraph.reciprocity", verify) == "True"
+    for module in ("surfgraph.reciprocity", "surfgraph.identities"):
+        assert _loaded_by_cli_import(module, verify) == "True", module
 
 
 def test_package_import_loads_no_submodule():
