@@ -32,7 +32,7 @@ fits, witness vectors) is in `reciprocity`, so this module loads neither
 `orientations` nor `fractions`.
 
 A quantity with a second independent characterization is computed both
-ways, and disagreement raises.  The DP's forms and column plans
+ways, and disagreement raises.  The DP's condition rows and column plans
 (tuples) are kept on the map's labelled graph, (V, edge ends), for every
 map with that graph; the counts, the subset census and the polynomials
 are invariants, kept on its isomorphism class; the local tensions and
@@ -193,13 +193,9 @@ def _forms(h: RibbonGraph, flow: bool) -> tuple[Form, ...]:
     )
 
 
-def _fundamental_forms(h: RibbonGraph, flow: bool) -> tuple[Form, ...]:
-    return h._graph_memoised(("forms", flow), lambda: _forms(h, flow))
-
-
 def _fundamental_plan(h: RibbonGraph, flow: bool) -> tuple:
-    def plan() -> tuple:
-        forms = _fundamental_forms(h, flow)
+    def plan() -> tuple:  # the forms are read only here, so only the plan is kept
+        forms = _forms(h, flow)
         return _plan(h.num_edges - len(forms), forms)
 
     return h._graph_memoised(("plan", flow), plan)

@@ -150,7 +150,7 @@ def check_dp(
 
 
 @lru_cache(maxsize=1024)  # guards run before every memo lookup, so prices repeat
-def _dp_price(guide: Sequence, values: int, modulus: int, boxes: int, edges: int) -> int:
+def _dp_price(guide: Sequence, values: int, modulus: int = 0, boxes: int = 1, edges: int = 0) -> int:
     if edges:
         return _dp_steps(guide, values, 0, lambda a: 3**a) * -(-(1 << edges) // 64)
     return _dp_steps(guide, values, modulus, lambda a: boxes)

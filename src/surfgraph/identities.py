@@ -7,13 +7,15 @@ rows compare two masks and show their sizes).  A side is a function of
 the map's Context, holding g, g* and the four polynomials of g, each
 read once per map, and of the ks; a row passes when its sides are equal.
 A row's `dps` are the frontier DPs it runs, as guards.check_dp
-arguments, so that a report is priced whole before its first row runs.
-The per-kind rows come from enumeration's KINDS and DUAL_KIND and
-reciprocity's CLASS_OF, SIGN_EXP and PAIRS.  Sides call the library
-through its modules' attributes and tables, so wrappers that rebind
-them (perfbench/tracer.py, the tests' spies) see every call.  Only
-`verify`, `batch` and `reciprocity` import this module, and they load
-all it imports whatever they run.
+arguments, so that a report is priced whole before its first row runs:
+a kind's duality row compares two DPs on its class's primitive h = g or
+g*, on fundamental coordinates and on condition rows.  The per-kind rows
+come from enumeration's KINDS and DUAL_KIND and reciprocity's CLASS_OF,
+SIGN_EXP and PAIRS.  Sides call the library through its modules'
+attributes and tables, so wrappers that rebind them
+(perfbench/tracer.py, the tests' spies) see every call.  Only `verify`,
+`batch` and `reciprocity` import this module, and they load all it
+imports whatever they run.
 """
 
 from __future__ import annotations
@@ -23,10 +25,9 @@ import time
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from . import enumeration as en
-from . import orientations, ribbonmap
+from . import guards, orientations, ribbonmap
 from . import reciprocity as rc
-from .errors import TooLarge
-from .guards import check_dp
+from .guards import _dp_price
 from .polynomials import poly_eval
 from .ribbonmap import RibbonGraph
 
@@ -49,22 +50,12 @@ class Row(NamedTuple):
     dps: Callable[[Context, Any], Iterable[tuple]] = lambda c, ks: ()
 
 
-def _nz_dps(g: RibbonGraph, kind: str, ks: Iterable[int]) -> list[tuple]:
-    """The check_dp arguments of the DPs that COUNT_NZ[kind](g, k) runs for
-    k in ks: on fundamental coordinates of g, or on the rows of g*."""
-    if kind in ("tension", "flow"):
-        guide = en._fundamental_plan(g, kind == "flow")[2]
-    else:
-        guide = en._row_plan(g.dual, en.DUAL_KIND[kind])[2]
-    return [(guide, k - 1, k) for k in ks]
-
-
-def _poly_dps(g: RibbonGraph, kind: str) -> list[tuple]:
-    """The DPs of POLY[kind](g): its checks by COUNT_NZ at k = 2, 3, on g,
-    or of the dual kind on g* (POLY["local-tension"](g) is a flow
-    polynomial of g*)."""
-    h, base = (g, kind) if kind in ("tension", "flow") else (g.dual, en.DUAL_KIND[kind])
-    return _nz_dps(h, base, (2, 3))
+def _routes(g: RibbonGraph, kind: str) -> tuple[tuple, tuple]:
+    """The guides of the DPs counting the nowhere-zero tensions (cycle
+    classes) or flows of the kind's primitive h = g or g* mod k: on
+    fundamental coordinates, and on the condition's rows."""
+    h, cycles = orientations._primitive(g, rc.CLASS_OF[kind])
+    return en._fundamental_plan(h, not cycles)[2], en._row_plan(h, "tension" if cycles else "flow")[2]
 
 
 def _per_kind(kind: str) -> tuple[Row, Row, Row]:
@@ -79,11 +70,12 @@ def _per_kind(kind: str) -> tuple[Row, Row, Row]:
         Row(f"{kind} of map equals {dual} of dual",
             lambda c, ks: [en.COUNT_NZ[kind](c.g, k) for k in ks],
             lambda c, ks: [en.COUNT_NZ[dual](c.gd, k) for k in ks], k_from=1,
-            dps=lambda c, ks: [*_nz_dps(c.g, kind, ks), *_nz_dps(c.gd, dual, ks)]),
+            dps=lambda c, ks: [(guide, k - 1, k) for guide in _routes(c.g, kind) for k in ks]),
         Row(f"|{kind} polynomial at -1| counts {cls.value} orientations",
             lambda c, ks: abs(poly_eval(c.poly(kind), -1)),
             lambda c, ks: orientations.count_class(c.g, cls),
-            dps=lambda c, ks: _poly_dps(c.g, kind)),  # the first row to read the polynomial
+            # the first row to read the polynomial: its DP checks at k = 2, 3
+            dps=lambda c, ks: [(_routes(c.g, kind)[0], k - 1, k) for k in (2, 3)]),
         Row(f"signed {kind} polynomial at -k counts reciprocity pairs", signed,
             lambda c, ks: [rc.PAIRS[kind](c.g, k) for k in ks], k_from=1),
     )
@@ -136,14 +128,14 @@ ROWS = (
 def _price(c: Context, rows: list[tuple[Row, Any]], kmax: int) -> None:
     """Refuse a report before its first row runs if the frontier DPs of its
     rows, on both sides and at every k, priced as if no value were kept,
-    are too many steps together."""
-    spent = 0
-    try:
-        for row, ks in rows:
-            for dp in row.dps(c, ks):
-                spent = check_dp(*dp, spent=spent)
-    except TooLarge as exc:
-        raise TooLarge(f"the identities at kmax {kmax}, priced before the first runs: {exc}") from None
+    are too many steps together; the refusal names how many and their sum."""
+    prices = [_dp_price(*dp) for row, ks in rows for dp in row.dps(c, ks)]
+    total = sum(prices)
+    if total > guards.MAX_ASSIGNMENTS:
+        guards._refuse(
+            f"the identities at kmax {kmax}, {len(prices)} frontier DPs priced before "
+            f"the first runs, about {total} steps in all,"
+        )
 
 
 def report(g: RibbonGraph, kmax: int) -> dict:

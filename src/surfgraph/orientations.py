@@ -18,8 +18,10 @@ Python int whose bit r stands for mask r, so a scan is a few bitwise
 operations on 2^E-bit ints and loads no numpy.  A coherent structure
 whose edges must carry given signs forbids the subcube of masks with
 r & X == P, where X holds its edges and P those that must be -1.  Each
-class forbids coherent cycles or coherent cuts, of g or of g*
-(`_primitive`), and is computed by two routes over all the masks:
+class forbids coherent cycles or coherent cuts of its primitive h = g
+or g*: `_class_mask`, the guarded entry, works h out (`_primitive`), and
+every helper below it takes h and whether cycles are forbidden.  A
+class is computed by two routes over all the masks:
 
   class  forbidden subcubes (cycles both ways)     graph search
   AO     directed cycles of g                       Kahn peel on g
@@ -28,8 +30,8 @@ class forbids coherent cycles or coherent cuts, of g or of g*
   TBO    directed cycles of g* (cocycles of g)      Kahn peel on g*
 
 The reciprocity pair counters in `reciprocity` read the same subcubes
-(`_support_classes`): those that miss an edge set A give the class of g
-surgered at A, on the sign vectors off A.  The per-orientation
+of h (`_support_classes`): those that miss an edge set A give the class
+of h surgered at A, on the sign vectors off A.  The per-orientation
 predicates `is_*` compute their own characterizations in plain Python
 and serve as oracles for the engine: AO by a Kahn peel, and TCO, BAO and
 TBO each by a scan of the coherent cuts, face sets or cocycles of g
@@ -459,14 +461,11 @@ def _primitive(g: RibbonGraph, cls: OrientationClass) -> tuple[RibbonGraph, bool
 _SIDE = {True: "cycles", False: "cuts"}
 
 
-def _scan_cost(g: RibbonGraph, cls: OrientationClass) -> int:
+def _scan_cost(h: RibbonGraph, cycles: bool) -> int:
     """Subcube patterns plus search steps per mask of both routes, from
-    sizes; kept on the primitive's graph, by cycles or cuts, since every
-    guarded call asks for it."""
-    h, cycles = _primitive(g, cls)
-    return h._graph_memoised(
-        ("scan cost", _SIDE[cycles]), lambda: _estimate_scan_cost(h, cycles)
-    )
+    sizes; kept on h's graph, by cycles or cuts, since every guarded call
+    asks for it."""
+    return h._graph_memoised(("scan cost", _SIDE[cycles]), lambda: _estimate_scan_cost(h, cycles))
 
 
 def _estimate_scan_cost(h: RibbonGraph, cycles: bool) -> int:
@@ -478,18 +477,17 @@ def _estimate_scan_cost(h: RibbonGraph, cycles: bool) -> int:
     return sum(2 ** len(comp) - 2 for comp in h.components) + 2 * v * e
 
 
-def _class_cubes(g: RibbonGraph, cls: OrientationClass) -> Iterator[tuple[int, int]]:
-    """The forbidden subcubes of one class."""
-    h, cycles = _primitive(g, cls)
+def _class_cubes(h: RibbonGraph, cycles: bool) -> Iterator[tuple[int, int]]:
+    """The subcubes forbidden by coherent cycles or coherent cuts of h."""
     return _both_ways(h) if cycles else _cut_cubes(h)
 
 
-def _support_classes(g: RibbonGraph, cls: OrientationClass, supports: Sequence[int]) -> list[int]:
-    """Per edge set A in supports, the class of g surgered at A: the sign
+def _support_classes(h: RibbonGraph, cycles: bool, supports: Sequence[int]) -> list[int]:
+    """Per edge set A in supports, the class of h surgered at A: the sign
     vectors on the edges off A that avoid the forbidden subcubes missing A."""
-    e = g.num_edges
+    e = h.num_edges
     cubes: dict[int, int] = {}  # the masks in the subcubes on each edge set X
-    for x, p in _class_cubes(g, cls):
+    for x, p in _class_cubes(h, cycles):
         cubes[x] = cubes.get(x, 0) | _cube(e, x, p)
     out = []
     for a in supports:
@@ -521,17 +519,16 @@ def _class_mask(g: RibbonGraph, cls: OrientationClass) -> int:
     the classes of every map with the same graph."""
     e = g.num_edges
     check_orientation_scan(e)
-    check_class_scan(e, _scan_cost(g, cls))
     h, cycles = _primitive(g, cls)
-    return h._graph_memoised(("class", _SIDE[cycles]), lambda: _scan_class(g, cls))
+    check_class_scan(e, _scan_cost(h, cycles))
+    return h._graph_memoised(("class", _SIDE[cycles]), lambda: _scan_class(h, cycles))
 
 
-def _scan_class(g: RibbonGraph, cls: OrientationClass) -> int:
-    e = g.num_edges
-    h, cycles = _primitive(g, cls)
-    cubes = _avoids(e, _class_cubes(g, cls))
+def _scan_class(h: RibbonGraph, cycles: bool) -> int:
+    e = h.num_edges
+    cubes = _avoids(e, _class_cubes(h, cycles))
     search = _peel(h) if cycles else _strongly_connected(h)
-    _agree(e, cubes, search, f"{cls.value}: forbidden subcubes and graph search")
+    _agree(e, cubes, search, f"{_SIDE[cycles]}: forbidden subcubes and graph search")
     return cubes
 
 

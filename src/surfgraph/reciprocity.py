@@ -4,9 +4,9 @@ quasipolynomials, witness vectors, and the surgeries the theorem names.
 Each kind's polynomial, read at -k with a sign, counts pairs of an
 assignment and an orientation of g surgered at its support: AO(g\\A),
 TCO(g/A) abstractly, BAO(g//A) or TBO(g/A).  The pair counters read
-those classes on g's own forbidden subcubes (orientations), so they
-build no surgered map; the surgeries serve the tests' pair oracle and
-is_separating.  Integral flows in a box |x(e)| < k are one box DP
+those classes on the forbidden subcubes of g or g* (orientations), so
+they build no surgered map; the surgeries serve the tests' pair oracle
+and is_separating.  Integral flows in a box |x(e)| < k are one box DP
 (enumeration's frontier DP), fitted by a quasipolynomial; the integral
 local tensions of g are those flows of g*, and the value of their fit at
 -k counts the integral pairs with the BAOs.  A witness vector shows each
@@ -42,7 +42,6 @@ from .orientations import (
     _SIDE,
     _class_mask,
     _lanes,
-    _primitive,
     _scan_cost,
     _support_classes,
     coherent_cocycles,
@@ -68,10 +67,12 @@ if TYPE_CHECKING:
 
 # -- reciprocity pair counters -----------------------------------------------
 # A pair is a solution x and an orientation of g surgered at A = supp(x):
-# AO(g\A), TCO(g/A) abstractly, BAO(g//A) or TBO(g/A).  Its class, cls(A),
-# is read on g's forbidden subcubes (orientations._support_classes), and
-# the class's primitive names the kind's side: tensions (cycle classes) or
-# flows (cut classes) of h = g or g*.  Of those, N_in(B) = k^(c(E-B) - c)
+# AO(g\A), TCO(g/A) abstractly, BAO(g//A) or TBO(g/A).  The last two are
+# TCO(g*/A) and AO(g*\A): the local-tension and balanced-flow pairs of g
+# are the flow and tension pairs of g*.  So the counters take the
+# primitive h = g or g* and whether they count tensions (AO) or flows
+# (TCO), and read cls(A) on h's forbidden subcubes
+# (orientations._support_classes).  Of those, N_in(B) = k^(c(E-B) - c)
 # tensions or k^(|B| - V + c(B)) flows vanish off B, c(.) the components
 # of h (counted here, not read from the census), so by Moebius inversion
 #     pairs(k) = sum_B N_in(B)(k) sum_{A >= B} (-1)^|A-B| cls(A),
@@ -105,9 +106,7 @@ def _components_walk(h: RibbonGraph) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _pair_poly(g: RibbonGraph, kind: str) -> list[int]:
-    cls = CLASS_OF[kind]
-    h, tension = _primitive(g, cls)
+def _pair_poly(h: RibbonGraph, tension: bool) -> list[int]:
     e, v, c = h.num_edges, h.num_vertices, h.num_components
     comps = _subset_components(h)
     full = (1 << e) - 1
@@ -119,11 +118,11 @@ def _pair_poly(g: RibbonGraph, kind: str) -> list[int]:
                for b in bits if a & b)
     ]
     m = [0] * (full + 1)
-    for a, n in zip(supports, _support_classes(g, cls, supports)):
+    for a, n in zip(supports, _support_classes(h, tension, supports)):
         m[a] = n
-    whole = count_class(g, cls)  # the zero vector's support, checked
-    if m[0] != whole:
-        raise AssertionError(f"{kind} pairs: {m[0]} at the empty support, class mask {whole}")
+    whole = count_class(h, OrientationClass.AO if tension else OrientationClass.TCO)
+    if m[0] != whole:  # the zero vector's support
+        raise AssertionError(f"{_SIDE[tension]}: {m[0]} pairs at the empty support, class mask {whole}")
     for b in bits:  # m[B] <- sum over A >= B of (-1)^|A-B| m[A], one edge at a time
         for s in range(0, full + 1, 2 * b):
             m[s : s + b] = map(sub, m[s : s + b], m[s + b : s + 2 * b])
@@ -134,39 +133,36 @@ def _pair_poly(g: RibbonGraph, kind: str) -> list[int]:
     return ipoly_trim(coeffs)
 
 
-def _pairs(g: RibbonGraph, k: int, kind: str) -> int:
-    """The pair count at k, from the pair polynomial kept on the
-    isomorphism class of the graph of the class's primitive, by cycles or
-    cuts: the local-tension pairs of g are the flow pairs of g*, and the
-    balanced-flow pairs its tension pairs."""
+def _pairs(h: RibbonGraph, k: int, tension: bool) -> int:
+    """The tension (AO) or flow (TCO) pair count of h at k, from the pair
+    polynomial kept on the isomorphism class of h's graph, by cycles or
+    cuts."""
     _require_k(k)
-    cls = CLASS_OF[kind]
-    check_pair_poly(g.num_edges, _scan_cost(g, cls))
-    h, cycles = _primitive(g, cls)
-    poly = h._invariant_memoised(("pairs", _SIDE[cycles]), lambda: tuple(_pair_poly(g, kind)))
+    check_pair_poly(h.num_edges, _scan_cost(h, tension))
+    poly = h._invariant_memoised(("pairs", _SIDE[tension]), lambda: tuple(_pair_poly(h, tension)))
     return poly_eval(poly, k)
 
 
 def reciprocity_pairs_tension(g: RibbonGraph, k: int) -> int:
     """Pairs (tension t, acyclic orientation of g with supp(t) deleted)."""
-    return _pairs(g, k, "tension")
+    return _pairs(g, k, True)
 
 
 def reciprocity_pairs_flow(g: RibbonGraph, k: int) -> int:
     """Pairs (flow f, totally cyclic orientation of g with supp(f) contracted abstractly)."""
-    return _pairs(g, k, "flow")
+    return _pairs(g, k, False)
 
 
 def reciprocity_pairs_local_tension(g: RibbonGraph, k: int) -> int:
     """Pairs (local tension t, boundary acyclic orientation after the
-    coloop-aware removal of supp(t))."""
-    return _pairs(g, k, "local-tension")
+    coloop-aware removal of supp(t)): the flow pairs of g*."""
+    return reciprocity_pairs_flow(g.dual, k)
 
 
 def reciprocity_pairs_balanced_flow(g: RibbonGraph, k: int) -> int:
     """Pairs (balanced flow f, totally bi-walkable orientation of g with
-    supp(f) contracted as a ribbon graph)."""
-    return _pairs(g, k, "balanced-flow")
+    supp(f) contracted as a ribbon graph): the tension pairs of g*."""
+    return reciprocity_pairs_tension(g.dual, k)
 
 
 # -- the four kinds ----------------------------------------------------------

@@ -81,8 +81,8 @@ class RibbonGraph(Record):
       `_memoised`           what reads the rotation (the canonical code);
                             it dies with the map
       `_graph_memoised`     what reads the labels of V and the edge ends
-                            of g or g* (cycles, fundamental cycles, forms,
-                            rows, plans, class masks, cw cubes, subset
+                            of g or g* (cycles, fundamental cycles, rows,
+                            plans, class masks, cw cubes, subset
                             components, scan costs), in _GRAPHS, shared
                             by every map with the same labelled graph
       `_invariant_memoised` what survives relabelling the vertices and
@@ -659,52 +659,44 @@ def fundamental_cycles(g: RibbonGraph) -> list[Cycle]:
 
 
 def _build_fundamental_cycles(g: RibbonGraph) -> list[Cycle]:
-    ends = g._edge_ends
-    _, forest = _spanning_forest(g.num_vertices, ends)
-    tree_adj: dict[int, list[tuple[int, int, int]]] = {
-        v: [] for v in range(g.num_vertices)
-    }
+    """Per chord (u, w), the chord from u to w, then the forest path from
+    w back to u: each tree is rooted once, and the path climbs from w and
+    from u to the vertex where they meet."""
+    ends, n = g._edge_ends, g.num_vertices
+    _, forest = _spanning_forest(n, ends)
+    at: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for e in forest:
-        u, w = ends[e]
-        tree_adj[u].append((e, 1, w))
-        tree_adj[w].append((e, -1, u))
-    in_forest = set(forest)
-    chords = [e for e in range(g.num_edges) if e not in in_forest]
-
-    def tree_path(src, dst):
-        # BFS in the forest; returns steps (edge, dir, from_vertex)
-        prev: dict[int, tuple[int, int, int]] = {src: (-1, 0, -1)}
-        queue = [src]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            if v == dst:
-                break
-            for e, d, w in tree_adj[v]:
-                if w not in prev:
-                    prev[w] = (e, d, v)
-                    queue.append(w)
-        steps = []
-        v = dst
-        while v != src:
-            e, d, frm = prev[v]
-            steps.append((e, d, frm))
-            v = frm
-        steps.reverse()
-        return steps
-
-    out = []
-    for e in chords:
-        u, w = ends[e]
-        if u == w:
-            out.append(Cycle((e,), (1,), (u,)))
+        t, w = ends[e]
+        at[t].append((e, 1, w))
+        at[w].append((e, -1, t))
+    # per vertex: its depth, and (edge up, its direction climbing it, the vertex above)
+    depth, up = [-1] * n, [(-1, 0, -1)] * n
+    for root in range(n):
+        if depth[root] >= 0:
             continue
-        steps = tree_path(w, u)
-        edges = (e,) + tuple(s[0] for s in steps)
-        dirs = (1,) + tuple(s[1] for s in steps)
-        verts = (u,) + tuple(s[2] for s in steps)
-        out.append(Cycle(edges, dirs, verts))
+        depth[root], stack = 0, [root]
+        while stack:
+            v = stack.pop()
+            for e, d, x in at[v]:
+                if depth[x] < 0:
+                    depth[x], up[x] = depth[v] + 1, (e, -d, v)
+                    stack.append(x)
+    in_forest = set(forest)
+    out = []
+    for e in (e for e in range(g.num_edges) if e not in in_forest):
+        u, a = ends[e]
+        b = u
+        climb, descent = [], []  # steps (edge, direction, from vertex): up from w, down to u
+        while a != b:
+            if depth[a] >= depth[b]:
+                f, d, above = up[a]
+                climb.append((f, d, a))
+                a = above
+            else:
+                f, d, above = up[b]
+                descent.append((f, -d, above))
+                b = above
+        out.append(Cycle(*zip((e, 1, u), *climb, *reversed(descent))))
     return out
 
 

@@ -158,7 +158,9 @@ MUTANTS = (
         ),
     ),
     # The identities table: a row's gate, a side read on the wrong map, a
-    # lost sign, and a report price that leaves out the right-hand sides.
+    # lost sign, and a report price that leaves out one route of each
+    # duality row: the fundamental coordinates, the right-hand side of the
+    # local-tension and balanced-flow rows, or the condition rows.
     Mutant(
         "integral-gate-at-three",
         "identities.py",
@@ -190,11 +192,46 @@ MUTANTS = (
     Mutant(
         "price-without-rhs",
         "identities.py",
-        "[*_nz_dps(c.g, kind, ks), *_nz_dps(c.gd, dual, ks)]",
-        "_nz_dps(c.g, kind, ks)",
+        "for guide in _routes(c.g, kind) for k in ks]",
+        "for guide in _routes(c.g, kind)[1:] for k in ks]",
         (
             "tests/test_identities.py::test_a_report_prices_every_dp_its_rows_run",
             "tests/test_identities.py::test_a_report_too_large_in_all_is_refused_before_any_dp",
+        ),
+    ),
+    Mutant(
+        "duality-priced-on-fundamental-route-only",
+        "identities.py",
+        "for guide in _routes(c.g, kind) for k in ks]",
+        "for guide in _routes(c.g, kind)[:1] for k in ks]",
+        (
+            "tests/test_identities.py::test_a_report_prices_every_dp_its_rows_run",
+            "tests/test_identities.py::test_a_report_too_large_in_all_is_refused_before_any_dp",
+        ),
+    ),
+    # The pair counters: the pairs of the dual kinds are read on g*.
+    Mutant(
+        "local-tension-pairs-on-g",
+        "reciprocity.py",
+        "    return reciprocity_pairs_flow(g.dual, k)\n",
+        "    return reciprocity_pairs_flow(g, k)\n",
+        (
+            "tests/test_enumeration.py::test_signed_reciprocity_on_zoo",
+            "tests/test_enumeration.py::test_pair_counts_equal_the_surgery_route",
+            "tests/test_identities.py::test_the_rows_of_every_small_map_are_pinned",
+        ),
+    ),
+    # The fundamental cycles: the path down the rooted forest to u runs
+    # each edge against its direction climbing up.
+    Mutant(
+        "forest-descent-unsigned",
+        "ribbonmap.py",
+        "descent.append((f, -d, above))",
+        "descent.append((f, d, above))",
+        (
+            "tests/test_ribbonmap.py::test_fundamental_cycles_are_pinned_on_the_census",
+            "tests/test_ribbonmap.py::test_every_enumerated_cycle_validates",
+            "tests/test_enumeration.py::test_dp_counts_equal_the_kernel_scans",
         ),
     ),
 )

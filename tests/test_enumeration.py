@@ -551,11 +551,21 @@ def test_random_maps_verify_and_match_the_surgery_route(g):
         assert [pairs(g, 2)] == surgery_pairs(g, kind, (2,)), kind
 
 
+# Each kind's pair polynomial, read on its primitive: the tension or flow
+# pairs of g, or of g* for the local tensions and balanced flows of g.
+_PAIR_POLY = {
+    "tension": lambda g: reciprocity._pair_poly(g, True),
+    "flow": lambda g: reciprocity._pair_poly(g, False),
+    "local-tension": lambda g: reciprocity._pair_poly(g.dual, False),
+    "balanced-flow": lambda g: reciprocity._pair_poly(g.dual, True),
+}
+
+
 def _assert_pair_polys_are_the_signed_polys(g):
     for kind, sign_exp in SIGN_EXP.items():
         sign = (-1) ** sign_exp(g.euler)
         signed = [sign * (-1) ** i * c for i, c in enumerate(_POLY_FN[kind](g))]
-        assert reciprocity._pair_poly(g, kind) == signed, (kind, g)
+        assert _PAIR_POLY[kind](g) == signed, (kind, g)
 
 
 def test_pair_polynomials_are_the_signed_polynomials(corpus):
@@ -598,7 +608,9 @@ def test_integral_pairs_refuse_before_the_class_scan(monkeypatch):
 
     calls = []
     real = orientations._scan_class
-    monkeypatch.setattr(orientations, "_scan_class", lambda g, c: calls.append(c) or real(g, c))
+    monkeypatch.setattr(
+        orientations, "_scan_class", lambda h, cycles: calls.append((h, cycles)) or real(h, cycles)
+    )
     inner = [(2 * j - 1, 2 * j) for j in range(1, 17)]
     path = build(34, [(0,), *inner, (33,)], [(2 * i, 2 * i + 1) for i in range(17)])
     with pytest.raises(TooLarge, match=r"17 columns of 3 values and masks of 2048 words"):
@@ -608,7 +620,7 @@ def test_integral_pairs_refuse_before_the_class_scan(monkeypatch):
     # patterns, but the DP keeps one mask per column; every orientation of
     # a tree is a BAO
     assert sg.integral_local_tension_reciprocity_pairs(path, 0) == 2**17
-    assert calls == [OrientationClass.BAO]
+    assert calls == [(path.dual, False)]  # BAO(g) is TCO(g*), its cuts
 
 
 def _one_face_bouquet(m):
@@ -623,7 +635,9 @@ def test_integral_pairs_price_the_masks_before_any_scan(monkeypatch):
     dps, scans = [], []
     real_dp, real_scan = reciprocity._frontier, orientations._scan_class
     monkeypatch.setattr(reciprocity, "_frontier", lambda *a: dps.append(a) or real_dp(*a))
-    monkeypatch.setattr(orientations, "_scan_class", lambda g, c: scans.append(c) or real_scan(g, c))
+    monkeypatch.setattr(
+        orientations, "_scan_class", lambda h, cycles: scans.append((h, cycles)) or real_scan(h, cycles)
+    )
     # Newly refused: a one-face map has a zero face row, so each sign
     # pattern of its local tensions keeps its own mask over the 2^E
     # orientations, all of them BAOs.  The 3^E < 10^8 patterns were
@@ -637,8 +651,9 @@ def test_integral_pairs_price_the_masks_before_any_scan(monkeypatch):
     assert dps == [] and scans == []
     # at 8 edges the DP runs: each edge takes t = 0 with both directions or
     # one of t = +-1 with one
-    assert sg.integral_local_tension_reciprocity_pairs(_one_face_bouquet(8), 1) == 4**8
-    assert len(dps) == 1 and scans == [OrientationClass.BAO]
+    g = _one_face_bouquet(8)
+    assert sg.integral_local_tension_reciprocity_pairs(g, 1) == 4**8
+    assert len(dps) == 1 and scans == [(g.dual, False)]  # the BAOs, TCO of g*
     # Newly admitted: a path at k = 8 was refused for its 17^8 > 10^8
     # assignments, but the DP keeps at most 3^j masks of 2^8 bits at column j.
     # Every orientation of a tree is a BAO and each edge takes t = 0 with

@@ -113,7 +113,7 @@ def test_the_integral_row_runs_on_maps_with_at_most_four_edges(corpus):
 
 
 def _dp(*args, **kw) -> tuple:
-    """A check_dp call's DP: its arguments other than spent."""
+    """A check_dp or _dp_price call's DP: its arguments other than spent."""
     bound = inspect.signature(guards.check_dp).bind(*args, **kw)
     bound.apply_defaults()
     bound.arguments.pop("spent")
@@ -124,14 +124,13 @@ def test_a_report_prices_every_dp_its_rows_run(corpus, monkeypatch):
     # The rows price each DP again before every lookup, so on any table the
     # DPs they price are the DPs they may run.
     ran, priced = set(), set()
-    real = guards.check_dp
 
-    def spy(log):
+    def spy(log, real):
         return lambda *args, **kw: log.add(_dp(*args, **kw)) or real(*args, **kw)
 
     for module in (enumeration, reciprocity):
-        monkeypatch.setattr(module, "check_dp", spy(ran))
-    monkeypatch.setattr(identities, "check_dp", spy(priced))
+        monkeypatch.setattr(module, "check_dp", spy(ran, guards.check_dp))
+    monkeypatch.setattr(identities, "_dp_price", spy(priced, guards._dp_price))
     for g in [fresh(h) for h in (*corpus, KITE, TWO_COMPONENTS)]:
         ran.clear()
         priced.clear()
@@ -156,24 +155,36 @@ LADDER_14 = {
 
 def test_a_report_too_large_in_all_is_refused_before_any_dp(capsys, tmp_path, monkeypatch):
     # Each DP alone is under the guard: summed over both sides of every row
-    # and every k, they are not.  At kmax 29 the E = 6 map's report prices
-    # about 1.07e8 steps (kmax 28: 8.7e7), and the E = 14 map's at kmax 10
-    # about 1.38e8, of which 1.05e8 on the right-hand sides.
-    dps = []
+    # and every k, they are not.  The refusal names the number of DPs and
+    # their total, the sum of the prices of every row's DPs: at kmax 29 the
+    # E = 6 map's report prices about 1.07e8 steps (kmax 28: 8.7e7), and
+    # the E = 14 map's at kmax 10 about 1.38e8.
+    dps, prices = [], []
     for module in (enumeration, reciprocity):
         real = module._frontier
         monkeypatch.setattr(module, "_frontier", lambda *a, real=real, **kw: dps.append(a) or real(*a, **kw))
+    real_price = guards._dp_price
+    monkeypatch.setattr(identities, "_dp_price", lambda *dp: prices.append(real_price(*dp)) or prices[-1])
     path = tmp_path / "map.json"
-    for doc, kmax in ((FRONTIER_6, 100), (FRONTIER_6, 29), (LADDER_14, 10)):
+    for doc, kmax, count, total in (
+        (FRONTIER_6, 100, 808, "1.70e+11"),
+        (FRONTIER_6, 29, 240, "1.07e+08"),
+        (LADDER_14, 10, 88, "1.38e+08"),
+    ):
+        prices.clear()
         path.write_text(json.dumps(doc))
         code = cli.main(["verify", str(path), "--kmax", str(kmax)])
         out, err = capsys.readouterr()
         assert code == 3 and out == "" and dps == [], (kmax, err)
-        assert re.fullmatch(
-            rf"guard: the identities at kmax {kmax}, priced before the first runs: count mod \d+ by a "
-            r"frontier DP .*, after \d+ steps of the DPs before it, about \d+ steps in all, exceeds .*\n",
+        named = re.fullmatch(
+            rf"guard: the identities at kmax {kmax}, (\d+) frontier DPs priced before the first runs, "
+            r"about (\d+) steps in all, exceeds the 100000000 guard; set SURFGRAPH_GUARD_OVERRIDE=1 to force\n",
             err,
-        ), err
+        )
+        assert named, err
+        n, steps = map(int, named.groups())
+        assert (n, steps) == (len(prices), sum(prices)) and n == count, kmax
+        assert f"{steps:.2e}" == total, (kmax, steps)
     # the same spy sees an admitted report run its DPs
     path.write_text(json.dumps(FRONTIER_6))
     assert cli.main(["verify", str(path), "--kmax", "3"]) == 0 and dps

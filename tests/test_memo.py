@@ -1,6 +1,6 @@
 """The memos, in three places.  What reads a map's rotation (its
 canonical code) is kept on the map.  What reads the labels of its graph,
-(V, edge ends) - cycles, forms, rows, plans, class masks, cw cubes,
+(V, edge ends) - cycles, rows, plans, class masks, cw cubes,
 subset components, scan costs - is kept per labelled graph in one table
 shared by every map with that graph.  What relabelling the vertices and
 reversing edges leave unchanged - the counts, the subset census and
@@ -17,7 +17,7 @@ The guards price each labelled graph's own plan or mask before any
 lookup, since relabelling changes a plan: a value computed under the
 override is still refused on an isomorphic copy without it.  The dual of
 g.dual is g itself, so nothing is computed again on an equal copy of g.
-The pair counters read g's own forbidden subcubes, so verify builds no
+The pair counters read the forbidden subcubes of g or g*, so verify builds no
 surgered map and takes no canonical code beyond the one naming g in its
 report, which a census map carries from its dedupe."""
 
@@ -102,10 +102,9 @@ def test_maps_share_what_reads_only_their_graph(monkeypatch):
     scans = []
     real = orientations._scan_class
 
-    def scan(g, cls):
-        h, cycles = orientations._primitive(g, cls)
+    def scan(h, cycles):
         scans.append((_graph(h), cycles))
-        return real(g, cls)
+        return real(h, cycles)
 
     monkeypatch.setattr(orientations, "_scan_class", scan)
     # the theta graph embedded in the sphere and in the torus
@@ -134,9 +133,9 @@ def test_verify_computes_each_quantity_once(corpus, monkeypatch):
     real_scan_class = orientations._scan_class
     real_count = enumeration._row_count
 
-    def scan_class(g, cls):
-        masks.append(orientations._primitive(g, cls))
-        return real_scan_class(g, cls)
+    def scan_class(h, cycles):
+        masks.append((h, cycles))
+        return real_scan_class(h, cycles)
 
     def count(h, condition, k, nonzero):
         # every row count is kept on the class of its graph, g's or g*'s
@@ -186,13 +185,13 @@ def test_verify_scans_each_primitive_once(corpus, monkeypatch):
     scans = []
     real = orientations._scan_class
     monkeypatch.setattr(
-        orientations, "_scan_class", lambda g, cls: scans.append((g, cls)) or real(g, cls)
+        orientations, "_scan_class", lambda h, cycles: scans.append((h, cycles)) or real(h, cycles)
     )
     seen = set()
     for g in [fresh(h) for h in corpus]:
         scans.clear()
         cli._verify_graph(g, 3)
-        read = [(_graph(h), cycles) for h, cycles in (orientations._primitive(*s) for s in scans)]
+        read = [(_graph(h), cycles) for h, cycles in scans]
         assert len(set(read)) == len(read) and not seen & set(read)
         seen.update(read)
         assert {(_graph(h), c) for h in (g, g.dual) for c in (False, True)} <= seen
@@ -266,9 +265,9 @@ def test_verify_prices_each_class_once_and_guards_every_scan(corpus, monkeypatch
     real_cost, real_bound = orientations._scan_cost, orientations._cycle_bound
     real_mask, real_guard = orientations._class_mask, orientations.check_class_scan
 
-    def cost(g, cls):
-        priced.append(orientations._primitive(g, cls))
-        return real_cost(g, cls)
+    def cost(h, cycles):
+        priced.append((h, cycles))
+        return real_cost(h, cycles)
 
     def mask(g, cls):
         masks.append((g, cls))
@@ -445,11 +444,7 @@ def test_verify_computes_each_invariant_once_per_class(corpus, monkeypatch):
 
         monkeypatch.setattr(module, name, run)
 
-    def pair_key(g, kind):
-        h, cycles = orientations._primitive(g, reciprocity.CLASS_OF[kind])
-        return _class(h), cycles
-
-    spy(reciprocity, "_pair_poly", pair_key)
+    spy(reciprocity, "_pair_poly", lambda h, tension: (_class(h), tension))
     spy(reciprocity, "_fit_period", lambda h, degree, period: (_class(h), period))
     spy(reciprocity, "_integral_pairs", lambda h, k, bao: (_class(h), k))
     spy(enumeration, "_checked_sum", lambda h, kind, counts: (_class(h), kind))

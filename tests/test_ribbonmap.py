@@ -1,6 +1,8 @@
 """Structure layer: construction, orbits, dual, surgeries, cycles, codes."""
 
+import hashlib
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 import surfgraph as sg
 from surfgraph import (
     BadPairing,
+    CorpusSpec,
     Cycle,
     DuplicateEdge,
     InvalidCycle,
@@ -32,6 +35,7 @@ from surfgraph import (
     dual,
     face_matrix,
     fundamental_cycles,
+    generate,
     is_separating,
     signed_boundary,
 )
@@ -282,6 +286,22 @@ def test_fundamental_cycle_count():
     for g in SMALL:
         d = g.euler
         assert len(fundamental_cycles(g)) == d.e_count - d.v_count + d.c
+
+
+def test_fundamental_cycles_are_pinned_on_the_census():
+    # The basis fixes every form, plan and guard price.  Pinned by a digest
+    # over g and g* of every connected map with at most five edges, and of
+    # every map, connected or not, with at most three.
+    maps = [g for m in range(6) for g in generate(CorpusSpec(edges=m))]
+    maps += [g for m in range(4) for g in generate(CorpusSpec(edges=m, connected=False))]
+    assert len(maps) == 1050
+    bases = [
+        [[c.edges, c.directions, c.vertices] for c in fundamental_cycles(h)]
+        for g in maps
+        for h in (g, g.dual)
+    ]
+    digest = hashlib.sha256(json.dumps(bases).encode()).hexdigest()[:16]
+    assert digest == "8a6322f3b842bc06"
 
 
 def test_check_cycle_rejections():
